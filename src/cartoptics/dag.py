@@ -1,11 +1,11 @@
-"""Hash-consed evaluation DAGs: compute once, copy the result.
+"""Shared evaluation DAGs: compute once, copy the result.
 
-`share` normalizes a term and then interns every (generator, arguments)
-application, so syntactically repeated work in the canonical form collapses to
-a single node.  This is the exhaustive form of the rewrite that pushes a copy
-past a morphism (duplicate the output instead of running the morphism twice):
-the node count never exceeds the number of generator occurrences in the
-canonical form.
+`normalize` hash-conses the canonical form, so every repeated (generator,
+arguments) application in it is already one object, and `share` only lists
+those objects in dependency order.  This is the exhaustive form of the rewrite
+that pushes a copy past a morphism (duplicate the output instead of running
+the morphism twice): the node count never exceeds the number of generator
+occurrences in the canonical form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .interp import CarrierMismatch, CostReport, Interp, check_values
-from .normal import App, CanonicalForm, Var, WireTerm, normalize
+from .normal import CanonicalForm, Var, WireTerm, normalize, postorder
 from .signature import Generator, Obj
 from .term import Term
 
@@ -63,29 +63,25 @@ class SharedDag:
 
 
 def share_cf(cf: CanonicalForm) -> SharedDag:
+    """List the distinct applications of a canonical form, arguments first.
+
+    One node per (generator, argument tuple); all outputs of a generator
+    application refer to the same node.
+    """
     nodes: list[DagNode] = []
-    node_ids: dict[DagNode, int] = {}
-    memo: dict[WireTerm, Ref] = {}
+    index: dict[tuple, int] = {}
 
-    def intern(w: WireTerm) -> Ref:
-        hit = memo.get(w)
-        if hit is not None:
-            return hit
+    def ref(w: WireTerm) -> Ref:
         if isinstance(w, Var):
-            ref: Ref = InputRef(w.index)
-        else:
-            key = DagNode(w.gen, tuple(intern(a) for a in w.args))
-            node_id = node_ids.get(key)
-            if node_id is None:
-                node_id = len(nodes)
-                nodes.append(key)
-                node_ids[key] = node_id
-            ref = NodeRef(node_id, w.out_index)
-        memo[w] = ref
-        return ref
+            return InputRef(w.index)
+        return NodeRef(index[id(w.gen), w.args], w.out_index)
 
-    outputs = tuple(intern(w) for w in cf.wires)
-    return SharedDag(cf.dom, cf.cod, tuple(nodes), outputs)
+    for w in postorder(cf.wires):
+        key = (id(w.gen), w.args)
+        if key not in index:
+            index[key] = len(nodes)
+            nodes.append(DagNode(w.gen, tuple(map(ref, w.args))))
+    return SharedDag(cf.dom, cf.cod, tuple(nodes), tuple(map(ref, cf.wires)))
 
 
 def share(t: Term) -> SharedDag:

@@ -119,7 +119,7 @@ def check_values(obj: Obj, values: tuple, interp: Interp, what: str = "input") -
     for v, s in zip(values, obj):
         c = interp.carrier_of(s)
         if isinstance(c, FiniteCarrier):
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < c.size):
+            if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < c.size):
                 raise CarrierMismatch(f"{what}: value {v!r} not in finite carrier of {s.name}")
         else:
             arr = np.asarray(v)

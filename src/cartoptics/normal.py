@@ -13,11 +13,18 @@ structure.
 wire variables through the term; `read_back` rebuilds a term (with explicit
 copies and projections) from a canonical form, and normalizing the read-back
 returns the same canonical form.
+
+`normalize` hash-conses the wires (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): within one form, equal subterms are one object, so the
+form is its own shared DAG.  Forms from separate calls still compare and hash
+structurally, in time linear in the size of that DAG.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .signature import Generator, Obj
@@ -44,40 +51,135 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App:
-    """Output `out_index` of a generator applied to argument wires."""
+    """Output `out_index` of a generator applied to argument wires.
+
+    The hash is computed on first use and kept, from the generator's name,
+    the output index and the arguments' hashes.  Equality is structural
+    (`_wires_equal`).
+    """
 
     gen: Generator
     out_index: int
     args: tuple["WireTerm", ...]
+    _hash = None  # not a field: set by _hash_below
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _hash_below(self)
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: recompute on unpickling
+        return App, (self.gen, self.out_index, self.args)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, App):
+            return NotImplemented
+        return _wires_equal((self,), (other,))
+
+
+def _hash_below(w: App) -> None:
+    """Hash w and its unhashed descendants, arguments first, without recursion."""
+    todo = [w]
+    while todo:
+        a = todo[-1]
+        pending = [b for b in a.args if isinstance(b, App) and b._hash is None]
+        if pending:
+            todo.extend(pending)
+            continue
+        todo.pop()
+        object.__setattr__(a, "_hash", hash((a.gen.name, a.out_index, a.args)))
 
 
 WireTerm = Var | App
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalForm:
     dom: Obj
     cod: Obj
     wires: tuple[WireTerm, ...]
 
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.wires))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CanonicalForm):
+            return NotImplemented
+        return self.dom == other.dom and self.cod == other.cod and _wires_equal(self.wires, other.wires)
+
+
+def _wires_equal(xs: tuple[WireTerm, ...], ys: tuple[WireTerm, ...]) -> bool:
+    """Structural equality of wire tuples, visiting each node pair once."""
+    if len(xs) != len(ys):
+        return False
+    seen: set[tuple[int, int]] = set()
+    todo = list(zip(xs, ys))
+    while todo:
+        a, b = todo.pop()
+        if a is b or (id(a), id(b)) in seen:
+            continue
+        if isinstance(a, Var) or isinstance(b, Var):
+            if a != b:
+                return False
+            continue
+        if hash(a) != hash(b) or a.out_index != b.out_index or len(a.args) != len(b.args):
+            return False
+        if not (a.gen is b.gen or a.gen == b.gen):
+            return False
+        seen.add((id(a), id(b)))
+        todo.extend(zip(a.args, b.args))
+    return True
+
+
+class _UniqueTable:
+    """Hash-consing within one call: equal subterms become one object.
+
+    An application is keyed on its generator and the identities of its
+    (already unique) arguments; all its outputs are made together and share
+    one argument tuple.  Equal but distinct generator objects are merged.
+    """
+
+    def __init__(self, arity: int) -> None:
+        self.inputs = tuple(Var(i) for i in range(arity))
+        self.apps: dict[tuple, tuple[App, ...]] = {}
+        self.reps: dict[int, Generator] = {}
+        self.by_name: dict[str, list[Generator]] = {}
+
+    def apply(self, gen: Generator, xs: tuple[WireTerm, ...]) -> tuple[App, ...]:
+        rep = self.reps.get(id(gen))
+        if rep is None:
+            # compared by value only against generators of the same name
+            named = self.by_name.setdefault(gen.name, [])
+            rep = next((g for g in named if g == gen), None)
+            if rep is None:
+                rep = gen
+                named.append(gen)
+            self.reps[id(gen)] = rep
+        key = (id(rep), *map(id, xs))
+        outs = self.apps.get(key)
+        if outs is None:
+            outs = self.apps[key] = tuple(App(rep, j, xs) for j in range(len(rep.cod)))
+        return outs
+
 
 def normalize(t: Term) -> CanonicalForm:
-    wires = _push(t, tuple(Var(i) for i in range(len(t.dom))))
-    return CanonicalForm(t.dom, t.cod, wires)
+    table = _UniqueTable(len(t.dom))
+    return CanonicalForm(t.dom, t.cod, _push(t, table.inputs, table))
 
 
-def _push(t: Term, xs: tuple[WireTerm, ...]) -> tuple[WireTerm, ...]:
+def _push(t: Term, xs: tuple[WireTerm, ...], table: _UniqueTable) -> tuple[WireTerm, ...]:
     if isinstance(t, Gen):
-        return tuple(App(t.gen, j, xs) for j in range(len(t.gen.cod)))
+        return table.apply(t.gen, xs)
     if isinstance(t, Id):
         return xs
     if isinstance(t, Seq):
-        return _push(t.right, _push(t.left, xs))
+        return _push(t.right, _push(t.left, xs, table), table)
     if isinstance(t, Ten):
         k = len(t.left.dom)
-        return _push(t.left, xs[:k]) + _push(t.right, xs[k:])
+        return _push(t.left, xs[:k], table) + _push(t.right, xs[k:], table)
     if isinstance(t, Copy):
         return xs + xs
     if isinstance(t, Delete):
@@ -93,8 +195,15 @@ def _push(t: Term, xs: tuple[WireTerm, ...]) -> tuple[WireTerm, ...]:
 
 
 def normal_eq(f: Term, g: Term) -> bool:
-    """Equality in the free cartesian category (boundaries included)."""
-    return normalize(f) == normalize(g)
+    """Equality in the free cartesian category (boundaries included).
+
+    Both sides are normalized into one unique table, so their canonical
+    forms are equal exactly when their wires are the same objects.
+    """
+    if f.dom != g.dom or f.cod != g.cod:
+        return False
+    table = _UniqueTable(len(f.dom))
+    return all(map(operator.is_, _push(f, table.inputs, table), _push(g, table.inputs, table)))
 
 
 def read_back(cf: CanonicalForm) -> Term:
@@ -112,27 +221,42 @@ def _wire_term(w: WireTerm, dom: Obj) -> Term:
     return t
 
 
+def postorder(wires: tuple[WireTerm, ...]) -> Iterator[App]:
+    """Each distinct `App` object under the wires once, arguments first.
+
+    The order is that of a left-to-right depth-first walk.  The walk keeps
+    its own stack, so deep forms cannot exhaust the interpreter's.
+    """
+    done: set[int] = set()
+    todo: list[tuple[WireTerm, bool]] = [(w, False) for w in reversed(wires)]
+    while todo:
+        w, expanded = todo.pop()
+        if isinstance(w, Var) or id(w) in done:
+            continue
+        if expanded:
+            done.add(id(w))
+            yield w
+        else:
+            todo.append((w, True))
+            todo.extend((a, False) for a in reversed(w.args))
+
+
 def gen_occurrences(cf: CanonicalForm) -> Counter:
     """Generator occurrence counts in the canonical form, with multiplicity.
 
-    Shared subtree objects are counted as many times as they occur, but the
-    walk memoizes on subterm identity so heavily shared forms stay cheap.
+    A shared subterm is counted as many times as it occurs in the tree, but
+    its counts are computed once per object (memoized on `id`), so a
+    hash-consed form from `normalize` costs time linear in its DAG size.
     """
-    cache: dict[WireTerm, Counter] = {}
-
-    def count(w: WireTerm) -> Counter:
-        if isinstance(w, Var):
-            return Counter()
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
+    counts: dict[int, Counter] = {}
+    for w in postorder(cf.wires):
         total = Counter({w.gen.name: 1})
         for a in w.args:
-            total.update(count(a))
-        cache[w] = total
-        return total
-
+            if isinstance(a, App):
+                total.update(counts[id(a)])
+        counts[id(w)] = total
     out: Counter = Counter()
     for w in cf.wires:
-        out.update(count(w))
+        if isinstance(w, App):
+            out.update(counts[id(w)])
     return out

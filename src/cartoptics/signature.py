@@ -224,7 +224,11 @@ def parse_signature(data: dict) -> Signature:
             t = raw["table"]
             if not isinstance(t, list) or not all(isinstance(r, list) for r in t):
                 raise SignatureError(f"{where}.table: expected a list of rows")
-            table = tuple(tuple(int(v) for v in row) for row in t)
+            for r, row in enumerate(t):
+                for c, v in enumerate(row):
+                    if isinstance(v, bool) or not isinstance(v, int):
+                        raise SignatureError(f"{where}.table[{r}][{c}]: expected an integer, got {v!r}")
+            table = tuple(tuple(row) for row in t)
             try:
                 gens.append(Generator(name, dom, cod, table=table))
             except SignatureError as e:

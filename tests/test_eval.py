@@ -95,6 +95,14 @@ class TestValueChecking:
         with pytest.raises(CarrierMismatch):
             evaluate(h, (0,), interp)
 
+    @pytest.mark.parametrize("value", [False, True])
+    def test_booleans_are_not_finite_values(self, f, interp, value):
+        with pytest.raises(CarrierMismatch, match="not in finite carrier"):
+            evaluate(f, (value,), interp)
+
+    def test_numpy_integers_are_finite_values(self, f, interp):
+        assert evaluate(f, (np.int64(1),), interp) == (2,)
+
 
 class TestEnumeration:
     def test_row_major_order(self, A, B, interp):

@@ -10,10 +10,12 @@ from cartoptics import (
     Id,
     Proj1,
     Seq,
+    SignatureError,
     Swap,
     Ten,
     UNIT,
     graph,
+    parse_signature,
     parse_term,
     term_to_expr,
 )
@@ -44,6 +46,28 @@ class TestParsing:
 
     def test_whitespace_is_ignored(self, sig, f, g):
         assert parse_term("  f;g ", sig) == Seq(f, g)
+
+
+def _table_signature(table):
+    return {
+        "sorts": [{"name": "A", "carrier": {"finite": 2}}],
+        "generators": [
+            {"name": "u", "dom": ["A"], "cod": ["A"], "table": [[1], [0]]},
+            {"name": "v", "dom": ["A"], "cod": ["A"], "table": table},
+        ],
+    }
+
+
+class TestSignatureTables:
+    def test_integer_entries_load(self):
+        sig = parse_signature(_table_signature([[0], [1]]))
+        assert sig.generator("v").table == ((0,), (1,))
+
+    @pytest.mark.parametrize("entry", [1.9, 1.0, "1", True, None])
+    def test_non_integer_entry_is_rejected_with_location(self, entry):
+        with pytest.raises(SignatureError) as info:
+            parse_signature(_table_signature([[0], [entry]]))
+        assert str(info.value).startswith("generators[1].table[1][0]:")
 
 
 class TestErrors:

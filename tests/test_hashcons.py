@@ -1,0 +1,201 @@
+"""Hash-consed canonical forms: linear cost on shared forms, unchanged answers.
+
+A `(copy[A] ; h)` chain of length k has k distinct nodes but 2^k - 1
+generator occurrences when its canonical form is read as a tree.  Every
+operation on canonical forms must cost time in the number of nodes.
+
+The reference for equality is the structural tree comparison that `App` and
+`CanonicalForm` had as plain frozen dataclasses (`_tree`, below): it walks
+every path, so it is used on small forms only.
+"""
+
+import time
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cartoptics import (
+    App,
+    CanonicalForm,
+    Copy,
+    FiniteCarrier,
+    Gen,
+    Generator,
+    Id,
+    Obj,
+    Sort,
+    Var,
+    build_chain,
+    compose_chain,
+    eq_extensional,
+    gen_occurrences,
+    normal_eq,
+    normalize,
+    read_back,
+    reify,
+    share,
+    share_cf,
+)
+from cartoptics.optic import round_trip_term
+from cartoptics.sampling import (
+    min_depths,
+    padded_variants,
+    random_interp,
+    random_morphism,
+    random_obj,
+    random_signature,
+    random_wire,
+)
+
+
+A = Obj((Sort("A", FiniteCarrier(2)),))
+H = Gen(Generator("h", A @ A, A, table=((0,), (1,), (1,), (0,))))
+
+
+def _copy_chain(k):
+    t = Id(A)
+    for _ in range(k):
+        t = t >> (Copy(A) >> H)
+    return t
+
+
+class TestExponentialCases:
+    def test_copy_chain_k64(self):
+        start = time.perf_counter()
+        t = _copy_chain(64)
+        cf = normalize(t)
+        assert len(share(t).nodes) == 64
+        assert normal_eq(t, t)
+        assert hash(cf) == hash(normalize(t))
+        assert gen_occurrences(cf) == {"h": 2**64 - 1}
+        # separate calls: equality is structural, not by identity
+        assert normalize(t) == normalize(t)
+        assert normalize(_copy_chain(63) >> Copy(A) >> H) == cf
+        assert normalize(_copy_chain(63)) != cf
+        assert time.perf_counter() - start < 5.0
+
+    def test_200_stage_round_trip_shares_without_recursion_error(self):
+        chain = build_chain(200, "finite", seed=3)
+        dag = share(round_trip_term(reify(compose_chain(chain.lenses))))
+        assert len(dag.nodes) == 400
+        assert dag.gen_node_count(chain.get_names) == 200
+
+
+# --- differential tests against the structural tree comparison ---------------
+
+
+def _tree(w):
+    if isinstance(w, Var):
+        return ("var", w.index)
+    return ("app", w.gen, w.out_index, tuple(_tree(a) for a in w.args))
+
+
+def _tree_eq(cf1, cf2):
+    def key(cf):
+        return cf.dom, cf.cod, tuple(map(_tree, cf.wires))
+
+    return key(cf1) == key(cf2)
+
+
+def _hand_built(rng, sig, dom, cod):
+    """A canonical form built from `App`/`Var` directly, not by `normalize`."""
+    mind = min_depths(sig, dom)
+    wires = tuple(random_wire(rng, sig, dom.sorts, mind, s, max(2, mind[s])) for s in cod)
+    return CanonicalForm(dom, cod, wires)
+
+
+def _setup(rng):
+    sig = random_signature(rng)
+    dom = random_obj(rng, sig)
+    cod = random_obj(rng, sig)
+    return sig, dom, cod
+
+
+def _partner(rng, sig, t):
+    """A padded variant of t (always equal) or a fresh term (often distinct)."""
+    if rng.random() < 0.5:
+        return rng.choice(padded_variants(rng, t))
+    return random_morphism(rng, sig, t.dom, t.cod, budget=1)
+
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestAgainstTreeOracle:
+    @PROPERTY
+    @given(st.randoms(use_true_random=False))
+    def test_cross_form_equality_and_hash(self, rng):
+        sig, dom, cod = _setup(rng)
+        t1 = random_morphism(rng, sig, dom, cod)
+        t2 = _partner(rng, sig, t1)
+        cf1, cf2 = normalize(t1), normalize(t2)
+        want = _tree_eq(cf1, cf2)
+        assert (cf1 == cf2) == want
+        assert normal_eq(t1, t2) == want
+        if want:
+            assert hash(cf1) == hash(cf2)
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=False))
+    def test_hand_built_forms(self, rng):
+        sig, dom, cod = _setup(rng)
+        hand = _hand_built(rng, sig, dom, cod)
+        cf = normalize(read_back(hand))
+        assert _tree_eq(cf, hand)
+        assert cf == hand and hand == cf and hash(cf) == hash(hand)
+        # sharing a hand-built form merges equal subterms like a normalized one
+        assert share_cf(hand) == share_cf(cf)
+        other = _hand_built(rng, sig, dom, cod)
+        assert (hand == other) == _tree_eq(hand, other)
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=False))
+    def test_read_back_is_a_section(self, rng):
+        sig, dom, cod = _setup(rng)
+        cf = normalize(random_morphism(rng, sig, dom, cod))
+        assert normalize(read_back(cf)) == cf
+
+
+class TestAgainstExhaustiveEvaluation:
+    """normal_eq implies equality under every interpretation.
+
+    The converse fails on tiny carriers (u;u;u = u for every endo-map of a
+    2-element set, see test_normalize.py), so that direction is checked
+    against the tree oracle above instead.
+    """
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=False))
+    def test_normal_eq_implies_extensional_eq(self, rng):
+        sig, dom, cod = _setup(rng)
+        t1 = random_morphism(rng, sig, dom, cod)
+        t2 = _partner(rng, sig, t1)
+        if normal_eq(t1, t2):
+            for _ in range(2):
+                assert eq_extensional(t1, t2, random_interp(rng, sig))
+
+
+def test_generators_compare_by_value():
+    a = Sort("A", FiniteCarrier(2))
+    obj = Obj((a,))
+
+    def gen(table):
+        return Generator("u", obj, obj, table=table)
+
+    u1, u2, other = gen(((1,), (0,))), gen(((1,), (0,))), gen(((0,), (0,)))
+    assert u1 is not u2 and u1 == u2
+    # equal but distinct generator objects are one generator
+    t = Copy(obj) >> (Gen(u1) @ Gen(u2))
+    assert len(share(t).nodes) == 1
+    assert normal_eq(Gen(u1), Gen(u2))
+    assert normalize(Gen(u1)) == CanonicalForm(obj, obj, (App(u2, 0, (Var(0),)),))
+    # same name, different table: different generators
+    assert not normal_eq(Gen(u1), Gen(other))
+    assert normalize(Gen(u1)) != normalize(Gen(other))
+    assert len(share(Copy(obj) >> (Gen(u1) @ Gen(other))).nodes) == 2
