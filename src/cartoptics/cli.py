@@ -57,22 +57,34 @@ def _json_safe(x):
     return x
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path) as f:
         return json.load(f)
 
 
+def _fields(path: str, data, where: str, **kinds: type) -> list:
+    """Values of the keys in a JSON object; `where` ("" or e.g. "optics[0].") prefixes errors."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: {where.rstrip('.') or 'top level'}: expected an object")
+    for key, kind in kinds.items():
+        if not isinstance(data.get(key), kind):
+            problem = f"expected a {kind.__name__}" if key in data else "missing key"
+            raise ValueError(f"{path}: {where}{key}: {problem}")
+    return [data[k] for k in kinds]
+
+
 def _load_lens(path: str, sig) -> Lens:
-    data = _load_json(path)
-    return Lens(parse_term(data["get"], sig), parse_term(data["put"], sig))
+    get, put = _fields(path, _load_json(path), "", get=str, put=str)
+    return Lens(parse_term(get, sig), parse_term(put, sig))
 
 
-def _load_optic(path: str, sig) -> Optic:
-    data = _load_json(path)
-    residual = Obj(tuple(sig.sort(n) for n in data["residual"]))
-    return Optic(
-        residual, parse_term(data["forward"], sig), parse_term(data["backward"], sig)
-    )
+def _load_optic(path: str, sig, data=None, where: str = "") -> Optic:
+    """An optic file, or the optic object at `where` in the JSON data of `path`."""
+    data = _load_json(path) if data is None else data
+    res, fw, bw = _fields(path, data, where, residual=list, forward=str, backward=str)
+    if not all(isinstance(n, str) for n in res):
+        raise ValueError(f"{path}: {where}residual: expected a list of sort names")
+    return Optic(Obj(tuple(map(sig.sort, res))), parse_term(fw, sig), parse_term(bw, sig))
 
 
 def _parse_values(src: str) -> tuple:
@@ -232,16 +244,8 @@ def cmd_check_cell(args) -> int:
 def cmd_pi0(args) -> int:
     sig = load_signature(args.signature)
     data = _load_json(args.homcat)
-    optics = []
-    for entry in data["optics"]:
-        residual = Obj(tuple(sig.sort(n) for n in entry["residual"]))
-        optics.append(
-            Optic(
-                residual,
-                parse_term(entry["forward"], sig),
-                parse_term(entry["backward"], sig),
-            )
-        )
+    (entries,) = _fields(args.homcat, data, "", optics=list)
+    optics = [_load_optic(args.homcat, sig, e, f"optics[{i}].") for i, e in enumerate(entries)]
     depth = args.search_depth if args.search_depth is not None else data.get("search_depth", 2)
     interp = _table_interp(sig)
     sample = search_cells(optics, sig, depth, interp)

@@ -102,11 +102,17 @@ class Interp:
             idx = 0
             for v, s in zip(args, gen.dom):
                 idx = idx * self.size_of(s) + v
-            return tuple(table[idx])
-        fn = self.fns.get(gen.name)
-        if fn is None:
-            raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
-        return tuple(fn(args))
+            out = tuple(table[idx])
+        else:
+            fn = self.fns.get(gen.name)
+            if fn is None:
+                raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
+            out = tuple(fn(args))
+        if len(out) != len(gen.cod):
+            raise CarrierMismatch(
+                f"generator {gen.name} returned {len(out)} values, expected {len(gen.cod)}"
+            )
+        return out
 
     def obj_bytes(self, obj: Obj) -> int:
         return sum(carrier_bytes(self.carrier_of(s)) for s in obj)
@@ -129,6 +135,22 @@ def check_values(obj: Obj, values: tuple, interp: Interp, what: str = "input") -
                 )
 
 
+def _env_response(
+    env: Callable[[tuple], tuple] | None, b: tuple, cod_pair: tuple[Obj, Obj], interp: Interp
+) -> tuple:
+    """The environment's answer to b (b itself if env is None), checked against B'."""
+    b_obj, b_back = cod_pair
+    if env is None and b_obj != b_back:
+        raise TermTypeError(
+            f"default identity env needs matching boundary: {b_obj} vs {b_back}",
+            expected=b_obj,
+            actual=b_back,
+        )
+    b_resp = b if env is None else tuple(env(b))
+    check_values(b_back, b_resp, interp, what="env response")
+    return b_resp
+
+
 def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
     """Run a term on a value tuple, counting generator applications and copies."""
     if report is None:
@@ -140,12 +162,7 @@ def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None =
 def _eval(t: Term, xs: tuple, interp: Interp, report: CostReport) -> tuple:
     if isinstance(t, Gen):
         report.generator_counts[t.gen.name] += 1
-        out = interp.apply(t.gen, xs)
-        if len(out) != len(t.gen.cod):
-            raise CarrierMismatch(
-                f"generator {t.gen.name} returned {len(out)} values, expected {len(t.gen.cod)}"
-            )
-        return out
+        return interp.apply(t.gen, xs)
     if isinstance(t, Id):
         return xs
     if isinstance(t, Seq):

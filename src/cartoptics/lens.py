@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .interp import CostReport, Interp, check_values, evaluate
+from .interp import CostReport, Interp, _env_response, evaluate
 from .normal import normal_eq
 from .signature import Obj
 from .term import Id, Proj2, Ten, Term, TermTypeError, graph
@@ -91,20 +91,9 @@ def lens_exec(
     counts as one copy per wire of A, and the held slots are the peak residual.
     """
     a_obj, _ = lens.dom_pair
-    b_obj, b_back = lens.cod_pair
     report = CostReport()
     b = evaluate(lens.get, a, interp, report)
-    if env is None:
-        if b_obj != b_back:
-            raise TermTypeError(
-                f"default identity env needs matching boundary: {b_obj} vs {b_back}",
-                expected=b_obj,
-                actual=b_back,
-            )
-        b_resp = b
-    else:
-        b_resp = tuple(env(b))
-    check_values(b_back, b_resp, interp, what="env response")
+    b_resp = _env_response(env, b, lens.cod_pair, interp)
     a_prime = evaluate(lens.put, tuple(a) + b_resp, interp, report)
     report.copies += len(a_obj)
     report.peak_residual_slots = len(a_obj)

@@ -4,31 +4,44 @@ An optic between boundary pairs (A, A') -> (B, B') is a residual object M
 with terms forward: A -> M x B and backward: M x B' -> A'.  Optics are
 representatives, not equivalence classes, but composition is still strictly
 associative and unital on the nose: components are stored as flat stage
-chains (left-nested, identity stages dropped) and composition concatenates
-those chains, wrapping the later optic's stages in an identity context that
-coalesces with any identity context already present.  The executor
-materializes the residual between passes, trading memory for the
+chains (left-nested, identity stages dropped).  `compose_optic_chain` builds
+the composite of a whole chain in one pass over the stages: each optic's
+stages are wrapped in an identity context holding the residuals of the optics
+before it (coalescing with any identity context a stage already has), forward
+stages go in chain order and backward stages in reverse, optic by optic.  The
+executor materializes the residual between passes, trading memory for the
 recomputation a lens chain would do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
-from .interp import CostReport, Interp, check_values, evaluate
+from .interp import CostReport, Interp, _env_response, evaluate
 from .normal import normal_eq
 from .signature import Obj, UNIT
-from .term import Copy, Id, Proj1, Proj2, Swap, Ten, Term, TermTypeError, _mk_seq, _seq_parts
+from .term import Copy, Id, Seq, Swap, Ten, Term, TermTypeError
 
 
 def _stages(t: Term) -> list[Term]:
-    return [p for p in _seq_parts(t) if not isinstance(p, Id)]
+    """The non-identity stages of a sequential composite, left to right."""
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Seq):
+            stack.append(t.right)
+            stack.append(t.left)
+        elif not isinstance(t, Id):
+            out.append(t)
+    return out
 
 
-def _reslot(t: Term) -> Term:
-    """Left-nested chain of non-identity stages (identity if none are left)."""
-    return _mk_seq(_stages(t), t.dom)
+def _chain(stages: list[Term], dom: Obj) -> Term:
+    """Left-nested chain of stages (identity on dom if there are none)."""
+    return reduce(Seq, stages) if stages else Id(dom)
 
 
 def _wrap(m: Obj, t: Term) -> Term:
@@ -53,8 +66,8 @@ class Optic:
     cod_pair: tuple[Obj, Obj] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forward", _reslot(self.forward))
-        object.__setattr__(self, "backward", _reslot(self.backward))
+        object.__setattr__(self, "forward", _chain(_stages(self.forward), self.forward.dom))
+        object.__setattr__(self, "backward", _chain(_stages(self.backward), self.backward.dom))
         m = self.residual
         if self.forward.cod[: len(m)] != m:
             raise TermTypeError(
@@ -80,32 +93,32 @@ def optic_id(pair: tuple[Obj, Obj]) -> Optic:
 
 
 def optic_compose(o1: Optic, o2: Optic) -> Optic:
-    """Sequential composition: residuals concatenate, nothing is recomputed.
-
-    The composite components are stage-chain concatenations, so composition
-    is strictly associative and unital at the level of representatives.
-    """
-    if o1.cod_pair != o2.dom_pair:
-        raise TermTypeError(
-            f"optic boundaries do not match: {o1.cod_pair[0]} / {o1.cod_pair[1]} "
-            f"vs {o2.dom_pair[0]} / {o2.dom_pair[1]}"
-        )
-    m1 = o1.residual
-    m2 = o2.residual
-    fw_stages = _stages(o1.forward) + [_wrap(m1, s) for s in _stages(o2.forward)]
-    bw_stages = [_wrap(m1, s) for s in _stages(o2.backward)] + _stages(o1.backward)
-    forward = _mk_seq(fw_stages, o1.forward.dom)
-    backward = _mk_seq(bw_stages, m1 @ o2.backward.dom)
-    return Optic(m1 @ m2, forward, backward)
+    """Sequential composition: residuals concatenate, nothing is recomputed."""
+    return compose_optic_chain([o1, o2])
 
 
 def compose_optic_chain(optics: list[Optic]) -> Optic:
+    """Compose a chain in one pass; any bracketing gives this representative."""
     if not optics:
         raise ValueError("empty optic chain")
-    out = optics[0]
-    for o in optics[1:]:
-        out = optic_compose(out, o)
-    return out
+    first = optics[0]
+    m = first.residual
+    forward = _stages(first.forward)
+    backward = [_stages(first.backward)]
+    for prev, o in zip(optics, optics[1:]):
+        if prev.cod_pair != o.dom_pair:
+            raise TermTypeError(
+                f"optic boundaries do not match: {prev.cod_pair[0]} / {prev.cod_pair[1]} "
+                f"vs {o.dom_pair[0]} / {o.dom_pair[1]}"
+            )
+        forward += [_wrap(m, s) for s in _stages(o.forward)]
+        backward.append([_wrap(m, s) for s in _stages(o.backward)])
+        m = m @ o.residual
+    return Optic(
+        m,
+        _chain(forward, first.forward.dom),
+        _chain([s for part in reversed(backward) for s in part], m @ optics[-1].cod_pair[1]),
+    )
 
 
 def optic_normal_eq(o1: Optic, o2: Optic) -> bool:
@@ -125,21 +138,10 @@ def optic_exec(
 ) -> tuple[tuple, tuple, CostReport]:
     """Run forward, hold the residual, run backward on (residual, response)."""
     m = optic.residual
-    b_obj, b_back = optic.cod_pair
     report = CostReport()
     out = evaluate(optic.forward, a, interp, report)
     m_vals, b = out[: len(m)], out[len(m) :]
-    if env is None:
-        if b_obj != b_back:
-            raise TermTypeError(
-                f"default identity env needs matching boundary: {b_obj} vs {b_back}",
-                expected=b_obj,
-                actual=b_back,
-            )
-        b_resp = b
-    else:
-        b_resp = tuple(env(b))
-    check_values(b_back, b_resp, interp, what="env response")
+    b_resp = _env_response(env, b, optic.cod_pair, interp)
     a_prime = evaluate(optic.backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
     report.peak_residual_bytes = interp.obj_bytes(m)

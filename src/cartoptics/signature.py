@@ -267,8 +267,10 @@ def signature_to_json(sig: Signature) -> dict:
         entry: dict = {"name": g.name, "dom": [s.name for s in g.dom], "cod": [s.name for s in g.cod]}
         if g.table is not None:
             entry["table"] = [list(r) for r in g.table]
+        elif hasattr(g.fn, "builtin_name"):
+            entry["builtin"] = g.fn.builtin_name
         else:
-            entry["builtin"] = getattr(g.fn, "builtin_name", "<fn>")
+            raise SignatureError(f"generator {g.name}: semantics is neither a table nor a builtin")
         gens.append(entry)
     return {
         "sorts": [{"name": s.name, "carrier": carrier_to_json(s.carrier)} for s in sig.sorts],
@@ -277,6 +279,6 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def dump_signature(sig: Signature, path: str) -> None:
+    text = json.dumps(signature_to_json(sig), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(signature_to_json(sig), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")

@@ -151,14 +151,6 @@ class Proj2(Term):
         _set(self, self.first @ self.second, self.second)
 
 
-def compose(f: Term, g: Term) -> Term:
-    return Seq(f, g)
-
-
-def tensor(f: Term, g: Term) -> Term:
-    return Ten(f, g)
-
-
 def graph(f: Term) -> Term:
     """The graph of f: copy the input and apply f to the second leg.
 
@@ -195,83 +187,6 @@ def select_wire(obj: Obj, i: int) -> Term:
     if i < n - 1:
         t = t >> Proj1(obj[i : i + 1], obj[i + 1 :])
     return t
-
-
-# --- structural normal form ------------------------------------------------
-#
-# Normalizes only the strict-monoidal bookkeeping: flattens nested Seq/Ten,
-# drops identities, merges adjacent Id factors, and pushes a tensor of
-# identities into a sequential composite (whiskering).  It never touches
-# copy/delete/swap/proj, so two terms with equal structural forms are equal
-# by strictness and functoriality alone.
-
-
-def _seq_parts(t: Term) -> list[Term]:
-    if isinstance(t, Seq):
-        return _seq_parts(t.left) + _seq_parts(t.right)
-    return [t]
-
-
-def _ten_factors(t: Term) -> list[Term]:
-    if isinstance(t, Ten):
-        return _ten_factors(t.left) + _ten_factors(t.right)
-    return [t]
-
-
-def _mk_seq(parts: list[Term], dom: Obj) -> Term:
-    parts = [p for p in parts if not isinstance(p, Id)]
-    if not parts:
-        return Id(dom)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Seq(out, p)
-    return out
-
-
-def _mk_ten(factors: list[Term]) -> Term:
-    merged: list[Term] = []
-    for f in (x for g in factors for x in _ten_factors(g)):
-        if isinstance(f, Id) and len(f.obj) == 0:
-            continue
-        if isinstance(f, Id) and merged and isinstance(merged[-1], Id):
-            merged[-1] = Id(merged[-1].obj @ f.obj)
-        else:
-            merged.append(f)
-    if not merged:
-        return Id(UNIT)
-    out = merged[0]
-    for f in merged[1:]:
-        out = Ten(out, f)
-    return out
-
-
-def structural_form(t: Term) -> Term:
-    if isinstance(t, Seq):
-        parts: list[Term] = []
-        for side in (t.left, t.right):
-            parts.extend(_seq_parts(structural_form(side)))
-        return _mk_seq(parts, t.dom)
-    if isinstance(t, Ten):
-        factors: list[Term] = []
-        for side in (t.left, t.right):
-            factors.extend(_ten_factors(structural_form(side)))
-        seq_positions = [i for i, f in enumerate(factors) if isinstance(f, Seq)]
-        non_id = [i for i, f in enumerate(factors) if not isinstance(f, Id)]
-        if len(non_id) == 1 and seq_positions == non_id:
-            # whisker a lone composite through the identity context
-            i = non_id[0]
-            stages = []
-            for p in _seq_parts(factors[i]):
-                stage = list(factors)
-                stage[i] = p
-                stages.append(_mk_ten(stage))
-            return _mk_seq(stages, Obj(tuple(s for f in factors for s in f.dom)))
-        return _mk_ten(factors)
-    return t
-
-
-def structurally_equal(a: Term, b: Term) -> bool:
-    return structural_form(a) == structural_form(b)
 
 
 # --- printing ---------------------------------------------------------------

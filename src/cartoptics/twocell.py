@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .interp import Interp, eq_extensional, extensional_counterexample
+from .interp import Interp, extensional_counterexample
 from .normal import App, CanonicalForm, Var, WireTerm, normal_eq, read_back
 from .optic import Optic
 from .signature import Obj, Signature, Sort

@@ -1,5 +1,6 @@
 """Moving between lens and optic views: round trips, counit, coherence."""
 
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from cartoptics import (
     AdjunctionReport,
     Delete,
+    Interp,
     Id,
     Lens,
     Optic,
@@ -18,19 +20,28 @@ from cartoptics import (
     erase,
     graph,
     lens_compose,
+    lens_exec,
     lens_id,
     lens_normal_eq,
     mk_two_cell,
     normal_eq,
     oplaxator,
     optic_compose,
+    optic_exec,
     optic_id,
     optic_normal_eq,
     opunitor,
     reify,
 )
 from cartoptics.bridge import LawResult
-from cartoptics.sampling import random_composable_lenses, random_lens, random_optic
+from cartoptics.sampling import (
+    random_composable_lenses,
+    random_lens,
+    random_obj,
+    random_optic,
+    random_signature,
+    random_values,
+)
 
 ADJUNCTION_LAWS = {
     "RE_identity",
@@ -67,6 +78,25 @@ class TestReifyErase:
         for _ in range(40):
             l = random_lens(rng, sig)
             assert lens_normal_eq(erase(reify(l)), l)
+
+
+class TestExecutors:
+    def test_lens_exec_agrees_with_reified_optic_exec(self):
+        """Same outputs and byte-equal cost reports, identity and constant env."""
+        rng = random.Random(57)
+        for i in range(200):
+            if i % 20 == 0:
+                sig = random_signature(rng)
+                interp = Interp.from_signature(sig)
+            c = random_obj(rng, sig)
+            l = random_lens(rng, sig, cod_pair=(c, c))
+            a = random_values(rng, interp, l.get.dom)
+            resp = random_values(rng, interp, c)
+            for env in (None, lambda _b: resp):
+                *lens_vals, lens_cost = lens_exec(l, a, interp, env)
+                *optic_vals, optic_cost = optic_exec(reify(l), a, interp, env)
+                assert lens_vals == optic_vals
+                assert json.dumps(lens_cost.to_json()) == json.dumps(optic_cost.to_json())
 
 
 class TestCounit:

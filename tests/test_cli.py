@@ -149,6 +149,60 @@ class TestRun:
         assert err.startswith("error:")
 
 
+class TestInputFiles:
+    """Malformed lens, optic and homcat files are input errors (exit 2) with a location."""
+
+    def test_list_valued_lens_file(self, capsys, sig_path, work):
+        path = work / "list-lens.json"
+        path.write_text("[1, 2]")
+        rc, _, err = run_cli(
+            capsys, "run", "--lens", str(path), "--signature", sig_path, "--input", "[1]"
+        )
+        assert rc == 2
+        assert err == f"error: {path}: top level: expected an object\n"
+
+    def test_lens_file_without_get(self, capsys, sig_path, work):
+        path = work / "no-get.json"
+        path.write_text(json.dumps({"put": "h"}))
+        rc, _, err = run_cli(
+            capsys, "run", "--lens", str(path), "--signature", sig_path, "--input", "[1]"
+        )
+        assert rc == 2
+        assert err == f"error: {path}: get: missing key\n"
+
+    def test_optic_term_must_be_a_string(self, capsys, sig_path, work):
+        path = work / "bad-forward.json"
+        path.write_text(json.dumps({"residual": ["A"], "forward": 3, "backward": "h"}))
+        rc, _, err = run_cli(
+            capsys, "run", "--optic", str(path), "--signature", sig_path, "--input", "[1]"
+        )
+        assert rc == 2
+        assert err == f"error: {path}: forward: expected a str\n"
+
+    def test_pi0_entry_without_residual(self, capsys, sig_path, work):
+        path = work / "hc.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "optics": [
+                        {"residual": [], "forward": "id[A]", "backward": "id[A]"},
+                        {"forward": "copy[A]", "backward": "pi2[A,A]"},
+                    ]
+                }
+            )
+        )
+        rc, _, err = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(path))
+        assert rc == 2
+        assert err == f"error: {path}: optics[1].residual: missing key\n"
+
+    def test_pi0_entry_not_an_object(self, capsys, sig_path, work):
+        path = work / "hc-list.json"
+        path.write_text(json.dumps({"optics": [["A"]]}))
+        rc, _, err = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(path))
+        assert rc == 2
+        assert err == f"error: {path}: optics[0]: expected an object\n"
+
+
 class TestCheckCell:
     def test_valid(self, capsys, sig_path, work):
         src = work / "src.json"

@@ -14,15 +14,19 @@ from cartoptics import (
     Obj,
     RealVector,
     Signature,
+    SignatureError,
     Sort,
     Swap,
     TermTypeError,
     UnsupportedInterpretation,
+    dump_signature,
     enumerate_inputs,
     eq_extensional,
     evaluate,
     extensional_counterexample,
     graph,
+    load_signature,
+    signature_to_json,
 )
 from cartoptics.interp import CostReport
 from cartoptics.primitives import resolve
@@ -174,3 +178,29 @@ class TestRealCarriers:
         r_obj = real_sig.obj("R")
         assert real_interp.obj_bytes(r_obj) == 16
         assert interp.obj_bytes(A @ A) == 2
+
+
+class TestSignatureFiles:
+    def test_builtin_semantics_round_trip(self, real_sig, tmp_path):
+        path = tmp_path / "real.json"
+        dump_signature(real_sig, str(path))
+        loaded = load_signature(str(path))
+        assert signature_to_json(loaded) == signature_to_json(real_sig)
+        x = np.array([0.5, -0.3])
+        (y,) = evaluate(Gen(loaded.generator("sq")), (x,), Interp.from_signature(loaded))
+        assert np.allclose(y, np.tanh(x))
+
+    def test_non_builtin_semantics_is_refused(self, tmp_path):
+        r = Sort("R", RealVector(2))
+        obj = Obj((r,))
+        sig = Signature((r,), (Generator("neg", obj, obj, fn=lambda xs: (-xs[0],)),))
+        with pytest.raises(SignatureError, match="generator neg"):
+            signature_to_json(sig)
+        kept = tmp_path / "kept.json"
+        kept.write_text("previous contents\n")
+        with pytest.raises(SignatureError, match="generator neg"):
+            dump_signature(sig, str(kept))
+        assert kept.read_text() == "previous contents\n"
+        with pytest.raises(SignatureError):
+            dump_signature(sig, str(tmp_path / "new.json"))
+        assert not (tmp_path / "new.json").exists()

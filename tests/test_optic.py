@@ -1,6 +1,8 @@
 """Optics: strict composition of representatives, residual costs, run modes."""
 
 import random
+import time
+from functools import reduce
 
 import pytest
 
@@ -12,6 +14,7 @@ from cartoptics import (
     TermTypeError,
     build_chain,
     chain_input,
+    compose_chain,
     compose_optic_chain,
     erase,
     evaluate,
@@ -90,14 +93,34 @@ class TestStrictCategoryLaws:
             optic_compose(o, o)
 
     def test_chain_fold(self, sig):
+        """One-pass composition equals both folds, identity optics included."""
         rng = random.Random(74)
-        o1, o2 = _composable_pair(rng, sig)
-        o3 = random_optic(rng, sig, dom_pair=o2.cod_pair)
-        assert compose_optic_chain([o1, o2, o3]) == optic_compose(
-            optic_compose(o1, o2), o3
-        )
+        for _ in range(40):
+            pair = (random_obj(rng, sig), random_obj(rng, sig))
+            chain = []
+            for _ in range(rng.randint(1, 4)):
+                o = optic_id(pair) if rng.random() < 0.3 else random_optic(rng, sig, pair)
+                chain.append(o)
+                pair = o.cod_pair
+            left = reduce(optic_compose, chain)
+            right = reduce(lambda acc, o: optic_compose(o, acc), reversed(chain))
+            assert compose_optic_chain(chain) == left == right
+            for o in chain:
+                assert compose_optic_chain([o]) == o
         with pytest.raises(ValueError, match="empty"):
             compose_optic_chain([])
+
+
+class TestDeepChains:
+    def test_1500_stage_chain_composes(self):
+        # composing is iterative; executing at this depth is still recursive
+        start = time.perf_counter()
+        chain = build_chain(1500, "finite", seed=3)
+        lens = compose_chain(chain.lenses)
+        optic = compose_optic_chain([reify(l) for l in chain.lenses])
+        assert time.perf_counter() - start < 5.0
+        assert len(optic.residual) == 1500
+        assert (optic.dom_pair, optic.cod_pair) == (lens.dom_pair, lens.cod_pair)
 
 
 class TestCompositionSemantics:

@@ -1,6 +1,4 @@
-"""Term construction, typing discipline, and structural bookkeeping."""
-
-import random
+"""Term construction, typing discipline, and combinators."""
 
 import pytest
 
@@ -17,13 +15,9 @@ from cartoptics import (
     TermTypeError,
     UNIT,
     graph,
-    normal_eq,
     pairing,
     select_wire,
-    structural_form,
-    structurally_equal,
 )
-from cartoptics.sampling import padded_variants, random_morphism, random_obj
 
 
 class TestObjAlgebra:
@@ -103,44 +97,3 @@ class TestCombinators:
     def test_str_rendering(self, f, g):
         assert str(f >> g) == "(f ; g)"
         assert str(f @ g) == "(f * g)"
-
-
-class TestStructuralForm:
-    def test_drops_identities(self, f, A, B):
-        assert structural_form(Id(A) >> f) == f
-        assert structural_form(f >> Id(B)) == f
-        assert structural_form(Ten(Id(UNIT), f)) == f
-        assert structural_form(Ten(f, Id(UNIT))) == f
-
-    def test_reassociates_seq(self, f, g, e):
-        left = (f >> g) >> e
-        right = f >> (g >> e)
-        assert structural_form(left) == structural_form(right)
-
-    def test_merges_adjacent_id_factors(self, e, A, B):
-        nested = Ten(Id(A), Ten(Id(B), e))
-        flat = Ten(Id(A @ B), e)
-        assert structural_form(nested) == structural_form(flat)
-
-    def test_whiskers_lone_composite(self, f, g, A):
-        whiskered = Ten(Id(A), f >> g)
-        staged = Ten(Id(A), f) >> Ten(Id(A), g)
-        assert structurally_equal(whiskered, staged)
-
-    def test_preserves_boundary_and_meaning(self, sig):
-        rng = random.Random(11)
-        for _ in range(60):
-            dom = random_obj(rng, sig)
-            cod = random_obj(rng, sig)
-            t = random_morphism(rng, sig, dom, cod)
-            for v in padded_variants(rng, t):
-                sf = structural_form(v)
-                assert sf.dom == v.dom and sf.cod == v.cod
-                assert normal_eq(sf, v)
-
-    def test_padded_variants_are_structurally_equal(self, sig):
-        rng = random.Random(12)
-        for _ in range(60):
-            t = random_morphism(rng, sig, random_obj(rng, sig), random_obj(rng, sig))
-            for v in padded_variants(rng, t):
-                assert structurally_equal(t, v)
