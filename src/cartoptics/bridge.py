@@ -24,7 +24,7 @@ from .lens import Lens, lens_compose, lens_id, lens_normal_eq
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
-from .term import Delete, Gen, Id, Proj1, Proj2, Ten, Term, graph
+from .term import Delete, Id, Proj1, Proj2, Ten, Term, graph
 from .twocell import TwoCell, TwoCellError, hcompose, identity_cell, mk_two_cell, vcompose
 
 

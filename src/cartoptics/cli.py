@@ -12,8 +12,9 @@ Subcommands:
   pi0          connected components of a family of optics under
                bounded-depth witness search
 
-Exit codes: 0 success, 1 a check failed, 2 usage or input error.  All output
-except wall-clock columns is deterministic for a fixed seed.
+Exit codes: 0 success, 1 a check failed, 2 usage or input error, 3 internal
+error (a fault in this package, not in the input).  All output except
+wall-clock columns is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .bridge import check_adjunction, coherence_suite
 from .cost import rows_to_csv, run_tradeoff
 from .dag import share
 from .expr import ExprError, parse_term
-from .interp import Interp
+from .interp import EnumerationCapError, Interp, UnsupportedInterpretation
 from .lens import Lens, lens_exec
 from .normal import App, Var, normalize, read_back
 from .optic import Optic, optic_exec
@@ -246,7 +247,11 @@ def cmd_pi0(args) -> int:
     data = _load_json(args.homcat)
     (entries,) = _fields(args.homcat, data, "", optics=list)
     optics = [_load_optic(args.homcat, sig, e, f"optics[{i}].") for i, e in enumerate(entries)]
-    depth = args.search_depth if args.search_depth is not None else data.get("search_depth", 2)
+    from_file = args.search_depth is None
+    depth = data.get("search_depth", 2) if from_file else args.search_depth
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        where = f"{args.homcat}: search_depth" if from_file else "--search-depth"
+        raise ValueError(f"{where}: expected a non-negative int")
     interp = _table_interp(sig)
     sample = search_cells(optics, sig, depth, interp)
     classes = pi0_classes(sample)
@@ -333,12 +338,13 @@ def main(argv=None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.fn(args)
-    except (SignatureError, ExprError, TermTypeError) as e:
+    except (SignatureError, ExprError, TermTypeError, ValueError, OSError,
+            EnumerationCapError, UnsupportedInterpretation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError, KeyError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

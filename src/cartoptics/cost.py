@@ -32,7 +32,6 @@ from .bridge import reify
 from .dag import evaluate_dag, share
 from .interp import CostReport, Interp
 from .lens import Lens, compose_chain, lens_exec
-from .normal import gen_occurrences, normalize
 from .optic import compose_optic_chain, loop_term, optic_exec, round_trip_term
 from .sampling import random_table
 from .signature import FiniteCarrier, Generator, Obj, RealVector, Signature, Sort
@@ -179,13 +178,6 @@ def rows_to_csv(rows: list[TradeoffRow]) -> str:
             f"{r.lens_wall_s:.6f},{r.optic_wall_s:.6f},{r.shared_wall_s:.6f}"
         )
     return "\n".join(lines) + "\n"
-
-
-def loop_cf_get_occurrences(chain: Chain, n: int, assoc: str = "left") -> int:
-    """Forward-generator occurrences in the normal form of the lens round trip."""
-    lens = compose_chain(list(chain.lenses[:n]), assoc)
-    occ = gen_occurrences(normalize(loop_term(reify(lens))))
-    return sum(occ[name] for name in chain.get_names[:n])
 
 
 def _values_equal(xs: tuple, ys: tuple, kind: str) -> bool:

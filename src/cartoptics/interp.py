@@ -7,7 +7,8 @@ same syntax.
 
 `evaluate` runs a term on a concrete input tuple and counts work: one counter
 bump per generator application, one copy per duplicated wire.  Identities,
-deletions, swaps and projections are free.
+deletions, swaps and projections are free.  Values move by `term.run`, the
+walker `normalize` uses to evaluate in the syntactic model of wire trees.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .signature import Carrier, FiniteCarrier, Generator, Obj, RealVector, Signature, Sort
-from .term import Copy, Delete, Gen, Id, Proj1, Proj2, Seq, Swap, Ten, Term, TermTypeError
+from .signature import Carrier, FiniteCarrier, Generator, Obj, Signature, Sort
+from .term import Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
 
@@ -156,33 +157,9 @@ def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None =
     if report is None:
         report = CostReport()
     check_values(t.dom, values, interp)
-    return _eval(t, tuple(values), interp, report)
-
-
-def _eval(t: Term, xs: tuple, interp: Interp, report: CostReport) -> tuple:
-    if isinstance(t, Gen):
-        report.generator_counts[t.gen.name] += 1
-        return interp.apply(t.gen, xs)
-    if isinstance(t, Id):
-        return xs
-    if isinstance(t, Seq):
-        return _eval(t.right, _eval(t.left, xs, interp, report), interp, report)
-    if isinstance(t, Ten):
-        k = len(t.left.dom)
-        return _eval(t.left, xs[:k], interp, report) + _eval(t.right, xs[k:], interp, report)
-    if isinstance(t, Copy):
-        report.copies += len(t.obj)
-        return xs + xs
-    if isinstance(t, Delete):
-        return ()
-    if isinstance(t, Swap):
-        k = len(t.first)
-        return xs[k:] + xs[:k]
-    if isinstance(t, Proj1):
-        return xs[: len(t.first)]
-    if isinstance(t, Proj2):
-        return xs[len(t.first) :]
-    raise TypeError(f"not a term: {t!r}")
+    out, copied = run(t, tuple(values), interp.apply, report.generator_counts)
+    report.copies += copied
+    return out
 
 
 def enumerate_inputs(obj: Obj, interp: Interp, cap: int = TUPLE_CAP) -> Iterator[tuple]:
@@ -206,9 +183,9 @@ def extensional_counterexample(f: Term, g: Term, interp: Interp) -> tuple | None
             f"extensional comparison needs equal boundaries: "
             f"({f.dom} -> {f.cod}) vs ({g.dom} -> {g.cod})"
         )
-    throwaway = CostReport()
+    apply = interp.apply
     for xs in enumerate_inputs(f.dom, interp):
-        if _eval(f, xs, interp, throwaway) != _eval(g, xs, interp, throwaway):
+        if run(f, xs, apply)[0] != run(g, xs, apply)[0]:
             return xs
     return None
 

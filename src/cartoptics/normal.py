@@ -9,10 +9,10 @@ all disappear into wire bookkeeping, which is why equality of canonical forms
 is sound and complete for the equational theory generated by the cartesian
 structure.
 
-`normalize` computes the canonical form by symbolically pushing a tuple of
-wire variables through the term; `read_back` rebuilds a term (with explicit
-copies and projections) from a canonical form, and normalizing the read-back
-returns the same canonical form.
+Normalizing is evaluation in the syntactic model: `normalize` pushes wire
+variables through the term with `term.run`, the walker `evaluate` uses, and
+each generator builds a node.  `read_back` rebuilds a term (with explicit
+copies and projections) from a canonical form; normalizing it gives it back.
 
 `normalize` hash-conses the wires (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): within one form, equal subterms are one object, so the
@@ -28,20 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .signature import Generator, Obj
-from .term import (
-    Copy,
-    Delete,
-    Gen,
-    Id,
-    Proj1,
-    Proj2,
-    Seq,
-    Swap,
-    Ten,
-    Term,
-    pairing,
-    select_wire,
-)
+from .term import Gen, Term, pairing, run, select_wire
 
 
 @dataclass(frozen=True)
@@ -167,31 +154,7 @@ class _UniqueTable:
 
 def normalize(t: Term) -> CanonicalForm:
     table = _UniqueTable(len(t.dom))
-    return CanonicalForm(t.dom, t.cod, _push(t, table.inputs, table))
-
-
-def _push(t: Term, xs: tuple[WireTerm, ...], table: _UniqueTable) -> tuple[WireTerm, ...]:
-    if isinstance(t, Gen):
-        return table.apply(t.gen, xs)
-    if isinstance(t, Id):
-        return xs
-    if isinstance(t, Seq):
-        return _push(t.right, _push(t.left, xs, table), table)
-    if isinstance(t, Ten):
-        k = len(t.left.dom)
-        return _push(t.left, xs[:k], table) + _push(t.right, xs[k:], table)
-    if isinstance(t, Copy):
-        return xs + xs
-    if isinstance(t, Delete):
-        return ()
-    if isinstance(t, Swap):
-        k = len(t.first)
-        return xs[k:] + xs[:k]
-    if isinstance(t, Proj1):
-        return xs[: len(t.first)]
-    if isinstance(t, Proj2):
-        return xs[len(t.first) :]
-    raise TypeError(f"not a term: {t!r}")
+    return CanonicalForm(t.dom, t.cod, run(t, table.inputs, table.apply)[0])
 
 
 def normal_eq(f: Term, g: Term) -> bool:
@@ -203,7 +166,9 @@ def normal_eq(f: Term, g: Term) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
     table = _UniqueTable(len(f.dom))
-    return all(map(operator.is_, _push(f, table.inputs, table), _push(g, table.inputs, table)))
+    fs, _ = run(f, table.inputs, table.apply)
+    gs, _ = run(g, table.inputs, table.apply)
+    return all(map(operator.is_, fs, gs))
 
 
 def read_back(cf: CanonicalForm) -> Term:

@@ -177,13 +177,3 @@ def round_trip_term(optic: Optic) -> Term:
         >> Ten(Id(b_obj), optic.backward)
     )
 
-
-def response_term(optic: Optic) -> Term:
-    """A x B' -> B x A': the environment response is an explicit input."""
-    m = optic.residual
-    b_obj, b_back = optic.cod_pair
-    return (
-        Ten(optic.forward, Id(b_back))
-        >> Ten(Swap(m, b_obj), Id(b_back))
-        >> Ten(Id(b_obj), optic.backward)
-    )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 SIGNATURE_FORMAT_VERSION = "1"
 

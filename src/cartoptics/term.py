@@ -11,7 +11,9 @@ the textual syntax `f ; g` and `f * g` accepted by the expression parser.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .signature import Generator, Obj, UNIT
 
@@ -187,6 +189,75 @@ def select_wire(obj: Obj, i: int) -> Term:
     if i < n - 1:
         t = t >> Proj1(obj[i : i + 1], obj[i + 1 :])
     return t
+
+
+# --- running ----------------------------------------------------------------
+
+_JOIN = object()  # marks where a tensor's right half is done
+
+
+def run(
+    t: Term, xs: tuple, apply: Callable[[Generator, tuple], tuple], counts: Counter | None = None
+) -> tuple[tuple, int]:
+    """Push the value tuple xs through t; return the outputs and the wires copied.
+
+    Values are opaque: `apply(gen, args)` gives a generator's outputs and the
+    structure maps only move, duplicate and drop values.  Applying a finite
+    interpretation evaluates t; applying a wire-tree builder normalizes it.
+    With `counts` given, each application also bumps `counts[gen.name]`.  The
+    walk keeps its own stack, so terms of any depth run.
+    """
+    copied = 0
+    todo: list = []  # terms still to run, and the pieces of tensors in progress
+    parked: list[tuple] = []  # left parts of tensor outputs, waiting for the right part
+    while True:
+        kind = type(t)
+        while kind is Seq:
+            todo.append(t.right)
+            t = t.left
+            kind = type(t)
+        if kind is Ten:
+            k = len(t.left.dom)
+            if type(t.left) is Id:
+                # the identity context of a composed optic stage: park it for the join
+                parked.append(xs[:k])
+                todo.append(_JOIN)
+                xs = xs[k:]
+                t = t.right
+                continue
+            # left half now; then park its output, run the right half on the rest, join
+            todo += (_JOIN, t.right, xs[k:])
+            xs = xs[:k]
+            t = t.left
+            continue
+        if kind is Gen:
+            if counts is not None:
+                counts[t.gen.name] += 1
+            xs = apply(t.gen, xs)
+        elif kind is tuple:  # a left half is done: park it, take up the right half's input
+            parked.append(xs)
+            xs = t
+        elif t is _JOIN:
+            xs = parked.pop() + xs
+        elif kind is Id:
+            pass
+        elif kind is Copy:
+            copied += len(t.obj)
+            xs = xs + xs
+        elif kind is Delete:
+            xs = ()
+        elif kind is Swap:
+            k = len(t.first)
+            xs = xs[k:] + xs[:k]
+        elif kind is Proj1:
+            xs = xs[: len(t.first)]
+        elif kind is Proj2:
+            xs = xs[len(t.first) :]
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        if not todo:
+            return xs, copied
+        t = todo.pop()
 
 
 # --- printing ---------------------------------------------------------------

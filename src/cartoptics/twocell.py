@@ -20,7 +20,7 @@ report the search depth alongside their results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .interp import Interp, extensional_counterexample

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cartoptics import main, signature_to_json
+from cartoptics import EnumerationCapError, cli, main, signature_to_json
 from cartoptics.cli import VERSION
 
 
@@ -201,6 +201,49 @@ class TestInputFiles:
         rc, _, err = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(path))
         assert rc == 2
         assert err == f"error: {path}: optics[0]: expected an object\n"
+
+    @pytest.mark.parametrize("depth", ["x", True, -1, 1.5])
+    def test_pi0_search_depth_must_be_a_non_negative_int(self, capsys, sig_path, work, depth):
+        path = work / "hc-depth.json"
+        optic = {"residual": [], "forward": "id[A]", "backward": "id[A]"}
+        path.write_text(json.dumps({"optics": [optic], "search_depth": depth}))
+        rc, out, err = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(path))
+        assert (rc, out) == (2, "")
+        assert err == f"error: {path}: search_depth: expected a non-negative int\n"
+
+    def test_pi0_search_depth_flag_must_be_non_negative(self, capsys, sig_path, work):
+        path = work / "hc-flag.json"
+        path.write_text(json.dumps({"optics": []}))
+        rc, out, err = run_cli(
+            capsys, "pi0", "--signature", sig_path, "--homcat", str(path), "--search-depth", "-1"
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: --search-depth: expected a non-negative int\n"
+
+
+class TestInternalErrors:
+    """A fault in the package is exit 3, not a usage error (exit 2) or a failed check (1)."""
+
+    @pytest.mark.parametrize(
+        "exc", [RecursionError("maximum recursion depth exceeded"), KeyError("get")]
+    )
+    def test_internal_error_exit_code(self, capsys, sig_path, monkeypatch, exc):
+        def broken(_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_normalize", broken)
+        rc, out, err = run_cli(capsys, "normalize", "--signature", sig_path, "--expr", "f")
+        assert (rc, out) == (3, "")
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+    def test_package_input_errors_stay_exit_2(self, capsys, sig_path, monkeypatch):
+        def too_many(_args):
+            raise EnumerationCapError("too many input tuples")
+
+        monkeypatch.setattr(cli, "cmd_normalize", too_many)
+        rc, _, err = run_cli(capsys, "normalize", "--signature", sig_path, "--expr", "f")
+        assert rc == 2
+        assert err == "error: too many input tuples\n"
 
 
 class TestCheckCell:

@@ -9,8 +9,9 @@ from cartoptics import (
     build_chain,
     chain_input,
     compose_chain,
-    loop_cf_get_occurrences,
+    gen_occurrences,
     loop_term,
+    normalize,
     reify,
     rows_to_csv,
     run_tradeoff,
@@ -71,8 +72,9 @@ class TestClosedForms:
     def test_normal_form_counts_recomputation(self):
         chain = build_chain(5, "finite", seed=2)
         for n in range(1, 6):
-            assert loop_cf_get_occurrences(chain, n) == n * (n + 1) // 2
             lens = compose_chain(list(chain.lenses[:n]), "left")
+            occ = gen_occurrences(normalize(loop_term(reify(lens))))
+            assert sum(occ[name] for name in chain.get_names[:n]) == n * (n + 1) // 2
             dag = share(loop_term(reify(lens)))
             assert dag.gen_node_count(chain.get_names[:n]) == n
 

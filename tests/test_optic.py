@@ -11,6 +11,8 @@ from cartoptics import (
     Interp,
     Optic,
     Proj1,
+    Swap,
+    Ten,
     TermTypeError,
     build_chain,
     chain_input,
@@ -26,11 +28,21 @@ from cartoptics import (
     optic_id,
     optic_normal_eq,
     reify,
-    response_term,
     round_trip_term,
     graph,
 )
 from cartoptics.sampling import random_obj, random_optic, random_values
+
+
+def response_term(optic):
+    """A x B' -> B x A': the optic with the environment's response as an input."""
+    m = optic.residual
+    b_obj, b_back = optic.cod_pair
+    return (
+        Ten(optic.forward, Id(b_back))
+        >> Ten(Swap(m, b_obj), Id(b_back))
+        >> Ten(Id(b_obj), optic.backward)
+    )
 
 
 def _composable_pair(rng, sig, identity_env=False):

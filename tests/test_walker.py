@@ -1,0 +1,270 @@
+"""The one term walker (`term.run`) behind `evaluate`, `normalize` and `normal_eq`.
+
+Since evaluating and normalizing share the walker, the cross-check of
+`normal_eq` against exhaustive evaluation no longer catches a walker bug.  The
+recursive walkers the package used before are kept here as the oracle: the
+differential tests compare outputs, generator counts, copies and canonical
+forms on random terms.  The deep-chain tests run terms nested several times
+deeper than the interpreter's default recursion limit.
+"""
+
+import operator
+import random
+import time
+
+from cartoptics import (
+    CanonicalForm,
+    Copy,
+    CostReport,
+    Delete,
+    Gen,
+    Id,
+    Interp,
+    Proj1,
+    Proj2,
+    Seq,
+    Swap,
+    Ten,
+    build_chain,
+    chain_input,
+    compose_chain,
+    compose_optic_chain,
+    enumerate_inputs,
+    evaluate,
+    evaluate_dag,
+    extensional_counterexample,
+    gen_occurrences,
+    lens_exec,
+    normal_eq,
+    normalize,
+    optic_exec,
+    reify,
+    round_trip_term,
+    share,
+    share_cf,
+)
+from cartoptics.normal import _UniqueTable
+from cartoptics.sampling import padded_variants, random_morphism, random_obj, random_signature
+
+# --- oracle: the recursive walkers ---------------------------------------------
+
+
+def oracle_eval(t, xs, interp, report):
+    if isinstance(t, Gen):
+        report.generator_counts[t.gen.name] += 1
+        return interp.apply(t.gen, xs)
+    if isinstance(t, Id):
+        return xs
+    if isinstance(t, Seq):
+        return oracle_eval(t.right, oracle_eval(t.left, xs, interp, report), interp, report)
+    if isinstance(t, Ten):
+        k = len(t.left.dom)
+        return oracle_eval(t.left, xs[:k], interp, report) + oracle_eval(
+            t.right, xs[k:], interp, report
+        )
+    if isinstance(t, Copy):
+        report.copies += len(t.obj)
+        return xs + xs
+    if isinstance(t, Delete):
+        return ()
+    if isinstance(t, Swap):
+        k = len(t.first)
+        return xs[k:] + xs[:k]
+    if isinstance(t, Proj1):
+        return xs[: len(t.first)]
+    if isinstance(t, Proj2):
+        return xs[len(t.first) :]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_push(t, xs, table):
+    if isinstance(t, Gen):
+        return table.apply(t.gen, xs)
+    if isinstance(t, Id):
+        return xs
+    if isinstance(t, Seq):
+        return oracle_push(t.right, oracle_push(t.left, xs, table), table)
+    if isinstance(t, Ten):
+        k = len(t.left.dom)
+        return oracle_push(t.left, xs[:k], table) + oracle_push(t.right, xs[k:], table)
+    if isinstance(t, Copy):
+        return xs + xs
+    if isinstance(t, Delete):
+        return ()
+    if isinstance(t, Swap):
+        k = len(t.first)
+        return xs[k:] + xs[:k]
+    if isinstance(t, Proj1):
+        return xs[: len(t.first)]
+    if isinstance(t, Proj2):
+        return xs[len(t.first) :]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_normalize(t):
+    table = _UniqueTable(len(t.dom))
+    return CanonicalForm(t.dom, t.cod, oracle_push(t, table.inputs, table))
+
+
+def oracle_normal_eq(f, g):
+    if f.dom != g.dom or f.cod != g.cod:
+        return False
+    table = _UniqueTable(len(f.dom))
+    fs = oracle_push(f, table.inputs, table)
+    return all(map(operator.is_, fs, oracle_push(g, table.inputs, table)))
+
+
+# --- random terms ----------------------------------------------------------------
+
+
+def structural_term(rng, sig, dom, depth):
+    """A random term out of dom, mostly swaps, projections, deletions and tensors."""
+    if depth > 0 and rng.random() < 0.7:
+        if rng.random() < 0.5:
+            first = structural_term(rng, sig, dom, depth - 1)
+            return Seq(first, structural_term(rng, sig, first.cod, depth - 1))
+        k = rng.randint(0, len(dom))
+        return Ten(
+            structural_term(rng, sig, dom[:k], depth - 1),
+            structural_term(rng, sig, dom[k:], depth - 1),
+        )
+    k = rng.randint(0, len(dom))
+    leaves = [Id(dom), Delete(dom), Swap(dom[:k], dom[k:]), Proj1(dom[:k], dom[k:])]
+    leaves += [Proj2(dom[:k], dom[k:])] + [Gen(g) for g in sig.generators if g.dom == dom]
+    if len(dom) <= 3:
+        leaves.append(Copy(dom))
+    return rng.choice(leaves)
+
+
+def random_terms(seed, count):
+    """(interp, term) pairs: sampled morphisms, their padded variants, structural terms."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sig = random_signature(rng)
+        interp = Interp.from_signature(sig)
+        for _ in range(10):
+            dom, cod = random_obj(rng, sig, 1, 3), random_obj(rng, sig, 1, 3)
+            try:
+                t = random_morphism(rng, sig, dom, cod, budget=rng.randint(1, 3))
+            except ValueError:
+                continue
+            out += [(interp, u) for u in [t, *padded_variants(rng, t, 2)]]
+            out.append((interp, structural_term(rng, sig, dom, 5)))
+    return out
+
+
+# --- differential tests ----------------------------------------------------------
+
+
+def test_evaluate_matches_oracle():
+    for interp, t in random_terms(1, 300):
+        for xs in list(enumerate_inputs(t.dom, interp))[:8]:
+            got, want = CostReport(), CostReport()
+            assert evaluate(t, xs, interp, got) == oracle_eval(t, xs, interp, want)
+            assert got.generator_counts == want.generator_counts
+            assert got.copies == want.copies
+
+
+def test_normalize_matches_oracle():
+    for _, t in random_terms(2, 300):
+        cf, want = normalize(t), oracle_normalize(t)
+        assert cf == want
+        assert gen_occurrences(cf) == gen_occurrences(want)
+        assert share(t).to_json() == share_cf(want).to_json()
+
+
+def test_normal_eq_and_counterexample_match_oracle():
+    terms = random_terms(3, 300)
+    rng = random.Random(4)
+    for (interp, f), (_, g) in zip(terms, terms[1:]):
+        if f.dom != g.dom or f.cod != g.cod:
+            g = rng.choice(padded_variants(rng, f))
+        assert normal_eq(f, g) == oracle_normal_eq(f, g)
+        want = None
+        for xs in enumerate_inputs(f.dom, interp):
+            throwaway = CostReport()
+            if oracle_eval(f, xs, interp, throwaway) != oracle_eval(g, xs, interp, throwaway):
+                want = xs
+                break
+        assert extensional_counterexample(f, g, interp) == want
+
+
+def test_chain_round_trips_match_oracle():
+    """64-stage benchmark shapes: shallow enough for the oracle, deep for the walker."""
+    chain = build_chain(64, "finite", seed=5)
+    interp = Interp.from_signature(chain.signature)
+    optic = compose_optic_chain([reify(l) for l in chain.lenses])
+    lens = compose_chain(list(chain.lenses), "right")
+    a = chain_input(chain)
+    for t in (round_trip_term(optic), round_trip_term(reify(lens))):
+        got, want = CostReport(), CostReport()
+        assert evaluate(t, a, interp, got) == oracle_eval(t, a, interp, want)
+        assert got.to_json() == want.to_json()
+        assert normalize(t) == oracle_normalize(t)
+
+
+# --- deep chains -------------------------------------------------------------------
+
+# Three times the interpreter's default recursion limit of 1000.  No test
+# changes the limit.
+DEEP = 3000
+DEEP_LENS = 1200
+
+
+def stage_by_stage(chain, interp, a, n):
+    """b and a' of the first n stages, identity environment, from the generators alone."""
+    xs = [a]
+    for l in chain.lenses[:n]:
+        xs.append(interp.apply(l.get.gen, xs[-1]))
+    back = xs[-1]
+    for x, l in zip(reversed(xs[:-1]), reversed(chain.lenses[:n])):
+        back = interp.apply(l.put.gen, x + back)
+    return xs[-1], back
+
+
+def test_deep_optic_chain_executes_normalizes_and_shares():
+    start = time.perf_counter()
+    chain = build_chain(DEEP, "finite", seed=7)
+    interp = Interp.from_signature(chain.signature)
+    optic = compose_optic_chain([reify(l) for l in chain.lenses])
+    a = chain_input(chain)
+
+    b, a_prime, report = optic_exec(optic, a, interp)
+    assert (b, a_prime) == stage_by_stage(chain, interp, a, DEEP)
+    assert report.total_evals(chain.get_names) == DEEP
+    assert report.total_evals(chain.put_names) == DEEP
+    assert report.copies == DEEP
+
+    # the forward pass emits x0 .. xn, and x_i's wire tree holds i forward maps
+    occ = gen_occurrences(normalize(optic.forward))
+    assert sum(occ[name] for name in chain.get_names) == DEEP * (DEEP + 1) // 2
+
+    stages = []
+    t = optic.forward
+    while isinstance(t, Seq):  # left-nested: peel stages off the end
+        stages.append(t.right)
+        t = t.left
+    stages.append(t)
+    right_nested = stages[0]
+    for s in stages[1:]:
+        right_nested = Seq(s, right_nested)
+    assert normal_eq(optic.forward, right_nested)
+
+    dag = share(round_trip_term(optic))
+    assert dag.gen_node_count(chain.get_names) == DEEP
+    assert evaluate_dag(dag, a, interp) == b + a_prime
+    assert time.perf_counter() - start < 120
+
+
+def test_deep_lens_chain_executes():
+    start = time.perf_counter()
+    chain = build_chain(DEEP_LENS, "finite", seed=8)
+    interp = Interp.from_signature(chain.signature)
+    lens = compose_chain(list(chain.lenses), "left")
+    a = chain_input(chain)
+    b, a_prime, report = lens_exec(lens, a, interp)
+    assert (b, a_prime) == stage_by_stage(chain, interp, a, DEEP_LENS)
+    assert report.total_evals(chain.get_names) == DEEP_LENS * (DEEP_LENS + 1) // 2
+    assert report.total_evals(chain.put_names) == DEEP_LENS
+    assert time.perf_counter() - start < 120
