@@ -1,11 +1,11 @@
 """Shared evaluation DAGs: compute once, copy the result.
 
-`normalize` hash-conses the canonical form, so every repeated (generator,
-arguments) application in it is already one object, and `share` only lists
-those objects in dependency order.  This is the exhaustive form of the rewrite
-that pushes a copy past a morphism (duplicate the output instead of running
-the morphism twice): the node count never exceeds the number of generator
-occurrences in the canonical form.
+`share` lists the distinct (generator, arguments) applications of a
+canonical form in dependency order, with the listing that also decides when
+two forms are equal (`normal._listing`).  This is the exhaustive form of the
+rewrite that pushes a copy past a morphism (duplicate the output instead of
+running the morphism twice): the node count never exceeds the number of
+generator occurrences in the canonical form.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .interp import CostReport, Interp, check_values
-from .normal import CanonicalForm, Var, WireTerm, normalize, postorder
+from .normal import CanonicalForm, _listing, normalize
 from .signature import Generator, Obj
 from .term import Term
 
@@ -63,25 +63,18 @@ class SharedDag:
 
 
 def share_cf(cf: CanonicalForm) -> SharedDag:
-    """List the distinct applications of a canonical form, arguments first.
+    """The form's listing (`normal._listing`) as a DAG, arguments first.
 
-    One node per (generator, argument tuple); all outputs of a generator
-    application refer to the same node.
+    One node per distinct (generator, argument tuple); all outputs of a
+    generator application refer to the same node.
     """
-    nodes: list[DagNode] = []
-    index: dict[tuple, int] = {}
 
-    def ref(w: WireTerm) -> Ref:
-        if isinstance(w, Var):
-            return InputRef(w.index)
-        return NodeRef(index[id(w.gen), w.args], w.out_index)
+    def ref(r: int | tuple[int, int]) -> Ref:
+        return InputRef(r) if isinstance(r, int) else NodeRef(*r)
 
-    for w in postorder(cf.wires):
-        key = (id(w.gen), w.args)
-        if key not in index:
-            index[key] = len(nodes)
-            nodes.append(DagNode(w.gen, tuple(map(ref, w.args))))
-    return SharedDag(cf.dom, cf.cod, tuple(nodes), tuple(map(ref, cf.wires)))
+    listed, outputs = _listing(cf.wires)
+    nodes = tuple(DagNode(gen, tuple(map(ref, args))) for gen, args in listed)
+    return SharedDag(cf.dom, cf.cod, nodes, tuple(map(ref, outputs)))
 
 
 def share(t: Term) -> SharedDag:

@@ -15,9 +15,11 @@ each generator builds a node.  `read_back` rebuilds a term (with explicit
 copies and projections) from a canonical form; normalizing it gives it back.
 
 `normalize` hash-conses the wires (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006): within one form, equal subterms are one object, so the
-form is its own shared DAG.  Forms from separate calls still compare and hash
-structurally, in time linear in the size of that DAG.
+hash-consing", 2006): within one form equal subterms are one object, and
+`normal_eq` compares two terms' wires by identity in one unique table.  For
+finished forms, one listing of the distinct applications (`_listing`) decides
+sameness: `==` and `hash` of forms and wires, and `dag.share_cf`, in time
+linear in the number of distinct nodes.
 """
 
 from __future__ import annotations
@@ -42,42 +44,21 @@ class Var:
 class App:
     """Output `out_index` of a generator applied to argument wires.
 
-    The hash is computed on first use and kept, from the generator's name,
-    the output index and the arguments' hashes.  Equality is structural
-    (`_wires_equal`).
+    Equality and hash are structural: they compare or hash listings
+    (`_listing`), which are not cached.
     """
 
     gen: Generator
     out_index: int
     args: tuple["WireTerm", ...]
-    _hash = None  # not a field: set by _hash_below
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            _hash_below(self)
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes: recompute on unpickling
-        return App, (self.gen, self.out_index, self.args)
+        return hash(_listing((self,)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, App):
             return NotImplemented
-        return _wires_equal((self,), (other,))
-
-
-def _hash_below(w: App) -> None:
-    """Hash w and its unhashed descendants, arguments first, without recursion."""
-    todo = [w]
-    while todo:
-        a = todo[-1]
-        pending = [b for b in a.args if isinstance(b, App) and b._hash is None]
-        if pending:
-            todo.extend(pending)
-            continue
-        todo.pop()
-        object.__setattr__(a, "_hash", hash((a.gen.name, a.out_index, a.args)))
+        return _listing((self,)) == _listing((other,))
 
 
 WireTerm = Var | App
@@ -90,35 +71,33 @@ class CanonicalForm:
     wires: tuple[WireTerm, ...]
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.wires))
+        return hash((self.dom, self.cod, _listing(self.wires)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and _wires_equal(self.wires, other.wires)
+        return self.dom == other.dom and self.cod == other.cod and _listing(self.wires) == _listing(other.wires)
 
 
-def _wires_equal(xs: tuple[WireTerm, ...], ys: tuple[WireTerm, ...]) -> bool:
-    """Structural equality of wire tuples, visiting each node pair once."""
-    if len(xs) != len(ys):
-        return False
-    seen: set[tuple[int, int]] = set()
-    todo = list(zip(xs, ys))
-    while todo:
-        a, b = todo.pop()
-        if a is b or (id(a), id(b)) in seen:
-            continue
-        if isinstance(a, Var) or isinstance(b, Var):
-            if a != b:
-                return False
-            continue
-        if hash(a) != hash(b) or a.out_index != b.out_index or len(a.args) != len(b.args):
-            return False
-        if not (a.gen is b.gen or a.gen == b.gen):
-            return False
-        seen.add((id(a), id(b)))
-        todo.extend(zip(a.args, b.args))
-    return True
+def _listing(wires: tuple[WireTerm, ...]) -> tuple[tuple, tuple]:
+    """The distinct applications under the wires, numbered arguments first.
+
+    A node is (generator, argument refs) and a ref is an input index or a
+    (node, output) pair.  Equal applications are one node, with generators
+    compared by value, and nodes are numbered in `postorder`, so two wire
+    tuples are equal as trees exactly when their listings are equal, however
+    much of either is shared.  Returns the nodes and the wires' refs.
+    """
+    index: dict[tuple, int] = {}
+    refs: dict[int, tuple[int, int]] = {}
+
+    def ref(w: WireTerm) -> int | tuple[int, int]:
+        return w.index if isinstance(w, Var) else refs[id(w)]
+
+    for w in postorder(wires):
+        node = index.setdefault((w.gen, tuple(map(ref, w.args))), len(index))
+        refs[id(w)] = (node, w.out_index)
+    return tuple(index), tuple(map(ref, wires))
 
 
 class _UniqueTable:
@@ -172,18 +151,24 @@ def normal_eq(f: Term, g: Term) -> bool:
 
 
 def read_back(cf: CanonicalForm) -> Term:
-    """A term denoting the canonical form (shared subtrees are duplicated)."""
-    return pairing([_wire_term(w, cf.dom) for w in cf.wires], cf.dom)
+    """A term denoting the canonical form."""
+    return pairing(wire_terms(cf.wires, cf.dom), cf.dom)
 
 
-def _wire_term(w: WireTerm, dom: Obj) -> Term:
-    if isinstance(w, Var):
-        return select_wire(dom, w.index)
-    args = pairing([_wire_term(a, dom) for a in w.args], dom)
-    t = args >> Gen(w.gen)
-    if len(w.gen.cod) > 1:
-        t = t >> select_wire(w.gen.cod, w.out_index)
-    return t
+def wire_terms(wires: tuple[WireTerm, ...], dom: Obj) -> list[Term]:
+    """One term out of dom per wire; each distinct `App` object's term is
+    built once and shared wherever the object occurs."""
+    terms: dict[int, Term] = {}
+
+    def term(w: WireTerm) -> Term:
+        return select_wire(dom, w.index) if isinstance(w, Var) else terms[id(w)]
+
+    for w in postorder(wires):
+        t = pairing([term(a) for a in w.args], dom) >> Gen(w.gen)
+        if len(w.gen.cod) > 1:
+            t = t >> select_wire(w.gen.cod, w.out_index)
+        terms[id(w)] = t
+    return [term(w) for w in wires]
 
 
 def postorder(wires: tuple[WireTerm, ...]) -> Iterator[App]:
@@ -193,17 +178,17 @@ def postorder(wires: tuple[WireTerm, ...]) -> Iterator[App]:
     its own stack, so deep forms cannot exhaust the interpreter's.
     """
     done: set[int] = set()
-    todo: list[tuple[WireTerm, bool]] = [(w, False) for w in reversed(wires)]
+    todo = [w for w in reversed(wires) if isinstance(w, App)]
     while todo:
-        w, expanded = todo.pop()
-        if isinstance(w, Var) or id(w) in done:
+        w = todo[-1]
+        pending = [a for a in reversed(w.args) if isinstance(a, App) and id(a) not in done]
+        if pending:
+            todo += pending
             continue
-        if expanded:
+        todo.pop()
+        if id(w) not in done:
             done.add(id(w))
             yield w
-        else:
-            todo.append((w, True))
-            todo.extend((a, False) for a in reversed(w.args))
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:

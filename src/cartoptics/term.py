@@ -171,9 +171,10 @@ def pairing(parts: list[Term], dom: Obj) -> Term:
             )
     if not parts:
         return Delete(dom)
-    if len(parts) == 1:
-        return parts[0]
-    return Copy(dom) >> (parts[0] @ pairing(parts[1:], dom))
+    t = parts[-1]
+    for p in parts[-2::-1]:
+        t = Copy(dom) >> (p @ t)
+    return t
 
 
 def select_wire(obj: Obj, i: int) -> Term:
@@ -268,23 +269,33 @@ def _obj_expr(obj: Obj) -> str:
 
 
 def term_to_expr(t: Term) -> str:
-    """Render a term in the textual expression syntax (parseable back)."""
-    if isinstance(t, Gen):
-        return t.gen.name
-    if isinstance(t, Id):
-        return f"id[{_obj_expr(t.obj)}]"
-    if isinstance(t, Copy):
-        return f"copy[{_obj_expr(t.obj)}]"
-    if isinstance(t, Delete):
-        return f"del[{_obj_expr(t.obj)}]"
-    if isinstance(t, Swap):
-        return f"swap[{_obj_expr(t.first)},{_obj_expr(t.second)}]"
-    if isinstance(t, Proj1):
-        return f"pi1[{_obj_expr(t.first)},{_obj_expr(t.second)}]"
-    if isinstance(t, Proj2):
-        return f"pi2[{_obj_expr(t.first)},{_obj_expr(t.second)}]"
-    if isinstance(t, Seq):
-        return f"({term_to_expr(t.left)} ; {term_to_expr(t.right)})"
-    if isinstance(t, Ten):
-        return f"({term_to_expr(t.left)} * {term_to_expr(t.right)})"
-    raise TypeError(f"not a term: {t!r}")
+    """Render a term in the textual expression syntax (parseable back).
+
+    The walk keeps its own stack, so terms of any depth print.
+    """
+    out: list[str] = []
+    todo: list = [t]  # terms still to print, and the text between them
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Gen):
+            out.append(t.gen.name)
+        elif isinstance(t, Id):
+            out.append(f"id[{_obj_expr(t.obj)}]")
+        elif isinstance(t, Copy):
+            out.append(f"copy[{_obj_expr(t.obj)}]")
+        elif isinstance(t, Delete):
+            out.append(f"del[{_obj_expr(t.obj)}]")
+        elif isinstance(t, Swap):
+            out.append(f"swap[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
+        elif isinstance(t, Proj1):
+            out.append(f"pi1[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
+        elif isinstance(t, Proj2):
+            out.append(f"pi2[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
+        elif isinstance(t, (Seq, Ten)):
+            out.append("(")
+            todo += (")", t.right, " ; " if isinstance(t, Seq) else " * ", t.left)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

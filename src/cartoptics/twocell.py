@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .interp import Interp, extensional_counterexample
-from .normal import App, CanonicalForm, Var, WireTerm, normal_eq, read_back
+from .normal import App, Var, WireTerm, normal_eq, wire_terms
 from .optic import Optic
 from .signature import Obj, Signature, Sort
-from .term import Id, Ten, Term, TermTypeError
+from .term import Id, Ten, Term, TermTypeError, pairing
 
 
 class TwoCellError(ValueError):
@@ -190,9 +190,10 @@ def enumerate_wire_terms(
 
 def enumerate_morphisms(sig: Signature, dom: Obj, cod: Obj, depth: int) -> Iterator[Term]:
     """Distinct-by-canonical-form representatives dom -> cod up to term depth."""
-    pools = [enumerate_wire_terms(sig, dom.sorts, s, depth) for s in cod]
-    for wires in itertools.product(*pools):
-        yield read_back(CanonicalForm(dom, cod, tuple(wires)))
+    # wires in a pool share subtrees, so read back each pool once
+    pools = [wire_terms(enumerate_wire_terms(sig, dom.sorts, s, depth), dom) for s in cod]
+    for parts in itertools.product(*pools):
+        yield pairing(list(parts), dom)
 
 
 def find_witnesses(

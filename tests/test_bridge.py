@@ -40,8 +40,8 @@ from cartoptics.sampling import (
     random_obj,
     random_optic,
     random_signature,
-    random_values,
 )
+from sampling_helpers import random_values
 
 ADJUNCTION_LAWS = {
     "RE_identity",

@@ -19,7 +19,8 @@ from cartoptics import (
     parse_term,
     term_to_expr,
 )
-from cartoptics.sampling import padded_variants, random_morphism, random_obj
+from cartoptics.sampling import random_morphism, random_obj
+from sampling_helpers import padded_variants
 
 
 class TestParsing:

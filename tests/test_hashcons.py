@@ -9,6 +9,7 @@ The reference for equality is the structural tree comparison that `App` and
 every path, so it is used on small forms only.
 """
 
+import pickle
 import time
 
 from hypothesis import HealthCheck, given, settings
@@ -39,13 +40,12 @@ from cartoptics import (
 from cartoptics.optic import round_trip_term
 from cartoptics.sampling import (
     min_depths,
-    padded_variants,
-    random_interp,
     random_morphism,
     random_obj,
     random_signature,
     random_wire,
 )
+from sampling_helpers import padded_variants, random_interp
 
 
 A = Obj((Sort("A", FiniteCarrier(2)),))
@@ -140,6 +140,11 @@ class TestAgainstTreeOracle:
         assert normal_eq(t1, t2) == want
         if want:
             assert hash(cf1) == hash(cf2)
+        for w1, w2 in zip(cf1.wires, cf2.wires):
+            same = _tree(w1) == _tree(w2)
+            assert (w1 == w2) == same and (w2 == w1) == same
+            if same:
+                assert hash(w1) == hash(w2)
 
     @PROPERTY
     @given(st.randoms(use_true_random=False))
@@ -153,6 +158,16 @@ class TestAgainstTreeOracle:
         assert share_cf(hand) == share_cf(cf)
         other = _hand_built(rng, sig, dom, cod)
         assert (hand == other) == _tree_eq(hand, other)
+
+    @PROPERTY
+    @given(st.randoms(use_true_random=False))
+    def test_pickle_round_trip(self, rng):
+        sig, dom, cod = _setup(rng)
+        for cf in (normalize(random_morphism(rng, sig, dom, cod)), _hand_built(rng, sig, dom, cod)):
+            back = pickle.loads(pickle.dumps(cf))
+            assert back == cf and hash(back) == hash(cf)
+            for w, v in zip(cf.wires, back.wires):
+                assert v == w and hash(v) == hash(w)
 
     @PROPERTY
     @given(st.randoms(use_true_random=False))
@@ -193,6 +208,9 @@ def test_generators_compare_by_value():
     # equal but distinct generator objects are one generator
     t = Copy(obj) >> (Gen(u1) @ Gen(u2))
     assert len(share(t).nodes) == 1
+    hand = CanonicalForm(obj, obj @ obj, (App(u1, 0, (Var(0),)), App(u2, 0, (Var(0),))))
+    assert hand == normalize(t)
+    assert len(share_cf(hand).nodes) == 1
     assert normal_eq(Gen(u1), Gen(u2))
     assert normalize(Gen(u1)) == CanonicalForm(obj, obj, (App(u2, 0, (Var(0),)),))
     # same name, different table: different generators

@@ -40,12 +40,8 @@ from cartoptics import (
     pairing,
     read_back,
 )
-from cartoptics.sampling import (
-    padded_variants,
-    random_interp,
-    random_morphism,
-    random_obj,
-)
+from cartoptics.sampling import random_morphism, random_obj
+from sampling_helpers import padded_variants, random_interp
 
 
 class TestHandValues:

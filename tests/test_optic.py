@@ -31,7 +31,8 @@ from cartoptics import (
     round_trip_term,
     graph,
 )
-from cartoptics.sampling import random_obj, random_optic, random_values
+from cartoptics.sampling import random_obj, random_optic
+from sampling_helpers import random_values
 
 
 def response_term(optic):

@@ -33,12 +33,8 @@ from cartoptics import (
     search_cells,
     vcompose,
 )
-from cartoptics.sampling import (
-    random_cell_chain,
-    random_composable_cells,
-    random_obj,
-    random_valid_cell,
-)
+from cartoptics.sampling import random_obj, random_valid_cell
+from sampling_helpers import random_cell_chain, random_composable_cells
 
 
 @pytest.fixture

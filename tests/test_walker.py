@@ -4,8 +4,9 @@ Since evaluating and normalizing share the walker, the cross-check of
 `normal_eq` against exhaustive evaluation no longer catches a walker bug.  The
 recursive walkers the package used before are kept here as the oracle: the
 differential tests compare outputs, generator counts, copies and canonical
-forms on random terms.  The deep-chain tests run terms nested several times
-deeper than the interpreter's default recursion limit.
+forms on random terms.  The recursive printer is kept the same way as the
+oracle for `term_to_expr`.  The deep-chain tests run terms nested several
+times deeper than the interpreter's default recursion limit.
 """
 
 import operator
@@ -38,13 +39,15 @@ from cartoptics import (
     normal_eq,
     normalize,
     optic_exec,
+    read_back,
     reify,
     round_trip_term,
     share,
     share_cf,
 )
 from cartoptics.normal import _UniqueTable
-from cartoptics.sampling import padded_variants, random_morphism, random_obj, random_signature
+from cartoptics.sampling import random_morphism, random_obj, random_signature
+from sampling_helpers import padded_variants
 
 # --- oracle: the recursive walkers ---------------------------------------------
 
@@ -99,6 +102,19 @@ def oracle_push(t, xs, table):
     if isinstance(t, Proj2):
         return xs[len(t.first) :]
     raise TypeError(f"not a term: {t!r}")
+
+
+def oracle_print(t):
+    if isinstance(t, Gen):
+        return t.gen.name
+    if isinstance(t, Seq):
+        return f"({oracle_print(t.left)} ; {oracle_print(t.right)})"
+    if isinstance(t, Ten):
+        return f"({oracle_print(t.left)} * {oracle_print(t.right)})"
+    name = {Id: "id", Copy: "copy", Delete: "del", Swap: "swap", Proj1: "pi1", Proj2: "pi2"}[type(t)]
+    if isinstance(t, (Id, Copy, Delete)):
+        return f"{name}[{' '.join(s.name for s in t.obj)}]"
+    return f"{name}[{' '.join(s.name for s in t.first)},{' '.join(s.name for s in t.second)}]"
 
 
 def oracle_normalize(t):
@@ -174,6 +190,12 @@ def test_normalize_matches_oracle():
         assert share(t).to_json() == share_cf(want).to_json()
 
 
+def test_print_matches_oracle():
+    for _, t in random_terms(6, 300):
+        back = read_back(normalize(t))
+        assert str(t) == oracle_print(t) and str(back) == oracle_print(back)
+
+
 def test_normal_eq_and_counterexample_match_oracle():
     terms = random_terms(3, 300)
     rng = random.Random(4)
@@ -237,8 +259,10 @@ def test_deep_optic_chain_executes_normalizes_and_shares():
     assert report.copies == DEEP
 
     # the forward pass emits x0 .. xn, and x_i's wire tree holds i forward maps
-    occ = gen_occurrences(normalize(optic.forward))
+    cf = normalize(optic.forward)
+    occ = gen_occurrences(cf)
     assert sum(occ[name] for name in chain.get_names) == DEEP * (DEEP + 1) // 2
+    assert normalize(read_back(cf)) == cf
 
     stages = []
     t = optic.forward
@@ -246,6 +270,11 @@ def test_deep_optic_chain_executes_normalizes_and_shares():
         stages.append(t.right)
         t = t.left
     stages.append(t)
+    # left-nested stages print as "(((s1 ; s2) ; s3) ; s4)"; each stage is shallow
+    printed = "(" * (len(stages) - 1) + oracle_print(t)
+    printed += "".join(f" ; {oracle_print(s)})" for s in reversed(stages[:-1]))
+    same = str(optic.forward) == printed  # tens of megabytes: no diff on failure
+    assert same
     right_nested = stages[0]
     for s in stages[1:]:
         right_nested = Seq(s, right_nested)

@@ -1,4 +1,4 @@
-"""Time normalize, share, normal_eq and gen_occurrences on deep shared terms.
+"""Time normalize, share, normal_eq, ==, hash and gen_occurrences on deep shared terms.
 
 Two families of terms, each at several sizes:
 
@@ -9,11 +9,13 @@ Two families of terms, each at several sizes:
 
 For each size it prints the median of REPEAT single-shot `timeit` runs of
 each operation, next to the exact counts `len(share(t).nodes)` and
-`sum(gen_occurrences(normalize(t)).values())`.  Each size runs in its own
+`sum(gen_occurrences(normalize(t)).values())`.  `eq` compares a fresh
+`normalize(t)` with `==` to a form normalized earlier, and `hash` hashes a
+fresh form, so neither finds anything cached.  Each size runs in its own
 interpreter, killed after TIMEOUT_S seconds (marked "not run").
 
     python tools/bench_hashcons.py                      # this checkout's src/
-    python tools/bench_hashcons.py --before REV --out BENCH_hashcons.json
+    python tools/bench_hashcons.py --before REV --out BENCH_listing.json
 
 With `--before`, the same sizes are also run on `src/` of git revision REV
 (extracted with `git archive` into a temporary directory).
@@ -35,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = [("chain", n) for n in (16, 64, 128, 200)] + [("copy", k) for k in (12, 16, 20, 64)]
-OPS = ("normalize", "share", "normal_eq", "gen_occurrences")
+OPS = ("normalize", "share", "normal_eq", "eq", "hash", "gen_occurrences")
 REPEAT = 5
 TIMEOUT_S = 60.0
 
@@ -65,6 +67,8 @@ def measure(kind: str, size: int) -> dict:
         "normalize": lambda: normalize(t),
         "share": lambda: share(t),
         "normal_eq": lambda: normal_eq(t, t),
+        "eq": lambda: normalize(t) == cf,
+        "hash": lambda: hash(normalize(t)),
         "gen_occurrences": lambda: gen_occurrences(cf),
     }
     median_s = {op: statistics.median(timeit.repeat(calls[op], number=1, repeat=REPEAT)) for op in OPS}
