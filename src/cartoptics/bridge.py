@@ -24,7 +24,7 @@ from .lens import Lens, lens_compose, lens_id, lens_normal_eq
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
-from .term import Delete, Id, Proj1, Proj2, Ten, Term, graph
+from .term import Delete, Id, Proj1, Proj2, Ten, Term, graph, pairing, select_wire
 from .twocell import TwoCell, TwoCellError, hcompose, identity_cell, mk_two_cell, vcompose
 
 
@@ -114,7 +114,6 @@ def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
     rewrite one residual wire at a time, with deepening so that sorts whose
     only endo-maps go around a conversion cycle are still reachable.
     """
-    from .normal import CanonicalForm, Var, read_back
     from .twocell import enumerate_wire_terms
 
     m = o.residual
@@ -125,12 +124,11 @@ def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
     tried = 0
     for depth in range(1, min(len(sig.sorts), 3) + 1):
         for i, sort_i in enumerate(m):
-            for w in enumerate_wire_terms(sig, m.sorts, sort_i, depth):
-                if w == Var(i):
+            for w in enumerate_wire_terms(sig, m, sort_i, depth):
+                if w == select_wire(m, i):
                     continue
-                wires = tuple(Var(j) if j != i else w for j in range(len(m)))
-                s = read_back(CanonicalForm(m, m, wires))
-                corrupted = base >> s
+                wires = [select_wire(m, j) if j != i else w for j in range(len(m))]
+                corrupted = base >> pairing(wires, m)
                 if not normal_eq(corrupted, base):
                     return corrupted
                 tried += 1

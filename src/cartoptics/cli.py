@@ -32,7 +32,7 @@ from .dag import share
 from .expr import ExprError, parse_term
 from .interp import EnumerationCapError, Interp, UnsupportedInterpretation
 from .lens import Lens, lens_exec
-from .normal import App, Var, normalize, read_back
+from .normal import CanonicalForm, normalize, read_back
 from .optic import Optic, optic_exec
 from .sampling import random_signature
 from .signature import SIGNATURE_FORMAT_VERSION, Obj, SignatureError, load_signature
@@ -97,11 +97,8 @@ def _parse_values(src: str) -> tuple:
     )
 
 
-def _wire_json(w):
-    if isinstance(w, Var):
-        return {"var": w.index}
-    assert isinstance(w, App)
-    return {"gen": w.gen.name, "out": w.out_index, "args": [_wire_json(a) for a in w.args]}
+def _form_json(cf: CanonicalForm) -> dict:
+    return {**cf.to_json(), "dom": [s.name for s in cf.dom], "cod": [s.name for s in cf.cod]}
 
 
 def _table_interp(sig) -> Interp | None:
@@ -189,30 +186,15 @@ def cmd_run(args) -> int:
 
 def cmd_normalize(args) -> int:
     sig = load_signature(args.signature)
-    t = parse_term(args.expr, sig)
-    cf = normalize(t)
-    print(
-        _json_line(
-            {
-                "dom": [s.name for s in cf.dom],
-                "cod": [s.name for s in cf.cod],
-                "wires": [_wire_json(w) for w in cf.wires],
-                "read_back": str(read_back(cf)),
-            }
-        )
-    )
+    cf = normalize(parse_term(args.expr, sig))
+    print(_json_line({**_form_json(cf), "read_back": str(read_back(cf))}))
     return 0
 
 
 def cmd_optimize(args) -> int:
     sig = load_signature(args.signature)
-    t = parse_term(args.expr, sig)
-    dag = share(t)
-    out = dag.to_json()
-    out["dom"] = [s.name for s in dag.dom]
-    out["cod"] = [s.name for s in dag.cod]
-    out["node_count"] = dag.gen_node_count()
-    print(_json_line(out))
+    dag = share(parse_term(args.expr, sig))
+    print(_json_line({**_form_json(dag), "node_count": dag.gen_node_count()}))
     return 0
 
 

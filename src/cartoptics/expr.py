@@ -59,6 +59,7 @@ class _Parser:
     def __init__(self, src: str, sig: Signature):
         self.toks = _tokenize(src)
         self.sig = sig
+        self.sort_names = {s.name for s in sig.sorts}
         self.i = 0
         self.end = len(src)
 
@@ -79,37 +80,46 @@ class _Parser:
         return t
 
     def parse(self) -> Term:
-        t = self.expr()
-        left = self.peek()
-        if left is not None:
-            raise ExprError(f"unexpected {left.text!r}", left.pos)
-        return t
+        """The whole expression; open '(' and 'graph(' groups go on a stack.
 
-    def expr(self) -> Term:
-        t = self.ten()
-        while (nxt := self.peek()) is not None and nxt.text == ";":
-            self.take()
-            t = t >> self.ten()
-        return t
+        Each group remembers its head token and the enclosing expression's
+        composite and product so far, so nesting is not bounded by the
+        interpreter's recursion limit.
+        """
+        groups: list[tuple[_Tok, Term | None, Term | None]] = []
+        seq: Term | None = None  # the ';'-composite of the current group so far
+        ten: Term | None = None  # the '*'-product of the current ten so far
+        while True:
+            t = self.take()
+            if t.text in ("(", "graph"):
+                if t.text == "graph":
+                    self.expect("(")
+                groups.append((t, seq, ten))
+                seq = ten = None
+                continue
+            atom = self.leaf(t)
+            while True:  # fold the atom in; a closing ')' makes its group the next atom
+                ten = atom if ten is None else ten @ atom
+                nxt = self.peek()
+                op = None if nxt is None else nxt.text
+                if op == "*":
+                    break
+                seq = ten if seq is None else seq >> ten
+                ten = None
+                if op == ";":
+                    break
+                if not groups:
+                    if nxt is not None:
+                        raise ExprError(f"unexpected {op!r}", nxt.pos)
+                    return seq
+                self.expect(")")
+                head, outer_seq, ten = groups.pop()
+                atom = graph(seq) if head.text == "graph" else seq
+                seq = outer_seq
+            self.take()  # the '*' or ';'
 
-    def ten(self) -> Term:
-        t = self.atom()
-        while (nxt := self.peek()) is not None and nxt.text == "*":
-            self.take()
-            t = t @ self.atom()
-        return t
-
-    def atom(self) -> Term:
-        t = self.take()
-        if t.text == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        if t.text == "graph":
-            self.expect("(")
-            inner = self.expr()
-            self.expect(")")
-            return graph(inner)
+    def leaf(self, t: _Tok) -> Term:
+        """An atom other than a group, starting at token t."""
         if t.text in ("copy", "del", "id"):
             objs = self.bracket_objs(t)
             if len(objs) != 1:
@@ -138,7 +148,7 @@ class _Parser:
                 continue
             if not re.fullmatch(r"[A-Za-z_]\w*", t.text):
                 raise ExprError(f"expected a sort name, found {t.text!r}", t.pos)
-            if not any(s.name == t.text for s in self.sig.sorts):
+            if t.text not in self.sort_names:
                 raise ExprError(f"unknown sort {t.text!r}", t.pos)
             groups[-1].append(t.text)
         if groups == [[]]:

@@ -8,7 +8,7 @@ same syntax.
 `evaluate` runs a term on a concrete input tuple and counts work: one counter
 bump per generator application, one copy per duplicated wire.  Identities,
 deletions, swaps and projections are free.  Values move by `term.run`, the
-walker `normalize` uses to evaluate in the syntactic model of wire trees.
+walker `normalize` uses to evaluate in the syntactic model.
 """
 
 from __future__ import annotations

@@ -2,119 +2,80 @@
 
 A morphism into a product is determined by its components, and each component
 of a term over a free cartesian structure is an ordinary first-order term in
-the input wires.  So the canonical form of a morphism is one tree per output
-wire, whose leaves are input wire indices and whose internal nodes are
-(generator, output-index) applications.  Copy, delete, swap and projections
-all disappear into wire bookkeeping, which is why equality of canonical forms
-is sound and complete for the equational theory generated by the cartesian
-structure.
+the input wires.  Copy, delete, swap and projections all disappear into wire
+bookkeeping, which is why equality of canonical forms is sound and complete
+for the equational theory generated by the cartesian structure.
 
-Normalizing is evaluation in the syntactic model: `normalize` pushes wire
-variables through the term with `term.run`, the walker `evaluate` uses, and
-each generator builds a node.  `read_back` rebuilds a term (with explicit
-copies and projections) from a canonical form; normalizing it gives it back.
+A canonical form is those components written as one straight-line program
+(Wengert, 1964): a listing of the distinct generator applications, each a row
+(generator, argument refs), and one ref per output wire.  A ref is an input
+wire index or a (node, output) pair.  Equal applications are one row
+(hash-consing, Filliatre and Conchon 2006, with generators compared by value)
+and rows are numbered in the order of a left-to-right, arguments-first walk
+from the outputs, so two forms are equal exactly when their flat tuples are:
+the dataclass `==` and `hash` decide sameness.
 
-`normalize` hash-conses the wires (Filliatre and Conchon, "Type-safe modular
-hash-consing", 2006): within one form equal subterms are one object, and
-`normal_eq` compares two terms' wires by identity in one unique table.  For
-finished forms, one listing of the distinct applications (`_listing`) decides
-sameness: `==` and `hash` of forms and wires, and `dag.share_cf`, in time
-linear in the number of distinct nodes.
+Normalizing is evaluation in the syntactic model: `normalize` pushes refs
+through the term with `term.run`, the walker `evaluate` uses, and each
+generator looks its row up in a unique table, appending it when new; one
+renumbering pass then keeps the live rows in walk order.  `normal_eq` pushes
+both terms through one table and compares their output refs.  `read_back`
+rebuilds a term (with explicit copies and projections) from a canonical form;
+normalizing it gives it back.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .signature import Generator, Obj
 from .term import Gen, Term, pairing, run, select_wire
 
+Ref = int | tuple[int, int]
+Node = tuple[Generator, tuple[Ref, ...]]
+
 
 @dataclass(frozen=True)
-class Var:
-    """An input wire."""
-
-    index: int
-
-
-@dataclass(frozen=True, eq=False)
-class App:
-    """Output `out_index` of a generator applied to argument wires.
-
-    Equality and hash are structural: they compare or hash listings
-    (`_listing`), which are not cached.
-    """
-
-    gen: Generator
-    out_index: int
-    args: tuple["WireTerm", ...]
-
-    def __hash__(self) -> int:
-        return hash(_listing((self,)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, App):
-            return NotImplemented
-        return _listing((self,)) == _listing((other,))
-
-
-WireTerm = Var | App
-
-
-@dataclass(frozen=True, eq=False)
 class CanonicalForm:
+    """A straight-line program dom -> cod: rows, arguments first, then outputs."""
+
     dom: Obj
     cod: Obj
-    wires: tuple[WireTerm, ...]
+    nodes: tuple[Node, ...]
+    outputs: tuple[Ref, ...]
 
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod, _listing(self.wires)))
+    def gen_node_count(self, names=None) -> int:
+        if names is None:
+            return len(self.nodes)
+        return sum(1 for gen, _ in self.nodes if gen.name in names)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and _listing(self.wires) == _listing(other.wires)
+    def to_json(self) -> dict:
+        def ref(r: Ref):
+            return {"input": r} if isinstance(r, int) else {"node": r[0], "out": r[1]}
 
-
-def _listing(wires: tuple[WireTerm, ...]) -> tuple[tuple, tuple]:
-    """The distinct applications under the wires, numbered arguments first.
-
-    A node is (generator, argument refs) and a ref is an input index or a
-    (node, output) pair.  Equal applications are one node, with generators
-    compared by value, and nodes are numbered in `postorder`, so two wire
-    tuples are equal as trees exactly when their listings are equal, however
-    much of either is shared.  Returns the nodes and the wires' refs.
-    """
-    index: dict[tuple, int] = {}
-    refs: dict[int, tuple[int, int]] = {}
-
-    def ref(w: WireTerm) -> int | tuple[int, int]:
-        return w.index if isinstance(w, Var) else refs[id(w)]
-
-    for w in postorder(wires):
-        node = index.setdefault((w.gen, tuple(map(ref, w.args))), len(index))
-        refs[id(w)] = (node, w.out_index)
-    return tuple(index), tuple(map(ref, wires))
+        return {
+            "nodes": [{"gen": gen.name, "args": [ref(a) for a in args]} for gen, args in self.nodes],
+            "outputs": [ref(r) for r in self.outputs],
+        }
 
 
 class _UniqueTable:
-    """Hash-consing within one call: equal subterms become one object.
+    """One row per distinct generator application, within one call.
 
-    An application is keyed on its generator and the identities of its
-    (already unique) arguments; all its outputs are made together and share
-    one argument tuple.  Equal but distinct generator objects are merged.
+    A row is keyed on its generator and its argument refs; `apply` returns
+    the refs of all its outputs.  Equal but distinct generator objects are
+    merged.
     """
 
     def __init__(self, arity: int) -> None:
-        self.inputs = tuple(Var(i) for i in range(arity))
-        self.apps: dict[tuple, tuple[App, ...]] = {}
+        self.inputs = tuple(range(arity))
+        self.rows: list[Node] = []
+        self.outs: dict[tuple, tuple[Ref, ...]] = {}
         self.reps: dict[int, Generator] = {}
         self.by_name: dict[str, list[Generator]] = {}
 
-    def apply(self, gen: Generator, xs: tuple[WireTerm, ...]) -> tuple[App, ...]:
+    def apply(self, gen: Generator, xs: tuple[Ref, ...]) -> tuple[Ref, ...]:
         rep = self.reps.get(id(gen))
         if rep is None:
             # compared by value only against generators of the same name
@@ -124,89 +85,93 @@ class _UniqueTable:
                 rep = gen
                 named.append(gen)
             self.reps[id(gen)] = rep
-        key = (id(rep), *map(id, xs))
-        outs = self.apps.get(key)
+        key = (id(rep), xs)
+        outs = self.outs.get(key)
         if outs is None:
-            outs = self.apps[key] = tuple(App(rep, j, xs) for j in range(len(rep.cod)))
+            node = len(self.rows)
+            self.rows.append((rep, xs))
+            outs = self.outs[key] = tuple((node, j) for j in range(len(rep.cod)))
         return outs
+
+    def form(self, dom: Obj, cod: Obj, outputs: tuple[Ref, ...]) -> CanonicalForm:
+        """The rows the outputs use, renumbered in left-to-right walk order.
+
+        A row is numbered once all its arguments are; the walk keeps its own
+        stack, so deep forms cannot exhaust the interpreter's.
+        """
+        rows, new, nodes = self.rows, {}, []
+
+        def ref(r: Ref) -> Ref:
+            return r if isinstance(r, int) else (new[r[0]], r[1])
+
+        todo = [r[0] for r in reversed(outputs) if not isinstance(r, int)]
+        while todo:
+            i = todo[-1]
+            if i in new:
+                todo.pop()
+                continue
+            gen, args = rows[i]
+            pending = [a[0] for a in reversed(args) if not isinstance(a, int) and a[0] not in new]
+            if pending:
+                todo += pending
+                continue
+            todo.pop()
+            new[i] = len(nodes)
+            nodes.append((gen, tuple(map(ref, args))))
+        return CanonicalForm(dom, cod, tuple(nodes), tuple(map(ref, outputs)))
 
 
 def normalize(t: Term) -> CanonicalForm:
     table = _UniqueTable(len(t.dom))
-    return CanonicalForm(t.dom, t.cod, run(t, table.inputs, table.apply)[0])
+    return table.form(t.dom, t.cod, run(t, table.inputs, table.apply)[0])
 
 
 def normal_eq(f: Term, g: Term) -> bool:
     """Equality in the free cartesian category (boundaries included).
 
-    Both sides are normalized into one unique table, so their canonical
-    forms are equal exactly when their wires are the same objects.
+    Both sides are pushed through one unique table, so their canonical
+    forms are equal exactly when their output refs are.
     """
     if f.dom != g.dom or f.cod != g.cod:
         return False
     table = _UniqueTable(len(f.dom))
     fs, _ = run(f, table.inputs, table.apply)
     gs, _ = run(g, table.inputs, table.apply)
-    return all(map(operator.is_, fs, gs))
+    return fs == gs
 
 
 def read_back(cf: CanonicalForm) -> Term:
-    """A term denoting the canonical form."""
-    return pairing(wire_terms(cf.wires, cf.dom), cf.dom)
+    """A term denoting the canonical form; each row's term is built once."""
+    dom, rows = cf.dom, []
 
+    def term(r: Ref) -> Term:
+        if isinstance(r, int):
+            return select_wire(dom, r)
+        node, out = r
+        cod = cf.nodes[node][0].cod
+        return rows[node] if len(cod) == 1 else rows[node] >> select_wire(cod, out)
 
-def wire_terms(wires: tuple[WireTerm, ...], dom: Obj) -> list[Term]:
-    """One term out of dom per wire; each distinct `App` object's term is
-    built once and shared wherever the object occurs."""
-    terms: dict[int, Term] = {}
-
-    def term(w: WireTerm) -> Term:
-        return select_wire(dom, w.index) if isinstance(w, Var) else terms[id(w)]
-
-    for w in postorder(wires):
-        t = pairing([term(a) for a in w.args], dom) >> Gen(w.gen)
-        if len(w.gen.cod) > 1:
-            t = t >> select_wire(w.gen.cod, w.out_index)
-        terms[id(w)] = t
-    return [term(w) for w in wires]
-
-
-def postorder(wires: tuple[WireTerm, ...]) -> Iterator[App]:
-    """Each distinct `App` object under the wires once, arguments first.
-
-    The order is that of a left-to-right depth-first walk.  The walk keeps
-    its own stack, so deep forms cannot exhaust the interpreter's.
-    """
-    done: set[int] = set()
-    todo = [w for w in reversed(wires) if isinstance(w, App)]
-    while todo:
-        w = todo[-1]
-        pending = [a for a in reversed(w.args) if isinstance(a, App) and id(a) not in done]
-        if pending:
-            todo += pending
-            continue
-        todo.pop()
-        if id(w) not in done:
-            done.add(id(w))
-            yield w
+    for gen, args in cf.nodes:
+        rows.append(pairing([term(a) for a in args], dom) >> Gen(gen))
+    return pairing([term(r) for r in cf.outputs], dom)
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:
     """Generator occurrence counts in the canonical form, with multiplicity.
 
-    A shared subterm is counted as many times as it occurs in the tree, but
-    its counts are computed once per object (memoized on `id`), so a
-    hash-consed form from `normalize` costs time linear in its DAG size.
+    A row used twice is counted twice, as in the tree the form denotes, but
+    each row's counts are computed once, so this costs time linear in the
+    number of rows.
     """
-    counts: dict[int, Counter] = {}
-    for w in postorder(cf.wires):
-        total = Counter({w.gen.name: 1})
-        for a in w.args:
-            if isinstance(a, App):
-                total.update(counts[id(a)])
-        counts[id(w)] = total
+    counts: list[Counter] = []
+    for gen, args in cf.nodes:
+        total = Counter({gen.name: 1})
+        for a in args:
+            if not isinstance(a, int):
+                total.update(counts[a[0]])
+        counts.append(total)
     out: Counter = Counter()
-    for w in cf.wires:
-        if isinstance(w, App):
-            out.update(counts[id(w)])
+    for r in cf.outputs:
+        if not isinstance(r, int):
+            out.update(counts[r[0]])
     return out

@@ -4,8 +4,8 @@ Everything takes an explicit random.Random so test runs are reproducible.
 Random signatures are built strongly connected: a conversion generator cycle
 touches every sort, so any sort is producible from any non-empty object and
 boundary choices for lenses, optics and cells are unconstrained.  Morphisms
-are sampled as canonical wire trees and read back into terms, which makes
-them well-typed by construction.
+are sampled one output wire at a time, as terms built from projections,
+pairings and generators, which makes them well-typed by construction.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import random
 
 from .interp import Interp
 from .lens import Lens
-from .normal import App, CanonicalForm, Var, WireTerm, normalize, read_back
+from .normal import normalize, read_back
 from .optic import Optic
 from .signature import FiniteCarrier, Generator, Obj, Signature, Sort
-from .term import Id, Ten, Term
+from .term import Id, Ten, Term, gen_wire, pairing, select_wire
 from .twocell import TwoCell, mk_two_cell
 
 SORT_NAMES = ("A", "B", "C", "D")
@@ -74,7 +74,7 @@ def random_signature(
 
 
 def min_depths(sig: Signature, dom: Obj) -> dict[Sort, int]:
-    """Least wire-tree depth at which each sort is producible from dom."""
+    """Least wire depth at which each sort is producible from dom."""
     depth: dict[Sort, int] = {s: 0 for s in dom}
     changed = True
     while changed:
@@ -96,13 +96,14 @@ def random_obj(rng: random.Random, sig: Signature, lo: int = 1, hi: int = 2) -> 
 def random_wire(
     rng: random.Random,
     sig: Signature,
-    dom_sorts: tuple[Sort, ...],
+    dom: Obj,
     mind: dict[Sort, int],
     target: Sort,
     budget: int,
     var_bias: float = 0.6,
-) -> WireTerm:
-    var_ids = [i for i, s in enumerate(dom_sorts) if s == target]
+) -> Term:
+    """A random canonical wire term dom -> [target] within the depth budget."""
+    var_ids = [i for i, s in enumerate(dom) if s == target]
     apps: list[tuple[Generator, int]] = []
     if budget > 0:
         for g in sig.generators:
@@ -111,27 +112,25 @@ def random_wire(
                     if c == target:
                         apps.append((g, j))
     if var_ids and (not apps or rng.random() < var_bias):
-        return Var(rng.choice(var_ids))
+        return select_wire(dom, rng.choice(var_ids))
     if not apps:
         raise ValueError(f"sort {target.name} not producible within budget {budget}")
     g, j = rng.choice(apps)
-    args = tuple(
-        random_wire(rng, sig, dom_sorts, mind, s, budget - 1, var_bias) for s in g.dom
-    )
-    return App(g, j, args)
+    args = [random_wire(rng, sig, dom, mind, s, budget - 1, var_bias) for s in g.dom]
+    return gen_wire(g, j, args, dom)
 
 
 def random_morphism(
     rng: random.Random, sig: Signature, dom: Obj, cod: Obj, budget: int = 2
 ) -> Term:
-    """A random well-typed term dom -> cod, one sampled wire tree per output."""
+    """A random well-typed term dom -> cod, one sampled wire term per output."""
     mind = min_depths(sig, dom)
     wires = []
     for s in cod:
         if s not in mind:
             raise ValueError(f"sort {s.name} not producible from {dom}")
-        wires.append(random_wire(rng, sig, dom.sorts, mind, s, max(budget, mind[s])))
-    return read_back(CanonicalForm(dom, cod, tuple(wires)))
+        wires.append(random_wire(rng, sig, dom, mind, s, max(budget, mind[s])))
+    return pairing(wires, dom)
 
 
 def canon(t: Term) -> Term:

@@ -192,6 +192,12 @@ def select_wire(obj: Obj, i: int) -> Term:
     return t
 
 
+def gen_wire(gen: Generator, out: int, args: list[Term], dom: Obj) -> Term:
+    """Output `out` of gen applied to one argument term out of dom per input."""
+    t = pairing(args, dom) >> Gen(gen)
+    return t if len(gen.cod) == 1 else t >> select_wire(gen.cod, out)
+
+
 # --- running ----------------------------------------------------------------
 
 _JOIN = object()  # marks where a tensor's right half is done
@@ -204,9 +210,9 @@ def run(
 
     Values are opaque: `apply(gen, args)` gives a generator's outputs and the
     structure maps only move, duplicate and drop values.  Applying a finite
-    interpretation evaluates t; applying a wire-tree builder normalizes it.
-    With `counts` given, each application also bumps `counts[gen.name]`.  The
-    walk keeps its own stack, so terms of any depth run.
+    interpretation evaluates t; looking rows up in a unique table normalizes
+    it.  With `counts` given, each application also bumps `counts[gen.name]`.
+    The walk keeps its own stack, so terms of any depth run.
     """
     copied = 0
     todo: list = []  # terms still to run, and the pieces of tensors in progress

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .interp import Interp, extensional_counterexample
-from .normal import App, Var, WireTerm, normal_eq, wire_terms
+from .normal import normal_eq
 from .optic import Optic
 from .signature import Obj, Signature, Sort
-from .term import Id, Ten, Term, TermTypeError, pairing
+from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, select_wire
 
 
 class TwoCellError(ValueError):
@@ -162,18 +162,21 @@ def pi0_classes(sample: HomCatSample) -> list[list[int]]:
 # --- bounded enumeration and witness search ---------------------------------
 
 
-def enumerate_wire_terms(
-    sig: Signature, var_sorts: tuple[Sort, ...], target: Sort, depth: int
-) -> list[WireTerm]:
-    """All canonical wire terms of a sort over the given variables, depth-bounded."""
-    memo: dict[tuple[Sort, int], list[WireTerm]] = {}
+def enumerate_wire_terms(sig: Signature, dom: Obj, target: Sort, depth: int) -> list[Term]:
+    """All canonical wire terms dom -> [target], depth-bounded.
 
-    def go(sort: Sort, d: int) -> list[WireTerm]:
+    The projections of dom onto target come first, in wire order, then each
+    generator output of sort target over every tuple of shallower arguments.
+    A term of a shallower depth is built once and shared by the deeper ones.
+    """
+    memo: dict[tuple[Sort, int], list[Term]] = {}
+
+    def go(sort: Sort, d: int) -> list[Term]:
         key = (sort, d)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        out: list[WireTerm] = [Var(i) for i, s in enumerate(var_sorts) if s == sort]
+        out = [select_wire(dom, i) for i, s in enumerate(dom) if s == sort]
         if d > 0:
             for g in sig.generators:
                 for j, c in enumerate(g.cod):
@@ -181,7 +184,7 @@ def enumerate_wire_terms(
                         continue
                     pools = [go(s, d - 1) for s in g.dom]
                     for args in itertools.product(*pools):
-                        out.append(App(g, j, tuple(args)))
+                        out.append(gen_wire(g, j, list(args), dom))
         memo[key] = out
         return out
 
@@ -190,8 +193,7 @@ def enumerate_wire_terms(
 
 def enumerate_morphisms(sig: Signature, dom: Obj, cod: Obj, depth: int) -> Iterator[Term]:
     """Distinct-by-canonical-form representatives dom -> cod up to term depth."""
-    # wires in a pool share subtrees, so read back each pool once
-    pools = [wire_terms(enumerate_wire_terms(sig, dom.sorts, s, depth), dom) for s in cod]
+    pools = [enumerate_wire_terms(sig, dom, s, depth) for s in cod]
     for parts in itertools.product(*pools):
         yield pairing(list(parts), dom)
 

@@ -69,12 +69,20 @@ class TestNormalize:
         data = json.loads(line)
         assert data["dom"] == ["A"]
         assert data["cod"] == ["A", "B"]
-        assert data["wires"] == [
-            {"var": 0},
-            {"gen": "f", "out": 0, "args": [{"var": 0}]},
-        ]
+        assert data["nodes"] == [{"gen": "f", "args": [{"input": 0}]}]
+        assert data["outputs"] == [{"input": 0}, {"node": 0, "out": 0}]
+        assert data["read_back"] == "(copy[A] ; (id[A] * (id[A] ; f)))"
         # output keys are sorted, so repeated runs are byte-identical
         assert json.dumps(data, sort_keys=True) == line
+
+    def test_long_chain(self, capsys, sig_path):
+        # 600 rows, each the argument of the next: no output part nests
+        expr = " ; ".join(["f ; g"] * 300)
+        rc, out, err = run_cli(capsys, "normalize", "--signature", sig_path, "--expr", expr)
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        assert len(data["nodes"]) == 600
+        assert data["outputs"] == [{"node": 599, "out": 0}]
 
     def test_parse_error_exit_code(self, capsys, sig_path):
         rc, _, err = run_cli(
@@ -91,7 +99,36 @@ class TestNormalize:
         assert err.startswith("error:")
 
 
+# A multi-output generator (k, second output only), a row that a delete kills
+# (e ; e), and rows used more than once (e, and f after e).
+GOLDEN_EXPR = (
+    "copy[A] ; (copy[A] ; (e ; f) * (k ; pi2[A,A])) * (e ; copy[A] ; id[A] * (e ; del[A]))"
+    " ; (swap[B,A] ; h) * (copy[A] ; id[A] * f)"
+)
+
+
 class TestOptimize:
+    def test_golden_listing_and_read_back(self, capsys, sig_path):
+        """Row numbering and read-back, pinned byte for byte."""
+        rc, out, _ = run_cli(capsys, "optimize", "--signature", sig_path, "--expr", GOLDEN_EXPR)
+        assert rc == 0
+        assert out == (
+            '{"cod": ["A", "A", "B"], "dom": ["A"], "node_count": 4, "nodes": ['
+            '{"args": [{"input": 0}], "gen": "k"}, '
+            '{"args": [{"input": 0}], "gen": "e"}, '
+            '{"args": [{"node": 1, "out": 0}], "gen": "f"}, '
+            '{"args": [{"node": 0, "out": 1}, {"node": 2, "out": 0}], "gen": "h"}], '
+            '"outputs": [{"node": 3, "out": 0}, {"node": 1, "out": 0}, {"node": 2, "out": 0}]}\n'
+        )
+        rc, normalized, _ = run_cli(capsys, "normalize", "--signature", sig_path, "--expr", GOLDEN_EXPR)
+        data = json.loads(normalized)
+        assert data.pop("read_back") == (
+            "(copy[A] ; (((copy[A] ; (((id[A] ; k) ; pi2[A,A]) * ((id[A] ; e) ; f))) ; h)"
+            " * (copy[A] ; ((id[A] ; e) * ((id[A] ; e) ; f)))))"
+        )
+        # normalize prints the listing optimize prints
+        assert data == {k: v for k, v in json.loads(out).items() if k != "node_count"}
+
     def test_shared_copy(self, capsys, sig_path):
         rc, out, _ = run_cli(
             capsys, "optimize", "--signature", sig_path, "--expr", "copy[A] ; f * f"

@@ -1,6 +1,7 @@
 """Expression parsing and printing: exact round trips, located errors."""
 
 import random
+import time
 
 import pytest
 
@@ -14,9 +15,13 @@ from cartoptics import (
     Swap,
     Ten,
     UNIT,
+    build_chain,
+    compose_optic_chain,
     graph,
+    normal_eq,
     parse_signature,
     parse_term,
+    reify,
     term_to_expr,
 )
 from cartoptics.sampling import random_morphism, random_obj
@@ -96,11 +101,43 @@ class TestErrors:
         with pytest.raises(ExprError, match="unexpected"):
             parse_term("f )", sig)
 
+    def test_deep_unbalanced_parens(self, sig):
+        src = "(" * DEEP + "f" + ")" * (DEEP - 1)
+        with pytest.raises(ExprError, match="unexpected end") as info:
+            parse_term(src, sig)
+        assert info.value.pos == len(src)
+        src = "graph(" * DEEP + "f" + ")" * (DEEP + 1)
+        with pytest.raises(ExprError, match="unexpected '\\)'") as info:
+            parse_term(src, sig)
+        assert info.value.pos == len(src) - 1
+
     def test_bracket_arity(self, sig):
         with pytest.raises(ExprError, match="takes two"):
             parse_term("swap[A]", sig)
         with pytest.raises(ExprError, match="takes one"):
             parse_term("copy[A,B]", sig)
+
+
+# Deeper than the interpreter's default recursion limit of 1000.
+DEEP = 1500
+
+
+class TestDeepNesting:
+    def test_nested_parens(self, sig, f):
+        assert parse_term("(" * DEEP + "f" + ")" * DEEP, sig) == f
+        t = parse_term("graph(" * DEEP + "f" + ")" * DEEP, sig)
+        assert str(t).count("copy[A]") == DEEP
+
+    def test_composed_optic_forward_round_trips(self):
+        start = time.perf_counter()
+        chain = build_chain(DEEP, "finite", seed=9)
+        optic = compose_optic_chain([reify(l) for l in chain.lenses])
+        text = str(optic.forward)  # left-nested: DEEP - 1 open parens up front
+        back = parse_term(text, chain.signature)
+        same = str(back) == text  # megabytes: no diff on failure
+        assert same
+        assert normal_eq(back, optic.forward)
+        assert time.perf_counter() - start < 120
 
 
 class TestRoundTrip:

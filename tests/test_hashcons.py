@@ -4,9 +4,10 @@ A `(copy[A] ; h)` chain of length k has k distinct nodes but 2^k - 1
 generator occurrences when its canonical form is read as a tree.  Every
 operation on canonical forms must cost time in the number of nodes.
 
-The reference for equality is the structural tree comparison that `App` and
-`CanonicalForm` had as plain frozen dataclasses (`_tree`, below): it walks
-every path, so it is used on small forms only.
+The reference for equality is the structural tree comparison: `_tree`,
+below, expands a listing into one nested tuple per output wire, and
+`_pushed_tree` builds the same trees straight from a term.  Both walk every
+path, so they are used on small forms only.
 """
 
 import pickle
@@ -16,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cartoptics import (
-    App,
     CanonicalForm,
     Copy,
     FiniteCarrier,
@@ -24,8 +24,8 @@ from cartoptics import (
     Generator,
     Id,
     Obj,
+    Proj2,
     Sort,
-    Var,
     build_chain,
     compose_chain,
     eq_extensional,
@@ -34,17 +34,12 @@ from cartoptics import (
     normalize,
     read_back,
     reify,
+    select_wire,
     share,
-    share_cf,
 )
 from cartoptics.optic import round_trip_term
-from cartoptics.sampling import (
-    min_depths,
-    random_morphism,
-    random_obj,
-    random_signature,
-    random_wire,
-)
+from cartoptics.sampling import random_morphism, random_obj, random_signature
+from cartoptics.term import run
 from sampling_helpers import padded_variants, random_interp
 
 
@@ -84,24 +79,42 @@ class TestExponentialCases:
 # --- differential tests against the structural tree comparison ---------------
 
 
-def _tree(w):
-    if isinstance(w, Var):
-        return ("var", w.index)
-    return ("app", w.gen, w.out_index, tuple(_tree(a) for a in w.args))
+def _tree(cf):
+    """The form as nested tuples: boundaries, then one tree per output wire."""
+
+    def expand(r):
+        if isinstance(r, int):
+            return ("var", r)
+        gen, args = cf.nodes[r[0]]
+        return ("app", gen, r[1], tuple(map(expand, args)))
+
+    return cf.dom, cf.cod, tuple(map(expand, cf.outputs))
 
 
-def _tree_eq(cf1, cf2):
-    def key(cf):
-        return cf.dom, cf.cod, tuple(map(_tree, cf.wires))
+def _pushed_tree(t):
+    """The trees of t built by pushing variables through it, with no table."""
 
-    return key(cf1) == key(cf2)
+    def apply(gen, xs):
+        return tuple(("app", gen, j, xs) for j in range(len(gen.cod)))
+
+    wires, _ = run(t, tuple(("var", i) for i in range(len(t.dom))), apply)
+    return t.dom, t.cod, wires
 
 
-def _hand_built(rng, sig, dom, cod):
-    """A canonical form built from `App`/`Var` directly, not by `normalize`."""
-    mind = min_depths(sig, dom)
-    wires = tuple(random_wire(rng, sig, dom.sorts, mind, s, max(2, mind[s])) for s in cod)
-    return CanonicalForm(dom, cod, wires)
+def _hand_built(t):
+    """The listing of t's pushed trees, each distinct application numbered
+    once its arguments are, left to right; built without the unique table."""
+    dom, cod, wires = _pushed_tree(t)
+    rows: dict = {}
+
+    def ref(w):
+        if w[0] == "var":
+            return w[1]
+        _, gen, out, args = w
+        return rows.setdefault((gen, tuple(map(ref, args))), len(rows)), out
+
+    outputs = tuple(map(ref, wires))
+    return CanonicalForm(dom, cod, tuple(rows), outputs)
 
 
 def _setup(rng):
@@ -135,39 +148,38 @@ class TestAgainstTreeOracle:
         t1 = random_morphism(rng, sig, dom, cod)
         t2 = _partner(rng, sig, t1)
         cf1, cf2 = normalize(t1), normalize(t2)
-        want = _tree_eq(cf1, cf2)
+        want = _tree(cf1) == _tree(cf2)
         assert (cf1 == cf2) == want
         assert normal_eq(t1, t2) == want
         if want:
             assert hash(cf1) == hash(cf2)
-        for w1, w2 in zip(cf1.wires, cf2.wires):
-            same = _tree(w1) == _tree(w2)
-            assert (w1 == w2) == same and (w2 == w1) == same
-            if same:
-                assert hash(w1) == hash(w2)
+        # wire by wire: the table decides each output on its own
+        for i, (w1, w2) in enumerate(zip(_tree(cf1)[2], _tree(cf2)[2])):
+            pick = select_wire(cod, i)
+            assert normal_eq(t1 >> pick, t2 >> pick) == (w1 == w2)
 
     @PROPERTY
     @given(st.randoms(use_true_random=False))
     def test_hand_built_forms(self, rng):
         sig, dom, cod = _setup(rng)
-        hand = _hand_built(rng, sig, dom, cod)
-        cf = normalize(read_back(hand))
-        assert _tree_eq(cf, hand)
-        assert cf == hand and hand == cf and hash(cf) == hash(hand)
-        # sharing a hand-built form merges equal subterms like a normalized one
-        assert share_cf(hand) == share_cf(cf)
-        other = _hand_built(rng, sig, dom, cod)
-        assert (hand == other) == _tree_eq(hand, other)
+        t = random_morphism(rng, sig, dom, cod)
+        dead = random_morphism(rng, sig, dom, cod, budget=1)
+        # the last variant makes dead's rows and then projects them away
+        variants = [*padded_variants(rng, t, 2), Copy(dom) >> (dead @ t) >> Proj2(cod, cod)]
+        for u in (t, *variants):
+            cf, hand = normalize(u), _hand_built(u)
+            assert cf == hand and hash(cf) == hash(hand)
+            assert _tree(cf) == _pushed_tree(u)
+        other = _hand_built(dead)
+        assert (hand == other) == (_tree(hand) == _tree(other))
 
     @PROPERTY
     @given(st.randoms(use_true_random=False))
     def test_pickle_round_trip(self, rng):
         sig, dom, cod = _setup(rng)
-        for cf in (normalize(random_morphism(rng, sig, dom, cod)), _hand_built(rng, sig, dom, cod)):
-            back = pickle.loads(pickle.dumps(cf))
-            assert back == cf and hash(back) == hash(cf)
-            for w, v in zip(cf.wires, back.wires):
-                assert v == w and hash(v) == hash(w)
+        cf = normalize(random_morphism(rng, sig, dom, cod))
+        back = pickle.loads(pickle.dumps(cf))
+        assert back == cf and hash(back) == hash(cf)
 
     @PROPERTY
     @given(st.randoms(use_true_random=False))
@@ -208,11 +220,9 @@ def test_generators_compare_by_value():
     # equal but distinct generator objects are one generator
     t = Copy(obj) >> (Gen(u1) @ Gen(u2))
     assert len(share(t).nodes) == 1
-    hand = CanonicalForm(obj, obj @ obj, (App(u1, 0, (Var(0),)), App(u2, 0, (Var(0),))))
-    assert hand == normalize(t)
-    assert len(share_cf(hand).nodes) == 1
+    assert normalize(t) == CanonicalForm(obj, obj @ obj, ((u2, (0,)),), ((0, 0), (0, 0)))
     assert normal_eq(Gen(u1), Gen(u2))
-    assert normalize(Gen(u1)) == CanonicalForm(obj, obj, (App(u2, 0, (Var(0),)),))
+    assert normalize(Gen(u1)) == CanonicalForm(obj, obj, ((u2, (0,)),), ((0, 0),))
     # same name, different table: different generators
     assert not normal_eq(Gen(u1), Gen(other))
     assert normalize(Gen(u1)) != normalize(Gen(other))

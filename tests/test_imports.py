@@ -1,7 +1,8 @@
 """Every name a module in src/cartoptics imports is used in that module.
 
 A standard-library stand-in for a linter's unused-import rule.  `__init__.py`
-is exempt: its imports are the package's re-exports.
+is exempt: its imports are the package's re-exports, and every name its
+`__all__` lists must resolve.
 """
 
 import ast
@@ -39,3 +40,10 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     src = "import os\nfrom typing import Callable, Iterable\n\ndef f(g: Callable): return os.sep\n"
     assert unused_imports(src) == ["line 2: Iterable"]
+
+
+def test_all_names_resolve():
+    import cartoptics
+
+    assert [n for n in cartoptics.__all__ if not hasattr(cartoptics, n)] == []
+    assert len(set(cartoptics.__all__)) == len(cartoptics.__all__)

@@ -15,7 +15,6 @@ from collections import Counter
 import pytest
 
 from cartoptics import (
-    App,
     CanonicalForm,
     Copy,
     Delete,
@@ -31,7 +30,6 @@ from cartoptics import (
     Sort,
     Swap,
     UNIT,
-    Var,
     eq_extensional,
     gen_occurrences,
     graph,
@@ -46,27 +44,40 @@ from sampling_helpers import padded_variants, random_interp
 
 class TestHandValues:
     def test_generator(self, sig, f, A, B):
-        assert normalize(f) == CanonicalForm(A, B, (App(sig.generator("f"), 0, (Var(0),)),))
+        assert normalize(f) == CanonicalForm(A, B, ((sig.generator("f"), (0,)),), ((0, 0),))
 
     def test_copy(self, A):
-        assert normalize(Copy(A)) == CanonicalForm(A, A @ A, (Var(0), Var(0)))
+        assert normalize(Copy(A)) == CanonicalForm(A, A @ A, (), (0, 0))
 
     def test_swap(self, A, B):
-        assert normalize(Swap(A, B)) == CanonicalForm(A @ B, B @ A, (Var(1), Var(0)))
+        assert normalize(Swap(A, B)) == CanonicalForm(A @ B, B @ A, (), (1, 0))
 
     def test_graph(self, sig, f, A, B):
         assert normalize(graph(f)) == CanonicalForm(
-            A, A @ B, (Var(0), App(sig.generator("f"), 0, (Var(0),)))
+            A, A @ B, ((sig.generator("f"), (0,)),), (0, (0, 0))
         )
 
     def test_multi_output_projection(self, sig, k, A):
         second = k >> Proj2(A, A)
-        assert normalize(second) == CanonicalForm(
-            A, A, (App(sig.generator("k"), 1, (Var(0),)),)
+        assert normalize(second) == CanonicalForm(A, A, ((sig.generator("k"), (0,)),), ((0, 1),))
+
+    def test_dead_rows_are_dropped(self, sig, f, e, A, B):
+        # e's row is made, then deleted: only f's row remains, numbered 0
+        t = Copy(A) >> ((e >> Delete(A)) @ f)
+        assert normalize(t) == CanonicalForm(A, B, ((sig.generator("f"), (0,)),), ((0, 0),))
+
+    def test_rows_follow_the_outputs_left_to_right(self, sig, f, g, e, A):
+        # evaluated e first, but the first output needs f ; g, so f and g come first
+        t = Copy(A) >> (e @ (f >> g)) >> Swap(A, A)
+        assert normalize(t).nodes == (
+            (sig.generator("f"), (0,)),
+            (sig.generator("g"), ((0, 0),)),
+            (sig.generator("e"), (0,)),
         )
+        assert normalize(t).outputs == ((1, 0), (2, 0))
 
     def test_delete(self, A):
-        assert normalize(Delete(A)) == CanonicalForm(A, UNIT, ())
+        assert normalize(Delete(A)) == CanonicalForm(A, UNIT, (), ())
 
 
 class TestEquationalLaws:

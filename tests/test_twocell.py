@@ -13,6 +13,7 @@ from cartoptics import (
     Id,
     Obj,
     Optic,
+    Proj2,
     Signature,
     Sort,
     TermTypeError,
@@ -26,6 +27,7 @@ from cartoptics import (
     lens_id,
     mk_two_cell,
     normal_eq,
+    normalize,
     optic_compose,
     optic_id,
     pi0_classes,
@@ -171,6 +173,12 @@ class TestEnumeration:
     def test_pair_count_is_product(self, mono_sig):
         obj = mono_sig.obj("A")
         assert len(list(enumerate_morphisms(mono_sig, obj, obj @ obj, 1))) == 4
+
+    def test_representatives_are_distinct(self, sig, k, A):
+        forms = [normalize(t) for t in enumerate_morphisms(sig, A, A, 2)]
+        assert len(set(forms)) == len(forms)
+        # each output of the two-output k is a candidate of its own
+        assert normalize(k >> Proj2(A, A)) in forms
 
 
 class TestWitnessSearch:

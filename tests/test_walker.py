@@ -4,17 +4,20 @@ Since evaluating and normalizing share the walker, the cross-check of
 `normal_eq` against exhaustive evaluation no longer catches a walker bug.  The
 recursive walkers the package used before are kept here as the oracle: the
 differential tests compare outputs, generator counts, copies and canonical
-forms on random terms.  The recursive printer is kept the same way as the
-oracle for `term_to_expr`.  The deep-chain tests run terms nested several
-times deeper than the interpreter's default recursion limit.
+forms on random terms.  A recursive evaluator of canonical forms, from the
+outputs down and each row once, is the oracle for `evaluate_dag`.  The
+recursive printer is kept the same way as the oracle for `term_to_expr`.  The
+deep-chain tests run terms nested several times deeper than the interpreter's
+default recursion limit.
 """
 
-import operator
 import random
 import time
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from cartoptics import (
-    CanonicalForm,
     Copy,
     CostReport,
     Delete,
@@ -43,7 +46,6 @@ from cartoptics import (
     reify,
     round_trip_term,
     share,
-    share_cf,
 )
 from cartoptics.normal import _UniqueTable
 from cartoptics.sampling import random_morphism, random_obj, random_signature
@@ -119,15 +121,32 @@ def oracle_print(t):
 
 def oracle_normalize(t):
     table = _UniqueTable(len(t.dom))
-    return CanonicalForm(t.dom, t.cod, oracle_push(t, table.inputs, table))
+    return table.form(t.dom, t.cod, oracle_push(t, table.inputs, table))
 
 
 def oracle_normal_eq(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         return False
     table = _UniqueTable(len(f.dom))
-    fs = oracle_push(f, table.inputs, table)
-    return all(map(operator.is_, fs, oracle_push(g, table.inputs, table)))
+    return oracle_push(f, table.inputs, table) == oracle_push(g, table.inputs, table)
+
+
+def oracle_eval_dag(cf, xs, interp, report):
+    """Evaluate a canonical form from its outputs down, each row once."""
+    results = {}
+
+    def value(r):
+        if isinstance(r, int):
+            return xs[r]
+        node, out = r
+        if node not in results:
+            gen, args = cf.nodes[node]
+            arg_values = tuple(value(a) for a in args)
+            report.generator_counts[gen.name] += 1
+            results[node] = interp.apply(gen, arg_values)
+        return results[node][out]
+
+    return tuple(value(r) for r in cf.outputs)
 
 
 # --- random terms ----------------------------------------------------------------
@@ -187,7 +206,27 @@ def test_normalize_matches_oracle():
         cf, want = normalize(t), oracle_normalize(t)
         assert cf == want
         assert gen_occurrences(cf) == gen_occurrences(want)
-        assert share(t).to_json() == share_cf(want).to_json()
+        assert share(t).to_json() == want.to_json()
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.randoms(use_true_random=False))
+def test_evaluate_dag_matches_oracle(rng):
+    for interp, t in random_terms(rng.randrange(2**32), 4):
+        cf = share(t)
+        assert normalize(read_back(cf)) == cf
+        for xs in list(enumerate_inputs(t.dom, interp))[:8]:
+            got, want, tree = CostReport(), CostReport(), CostReport()
+            out = evaluate_dag(cf, xs, interp, got)
+            assert out == oracle_eval_dag(cf, xs, interp, want) == oracle_eval(t, xs, interp, tree)
+            assert got.generator_counts == want.generator_counts
+            assert got.total_evals() == len(cf.nodes) <= tree.total_evals()
 
 
 def test_print_matches_oracle():

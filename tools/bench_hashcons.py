@@ -7,18 +7,22 @@ Two families of terms, each at several sizes:
 - `copy k`: `(copy[A] ; h)` repeated k times: k distinct nodes, 2^k - 1
   generator occurrences.
 
-For each size it prints the median of REPEAT single-shot `timeit` runs of
-each operation, next to the exact counts `len(share(t).nodes)` and
+Each size runs in its own interpreter, killed after TIMEOUT_S seconds (marked
+"not run"), which times REPEAT single shots of each operation and reports
+their median, next to the exact counts `len(share(t).nodes)` and
 `sum(gen_occurrences(normalize(t)).values())`.  `eq` compares a fresh
 `normalize(t)` with `==` to a form normalized earlier, and `hash` hashes a
-fresh form, so neither finds anything cached.  Each size runs in its own
-interpreter, killed after TIMEOUT_S seconds (marked "not run").
+fresh form, so neither finds anything cached.
 
     python tools/bench_hashcons.py                      # this checkout's src/
-    python tools/bench_hashcons.py --before REV --out BENCH_listing.json
+    python tools/bench_hashcons.py --before REV --out BENCH_canonical.json
 
-With `--before`, the same sizes are also run on `src/` of git revision REV
-(extracted with `git archive` into a temporary directory).
+With `--before`, the same sizes also run on `src/` of git revision REV
+(extracted with `git archive` into a temporary directory).  The two sides
+are interleaved: each of ROUNDS rounds runs every size on both, and the side
+that goes first alternates from round to round, so a machine whose speed
+drifts slows both alike.  Each side reports the median over rounds, and
+`after_over_before` the median of the per-round after/before ratios.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = [("chain", n) for n in (16, 64, 128, 200)] + [("copy", k) for k in (12, 16, 20, 64)]
 OPS = ("normalize", "share", "normal_eq", "eq", "hash", "gen_occurrences")
 REPEAT = 5
+ROUNDS = 6
 TIMEOUT_S = 60.0
 
 
@@ -79,23 +84,52 @@ def measure(kind: str, size: int) -> dict:
     }
 
 
-def run_all(src: Path) -> dict:
+def run_one(src: Path, kind: str, size: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = {}
-    for kind, size in SIZES:
-        cmd = [sys.executable, __file__, "--one", kind, str(size)]
-        try:
-            p = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            row = {"status": f"not run: did not finish within {TIMEOUT_S:g} s"}
-        else:
-            if p.returncode == 0:
-                row = {"status": "ok", **json.loads(p.stdout)}
-            else:
-                err = (p.stderr.strip().splitlines() or ["no output"])[-1]
-                row = {"status": f"not run: failed with {err}"}
-        out[f"{kind} {size}"] = row
-        print(f"{kind:6s} {size:4d}  {json.dumps(row)}", file=sys.stderr)
+    cmd = [sys.executable, __file__, "--one", kind, str(size)]
+    try:
+        p = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"status": f"not run: did not finish within {TIMEOUT_S:g} s"}
+    if p.returncode != 0:
+        err = (p.stderr.strip().splitlines() or ["no output"])[-1]
+        return {"status": f"not run: failed with {err}"}
+    return {"status": "ok", **json.loads(p.stdout)}
+
+
+def run_all(sides: dict[str, Path]) -> dict:
+    """Every size on every side, ROUNDS times; rows per side, then ratios."""
+    names = list(sides)
+    runs: dict[str, dict[str, list[dict]]] = {name: {} for name in names}
+    for r in range(ROUNDS):
+        for kind, size in SIZES:
+            for name in names if r % 2 == 0 else names[::-1]:
+                row = run_one(sides[name], kind, size)
+                runs[name].setdefault(f"{kind} {size}", []).append(row)
+                print(f"round {r} {name:6s} {kind:6s} {size:4d}  {json.dumps(row)}", file=sys.stderr)
+    out: dict = {name: {} for name in names}
+    for name in names:
+        for key, rows in runs[name].items():
+            failed = [row for row in rows if row["status"] != "ok"]
+            if failed:
+                out[name][key] = failed[0]
+                continue
+            out[name][key] = {
+                "status": "ok",
+                "median_s": {op: statistics.median(row["median_s"][op] for row in rows) for op in OPS},
+                "dag_nodes": rows[0]["dag_nodes"],
+                "gen_occurrences": rows[0]["gen_occurrences"],
+            }
+    if len(names) == 2:
+        before, after = (runs[name] for name in names)
+        ratios = out["after_over_before"] = {}
+        for key in before:
+            pairs = list(zip(after[key], before[key]))
+            if all(a["status"] == b["status"] == "ok" for a, b in pairs):
+                ratios[key] = {
+                    op: statistics.median(a["median_s"][op] / b["median_s"][op] for a, b in pairs)
+                    for op in OPS
+                }
     return out
 
 
@@ -122,27 +156,26 @@ def main() -> int:
         return 0
 
     report: dict = {
-        "what": "median of single-shot timeit runs per operation; counts are exact",
+        "what": "median over rounds of the median of single-shot timeit runs per operation; counts are exact",
         "repeat": REPEAT,
+        "rounds": ROUNDS,
         "timeout_s": TIMEOUT_S,
         "versions": versions(),
     }
-    if args.before:
-        rev = subprocess.run(
-            ["git", "rev-parse", "--short", args.before], cwd=ROOT, check=True,
-            capture_output=True, text=True,
-        ).stdout.strip()
-        with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {"after": ROOT / "src"}
+        if args.before:
+            rev = subprocess.run(
+                ["git", "rev-parse", "--short", args.before], cwd=ROOT, check=True,
+                capture_output=True, text=True,
+            ).stdout.strip()
             archive = Path(tmp) / "src.tar"
-            subprocess.run(
-                ["git", "archive", "-o", str(archive), rev, "src"], cwd=ROOT, check=True
-            )
+            subprocess.run(["git", "archive", "-o", str(archive), rev, "src"], cwd=ROOT, check=True)
             with tarfile.open(archive) as tar:
                 tar.extractall(tmp, filter="data")
-            print(f"before: {rev}", file=sys.stderr)
-            report["before"] = {"rev": rev, "sizes": run_all(Path(tmp) / "src")}
-    print("after: working tree", file=sys.stderr)
-    report["after"] = {"rev": "working tree", "sizes": run_all(ROOT / "src")}
+            sides = {"before": Path(tmp) / "src", **sides}
+            report["before_rev"] = rev
+        report.update(run_all(sides))
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
