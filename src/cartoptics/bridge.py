@@ -18,14 +18,24 @@ per-law outcomes, including a deliberate mutation that must fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
+from . import sampling
 from .interp import Interp
 from .lens import Lens, lens_compose, lens_id, lens_normal_eq
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
 from .term import Delete, Id, Proj1, Proj2, Ten, Term, graph, pairing, select_wire
-from .twocell import TwoCell, TwoCellError, hcompose, identity_cell, mk_two_cell, vcompose
+from .twocell import (
+    TwoCell,
+    TwoCellError,
+    enumerate_wire_terms,
+    hcompose,
+    identity_cell,
+    mk_two_cell,
+    vcompose,
+)
 
 
 def reify(l: Lens) -> Optic:
@@ -80,6 +90,21 @@ class LawResult:
         self.passed = False
         self.failures.append(payload)
 
+    def record(self, check: Callable[..., dict | None], *args, **where) -> None:
+        """Check the law once: `check(*args)` returns None or a failure payload.
+
+        A rejected cell fails with its side and counterexample.  The keywords
+        in `where`, such as a sample's index, lead the payload.
+        """
+        try:
+            payload = check(*args)
+        except TwoCellError as e:
+            payload = {"side": e.side, "counterexample": e.counterexample}
+        if payload is None:
+            self.ok()
+        else:
+            self.fail({**where, **payload})
+
     def to_json(self) -> dict:
         return {"passed": self.passed, "checked": self.checked, "failures": self.failures}
 
@@ -105,6 +130,28 @@ class AdjunctionReport:
 CoherenceReport = AdjunctionReport  # same shape, different law names
 
 
+def _run_law(report: AdjunctionReport, name: str, samples: Iterable, check: Callable) -> None:
+    """Check one law on every sample in order; a failure leads with the sample's index."""
+    law = report.law(name)
+    for i, sample in enumerate(samples):
+        law.record(check, sample, index=i)
+
+
+def _not_identity(c: TwoCell, a: Obj) -> dict | None:
+    """None when c is the identity cell on a up to normal form, else its witness."""
+    if normal_eq(c.witness, Id(a)) and optic_normal_eq(c.src, c.tgt):
+        return None
+    return {"witness": str(c.witness)}
+
+
+def _pasting(paste: Callable[[], dict | None]) -> dict | None:
+    """Check a pasting law; a cell that fails to compose or validate is an error."""
+    try:
+        return paste()
+    except (TwoCellError, TypeError) as e:
+        return {"error": str(e)}
+
+
 def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
     """A tampered counit witness guaranteed to change the normal form.
 
@@ -114,8 +161,6 @@ def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
     rewrite one residual wire at a time, with deepening so that sorts whose
     only endo-maps go around a conversion cycle are still reachable.
     """
-    from .twocell import enumerate_wire_terms
-
     m = o.residual
     if len(m) == 0:
         return None
@@ -139,34 +184,24 @@ def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
 
 def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: int = 100) -> AdjunctionReport:
     """Sample-based law suite for the reify/erase round trip and the counit."""
-    from . import sampling
-
     report = AdjunctionReport()
 
-    law = report.law("RE_identity")
-    for i in range(n_lenses):
-        l = sampling.random_lens(rng, sig)
-        if lens_normal_eq(erase(reify(l)), l):
-            law.ok()
-        else:
-            law.fail({"index": i, "get": str(l.get), "put": str(l.put)})
+    def lenses():
+        return (sampling.random_lens(rng, sig) for _ in range(n_lenses))
 
-    law = report.law("counit_validity")
-    for i in range(n_optics):
-        o = sampling.random_optic(rng, sig)
-        try:
-            counit(o, interp)
-            law.ok()
-        except TwoCellError as e:
-            law.fail({"index": i, "side": e.side, "counterexample": e.counterexample})
+    def optics():
+        return (sampling.random_optic(rng, sig) for _ in range(n_optics))
 
-    law = report.law("counit_naturality")
-    for i in range(max(1, n_optics // 2)):
-        cell = sampling.random_valid_cell(rng, sig, interp)
+    def re_identity(l: Lens) -> dict | None:
+        return None if lens_normal_eq(erase(reify(l)), l) else {"get": str(l.get), "put": str(l.put)}
+
+    def counit_valid(o: Optic) -> None:
+        counit(o, interp)
+
+    def counit_natural(cell: TwoCell) -> dict | None:
         o1, o2 = cell.src, cell.tgt
-        m1 = o1.residual
         b_obj, _ = o1.cod_pair
-        lhs = (o1.forward >> Proj1(m1, b_obj)) >> cell.witness
+        lhs = (o1.forward >> Proj1(o1.residual, b_obj)) >> cell.witness
         rhs = o2.forward >> Proj1(o2.residual, b_obj)
         square_ok = normal_eq(lhs, rhs)
         re_cell_ok = True
@@ -176,38 +211,24 @@ def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: in
         except TwoCellError:
             re_cell_ok = False
         if square_ok and re_cell_ok:
-            law.ok()
-        else:
-            law.fail({"index": i, "square_ok": square_ok, "reify_erase_cell_ok": re_cell_ok})
+            return None
+        return {"square_ok": square_ok, "reify_erase_cell_ok": re_cell_ok}
 
-    law = report.law("triangle_R")
-    for i in range(n_lenses):
-        l = sampling.random_lens(rng, sig)
-        o = reify(l)
-        try:
-            c = counit(o, interp)
-        except TwoCellError as e:
-            law.fail({"index": i, "side": e.side})
-            continue
-        a, _ = l.dom_pair
-        if normal_eq(c.witness, Id(a)) and optic_normal_eq(c.src, c.tgt):
-            law.ok()
-        else:
-            law.fail({"index": i, "witness": str(c.witness)})
+    def triangle_r(l: Lens) -> dict | None:
+        return _not_identity(counit(reify(l), interp), l.dom_pair[0])
 
-    law = report.law("triangle_E")
-    for i in range(n_optics):
-        o = sampling.random_optic(rng, sig)
-        try:
-            c = counit(o, interp)
-        except TwoCellError as e:
-            law.fail({"index": i, "side": e.side})
-            continue
-        if lens_normal_eq(erase(c.src), erase(c.tgt)):
-            law.ok()
-        else:
-            law.fail({"index": i})
+    def triangle_e(o: Optic) -> dict | None:
+        c = counit(o, interp)
+        return None if lens_normal_eq(erase(c.src), erase(c.tgt)) else {}
 
+    _run_law(report, "RE_identity", lenses(), re_identity)
+    _run_law(report, "counit_validity", optics(), counit_valid)
+    cells = (sampling.random_valid_cell(rng, sig, interp) for _ in range(max(1, n_optics // 2)))
+    _run_law(report, "counit_naturality", cells, counit_natural)
+    _run_law(report, "triangle_R", lenses(), triangle_r)
+    _run_law(report, "triangle_E", optics(), triangle_e)
+
+    # a rejection is this law's success, and it stops after `want` of them
     law = report.law("mutation_sensitivity")
     want = max(1, n_optics // 4)
     for i in range(n_optics * 4):
@@ -228,109 +249,79 @@ def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: in
     return report
 
 
+def _opunitors(pairs: Iterable[tuple[Obj, Obj]], interp: Interp | None) -> None:
+    for pair in pairs:
+        opunitor(pair, interp)
+
+
 def check_oplax_coherence(
     l1: Lens, l2: Lens, l3: Lens, interp: Interp | None = None
 ) -> CoherenceReport:
     """Coherence of the oplax structure on one composable triple."""
     report = CoherenceReport()
 
+    # the pasting laws need all four oplaxators, so a rejected one ends the check
+    pairs = ((l1, l2), (l2, l3), (lens_compose(l1, l2), l3), (l1, lens_compose(l2, l3)))
+    cells: list[TwoCell] = []
     law = report.law("oplaxator_validity")
-    try:
-        d12 = oplaxator(l1, l2, interp)
-        d23 = oplaxator(l2, l3, interp)
-        d12_3 = oplaxator(lens_compose(l1, l2), l3, interp)
-        d1_23 = oplaxator(l1, lens_compose(l2, l3), interp)
-        law.ok()
-    except TwoCellError as e:
-        law.fail({"side": e.side, "counterexample": e.counterexample})
+    law.record(lambda: cells.extend(oplaxator(x, y, interp) for x, y in pairs))
+    if not law.passed:
         return report
+    d12, d23, d12_3, d1_23 = cells
+    report.law("opunitor_validity").record(_opunitors, (l1.dom_pair, l1.cod_pair, l3.cod_pair), interp)
 
-    law = report.law("opunitor_validity")
-    try:
-        opunitor(l1.dom_pair, interp)
-        opunitor(l1.cod_pair, interp)
-        opunitor(l3.cod_pair, interp)
-        law.ok()
-    except TwoCellError as e:
-        law.fail({"side": e.side, "counterexample": e.counterexample})
-
-    # associativity: the two ways from reify(l1;l2;l3) to the three-fold
-    # optic composite have equal witnesses
-    law = report.law("lax_associativity")
-    try:
+    def associativity() -> dict | None:
+        # the two ways from reify(l1;l2;l3) to the three-fold optic composite
         path_a = vcompose(d12_3, hcompose(d12, identity_cell(reify(l3), interp), interp), interp)
         path_b = vcompose(d1_23, hcompose(identity_cell(reify(l1), interp), d23, interp), interp)
-        same_witness = normal_eq(path_a.witness, path_b.witness)
-        same_src = optic_normal_eq(path_a.src, path_b.src)
-        same_tgt = path_a.tgt == path_b.tgt  # strict associativity of representatives
-        if same_witness and same_src and same_tgt:
-            law.ok()
-        else:
-            law.fail({"witness": same_witness, "src": same_src, "tgt": same_tgt})
-    except (TwoCellError, TypeError) as e:
-        law.fail({"error": str(e)})
+        same = {
+            "witness": normal_eq(path_a.witness, path_b.witness),
+            "src": optic_normal_eq(path_a.src, path_b.src),
+            "tgt": path_a.tgt == path_b.tgt,  # strict associativity of representatives
+        }
+        return None if all(same.values()) else same
 
-    law = report.law("lax_left_unity")
-    try:
-        lid = lens_id(l1.dom_pair)
-        d = oplaxator(lid, l1, interp)
+    # unity: an oplaxator through an identity lens, then the opunitor pasted
+    # beside reify(l), is the identity cell on l's input
+    def left_unity() -> dict | None:
+        d = oplaxator(lens_id(l1.dom_pair), l1, interp)
         u = hcompose(opunitor(l1.dom_pair, interp), identity_cell(reify(l1), interp), interp)
-        c = vcompose(d, u, interp)
-        a, _ = l1.dom_pair
-        if normal_eq(c.witness, Id(a)) and optic_normal_eq(c.src, c.tgt):
-            law.ok()
-        else:
-            law.fail({"witness": str(c.witness)})
-    except (TwoCellError, TypeError) as e:
-        law.fail({"error": str(e)})
+        return _not_identity(vcompose(d, u, interp), l1.dom_pair[0])
 
-    law = report.law("lax_right_unity")
-    try:
-        rid = lens_id(l3.cod_pair)
-        d = oplaxator(l3, rid, interp)
+    def right_unity() -> dict | None:
+        d = oplaxator(l3, lens_id(l3.cod_pair), interp)
         u = hcompose(identity_cell(reify(l3), interp), opunitor(l3.cod_pair, interp), interp)
-        c = vcompose(d, u, interp)
-        a3, _ = l3.dom_pair
-        if normal_eq(c.witness, Id(a3)) and optic_normal_eq(c.src, c.tgt):
-            law.ok()
-        else:
-            law.fail({"witness": str(c.witness)})
-    except (TwoCellError, TypeError) as e:
-        law.fail({"error": str(e)})
+        return _not_identity(vcompose(d, u, interp), l3.dom_pair[0])
 
+    report.law("lax_associativity").record(_pasting, associativity)
+    report.law("lax_left_unity").record(_pasting, left_unity)
+    report.law("lax_right_unity").record(_pasting, right_unity)
     return report
+
+
+def _triple_law(sub: LawResult) -> dict | None:
+    """One law on one triple, as a sample of the suite: it must hold and be checked."""
+    return None if sub.passed and sub.checked > 0 else {"failures": sub.failures}
 
 
 def coherence_suite(sig, interp: Interp, rng, n_pairs: int = 100, n_triples: int = 50) -> CoherenceReport:
     """Aggregate coherence over random composable pairs and triples."""
-    from . import sampling
-
     report = CoherenceReport()
 
-    pair_law = report.law("oplaxator_validity")
-    unit_law = report.law("opunitor_validity")
-    for i in range(n_pairs):
-        l1, l2 = sampling.random_composable_lenses(rng, sig, 2)
-        try:
-            oplaxator(l1, l2, interp)
-            pair_law.ok()
-        except TwoCellError as e:
-            pair_law.fail({"index": i, "side": e.side, "counterexample": e.counterexample})
-        try:
-            opunitor(l1.dom_pair, interp)
-            opunitor(l2.cod_pair, interp)
-            unit_law.ok()
-        except TwoCellError as e:
-            unit_law.fail({"index": i, "side": e.side, "counterexample": e.counterexample})
+    def oplaxator_valid(pair: tuple[Lens, Lens]) -> None:
+        oplaxator(*pair, interp)
 
-    for i in range(n_triples):
-        l1, l2, l3 = sampling.random_composable_lenses(rng, sig, 3)
-        triple = check_oplax_coherence(l1, l2, l3, interp)
-        for name in ("lax_associativity", "lax_left_unity", "lax_right_unity"):
-            sub = triple.law(name)
-            law = report.law(name)
-            if sub.passed and sub.checked > 0:
-                law.ok()
-            else:
-                law.fail({"index": i, "failures": sub.failures})
+    def opunitors_valid(pair: tuple[Lens, Lens]) -> None:
+        _opunitors((pair[0].dom_pair, pair[1].cod_pair), interp)
+
+    pairs = [sampling.random_composable_lenses(rng, sig, 2) for _ in range(n_pairs)]
+    _run_law(report, "oplaxator_validity", pairs, oplaxator_valid)
+    _run_law(report, "opunitor_validity", pairs, opunitors_valid)
+
+    triples = [
+        check_oplax_coherence(*sampling.random_composable_lenses(rng, sig, 3), interp)
+        for _ in range(n_triples)
+    ]
+    for name in ("lax_associativity", "lax_left_unity", "lax_right_unity"):
+        _run_law(report, name, [t.law(name) for t in triples], _triple_law)
     return report

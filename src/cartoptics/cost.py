@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .bridge import reify
 from .dag import evaluate_dag, share
 from .interp import CostReport, Interp
 from .lens import Lens, compose_chain, lens_exec
-from .optic import compose_optic_chain, loop_term, optic_exec, round_trip_term
+from .optic import compose_optic_chain, optic_exec, round_trip_term
 from .sampling import random_table
 from .signature import FiniteCarrier, Generator, Obj, RealVector, Signature, Sort
 from .term import Gen
@@ -155,28 +155,14 @@ class TradeoffRow:
     shared_wall_s: float
 
 
-CSV_COLUMNS = (
-    "n",
-    "lens_get_evals",
-    "optic_get_evals",
-    "lens_copies_of_A",
-    "lens_residual_slots",
-    "optic_residual_slots",
-    "shared_dag_get_nodes",
-    "lens_wall_s",
-    "optic_wall_s",
-    "shared_wall_s",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TradeoffRow))
 
 
 def rows_to_csv(rows: list[TradeoffRow]) -> str:
+    """One line per row, the columns in field order, wall times at .6f."""
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            f"{r.n},{r.lens_get_evals},{r.optic_get_evals},{r.lens_copies_of_A},"
-            f"{r.lens_residual_slots},{r.optic_residual_slots},{r.shared_dag_get_nodes},"
-            f"{r.lens_wall_s:.6f},{r.optic_wall_s:.6f},{r.shared_wall_s:.6f}"
-        )
+        lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -195,12 +181,11 @@ def run_tradeoff(
     assoc: str = "left",
     carrier_size: int = 2,
     dim: int = 4,
-    validate: bool = True,
 ) -> list[TradeoffRow]:
     """One row per prefix length of a single max_n chain."""
     chain = build_chain(max_n, kind, carrier_size=carrier_size, dim=dim, seed=seed)
     interp = Interp.from_signature(chain.signature)
-    if kind == "real" and validate:
+    if kind == "real":
         validate_chain_vjps(chain, interp, seed)
     a = chain_input(chain, seed)
     rows: list[TradeoffRow] = []
@@ -234,9 +219,6 @@ def run_tradeoff(
         ):
             raise AssertionError(f"strategy outputs disagree at n={n}")
 
-        loop_dag = share(loop_term(reify(lens)))
-        shared_nodes = loop_dag.gen_node_count(get_names)
-
         row = TradeoffRow(
             n=n,
             lens_get_evals=lens_rep.total_evals(get_names),
@@ -244,7 +226,7 @@ def run_tradeoff(
             lens_copies_of_A=lens_rep.copies,
             lens_residual_slots=lens_rep.peak_residual_slots,
             optic_residual_slots=opt_rep.peak_residual_slots,
-            shared_dag_get_nodes=shared_nodes,
+            shared_dag_get_nodes=rt_dag.gen_node_count(get_names),
             lens_wall_s=lens_wall,
             optic_wall_s=optic_wall,
             shared_wall_s=shared_wall,

@@ -136,19 +136,25 @@ def check_values(obj: Obj, values: tuple, interp: Interp, what: str = "input") -
                 )
 
 
+def check_identity_env(cod_pair: tuple[Obj, Obj]) -> None:
+    """The identity environment answers b with b itself, so B' must be B."""
+    b_obj, b_back = cod_pair
+    if b_obj != b_back:
+        raise TermTypeError(
+            f"identity environment needs matching boundary: {b_obj} vs {b_back}",
+            expected=b_obj,
+            actual=b_back,
+        )
+
+
 def _env_response(
     env: Callable[[tuple], tuple] | None, b: tuple, cod_pair: tuple[Obj, Obj], interp: Interp
 ) -> tuple:
     """The environment's answer to b (b itself if env is None), checked against B'."""
-    b_obj, b_back = cod_pair
-    if env is None and b_obj != b_back:
-        raise TermTypeError(
-            f"default identity env needs matching boundary: {b_obj} vs {b_back}",
-            expected=b_obj,
-            actual=b_back,
-        )
+    if env is None:
+        check_identity_env(cod_pair)
     b_resp = b if env is None else tuple(env(b))
-    check_values(b_back, b_resp, interp, what="env response")
+    check_values(cod_pair[1], b_resp, interp, what="env response")
     return b_resp
 
 

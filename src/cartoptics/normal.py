@@ -157,21 +157,22 @@ def read_back(cf: CanonicalForm) -> Term:
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:
-    """Generator occurrence counts in the canonical form, with multiplicity.
+    """Generator occurrence counts in the tree the canonical form denotes.
 
-    A row used twice is counted twice, as in the tree the form denotes, but
-    each row's counts are computed once, so this costs time linear in the
-    number of rows.
+    A row occurs in that tree once per path to it from the outputs.  One
+    reverse pass over the rows (arguments come before their users) adds each
+    row's path count to its arguments', so this costs time linear in the size
+    of the form.  Keys come in the order of each generator's first row.
     """
-    counts: list[Counter] = []
-    for gen, args in cf.nodes:
-        total = Counter({gen.name: 1})
-        for a in args:
-            if not isinstance(a, int):
-                total.update(counts[a[0]])
-        counts.append(total)
-    out: Counter = Counter()
+    paths = [0] * len(cf.nodes)
     for r in cf.outputs:
         if not isinstance(r, int):
-            out.update(counts[r[0]])
+            paths[r[0]] += 1
+    for node in range(len(cf.nodes) - 1, -1, -1):
+        for a in cf.nodes[node][1]:
+            if not isinstance(a, int):
+                paths[a[0]] += paths[node]
+    out: Counter = Counter()
+    for (gen, _), k in zip(cf.nodes, paths):
+        out[gen.name] += k
     return out

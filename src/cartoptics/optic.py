@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
-from .interp import CostReport, Interp, _env_response, evaluate
+from .interp import CostReport, Interp, _env_response, check_identity_env, evaluate
 from .normal import normal_eq
 from .signature import Obj, UNIT
 from .term import Copy, Id, Seq, Swap, Ten, Term, TermTypeError
@@ -148,32 +148,14 @@ def optic_exec(
     return b, a_prime, report
 
 
-def loop_term(optic: Optic) -> Term:
-    """forward ; backward as one term (identity environment, b discarded)."""
-    b_obj, b_back = optic.cod_pair
-    if b_obj != b_back:
-        raise TermTypeError(
-            f"loop term needs matching boundary: {b_obj} vs {b_back}",
-            expected=b_obj,
-            actual=b_back,
-        )
-    return optic.forward >> optic.backward
-
-
 def round_trip_term(optic: Optic) -> Term:
     """A -> B x A' with an identity environment: emits b and a' together."""
+    check_identity_env(optic.cod_pair)
     m = optic.residual
-    b_obj, b_back = optic.cod_pair
-    if b_obj != b_back:
-        raise TermTypeError(
-            f"round trip needs matching boundary: {b_obj} vs {b_back}",
-            expected=b_obj,
-            actual=b_back,
-        )
+    b_obj, _ = optic.cod_pair
     return (
         optic.forward
         >> Ten(Id(m), Copy(b_obj))
         >> Ten(Swap(m, b_obj), Id(b_obj))
         >> Ten(Id(b_obj), optic.backward)
     )
-

@@ -21,6 +21,8 @@ from .term import Id, Ten, Term, gen_wire, pairing, select_wire
 from .twocell import TwoCell, mk_two_cell
 
 SORT_NAMES = ("A", "B", "C", "D")
+MULTI_OUTPUT_PROB = 0.25  # chance that an extra generator has two outputs
+VAR_BIAS = 0.6  # chance that a wire term stops at an input wire when it could go deeper
 
 
 def random_table(rng: random.Random, dom: Obj, cod: Obj) -> tuple[tuple[int, ...], ...]:
@@ -41,15 +43,9 @@ def _nonidentity_endo_table(rng: random.Random, sort: Sort) -> tuple[tuple[int, 
             return table
 
 
-def random_signature(
-    rng: random.Random,
-    n_sorts: int | None = None,
-    n_extra: int | None = None,
-    multi_output_prob: float = 0.25,
-) -> Signature:
+def random_signature(rng: random.Random) -> Signature:
     """A finite signature with random tables, strongly connected by construction."""
-    if n_sorts is None:
-        n_sorts = rng.randint(1, 3)
+    n_sorts = rng.randint(1, 3)
     sorts = [
         Sort(SORT_NAMES[i], FiniteCarrier(rng.choice((2, 3)))) for i in range(n_sorts)
     ]
@@ -63,11 +59,9 @@ def random_signature(
             dom = Obj((sorts[i],))
             cod = Obj((sorts[(i + 1) % n_sorts],))
             gens.append(Generator(f"c{i}", dom, cod, table=random_table(rng, dom, cod)))
-    if n_extra is None:
-        n_extra = rng.randint(1, 3)
-    for i in range(n_extra):
+    for i in range(rng.randint(1, 3)):
         dom = Obj(tuple(rng.choice(sorts) for _ in range(rng.randint(1, 2))))
-        n_out = 2 if rng.random() < multi_output_prob else 1
+        n_out = 2 if rng.random() < MULTI_OUTPUT_PROB else 1
         cod = Obj(tuple(rng.choice(sorts) for _ in range(n_out)))
         gens.append(Generator(f"g{i}", dom, cod, table=random_table(rng, dom, cod)))
     return Signature(tuple(sorts), tuple(gens))
@@ -100,7 +94,6 @@ def random_wire(
     mind: dict[Sort, int],
     target: Sort,
     budget: int,
-    var_bias: float = 0.6,
 ) -> Term:
     """A random canonical wire term dom -> [target] within the depth budget."""
     var_ids = [i for i, s in enumerate(dom) if s == target]
@@ -111,12 +104,12 @@ def random_wire(
                 for j, c in enumerate(g.cod):
                     if c == target:
                         apps.append((g, j))
-    if var_ids and (not apps or rng.random() < var_bias):
+    if var_ids and (not apps or rng.random() < VAR_BIAS):
         return select_wire(dom, rng.choice(var_ids))
     if not apps:
         raise ValueError(f"sort {target.name} not producible within budget {budget}")
     g, j = rng.choice(apps)
-    args = [random_wire(rng, sig, dom, mind, s, budget - 1, var_bias) for s in g.dom]
+    args = [random_wire(rng, sig, dom, mind, s, budget - 1) for s in g.dom]
     return gen_wire(g, j, args, dom)
 
 

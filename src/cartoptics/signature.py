@@ -58,10 +58,6 @@ class Obj:
 
     sorts: tuple[Sort, ...] = ()
 
-    @staticmethod
-    def of(*sorts: Sort) -> "Obj":
-        return Obj(tuple(sorts))
-
     def __matmul__(self, other: "Obj") -> "Obj":
         return Obj(self.sorts + other.sorts)
 
@@ -130,9 +126,9 @@ def check_table(name: str, dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...
             )
         for v, s in zip(row, cod):
             assert isinstance(s.carrier, FiniteCarrier)
-            if not (isinstance(v, int) and 0 <= v < s.carrier.size):
+            if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < s.carrier.size):
                 raise SignatureError(
-                    f"generator {name}: table row {i} value {v!r} out of range for sort {s.name}"
+                    f"generator {name}: table row {i} value {v!r} is not in the carrier of sort {s.name}"
                 )
 
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .interp import Interp, extensional_counterexample
 from .normal import normal_eq
-from .optic import Optic
+from .optic import Optic, optic_compose
 from .signature import Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, select_wire
 
@@ -51,23 +51,19 @@ class TwoCell:
 
 
 def _check_square(side: str, lhs: Term, rhs: Term, interp: Interp | None) -> None:
-    if normal_eq(lhs, rhs):
-        if interp is not None and interp.is_finite(lhs.dom):
-            bad = extensional_counterexample(lhs, rhs, interp)
-            if bad is not None:
-                raise NormalizerDisagreement(
-                    f"{side} square: normalizer accepted but input {bad} separates"
-                )
-        return
+    accepted = normal_eq(lhs, rhs)
     example = None
     if interp is not None and interp.is_finite(lhs.dom):
         example = extensional_counterexample(lhs, rhs, interp)
-    raise TwoCellError(
-        side,
-        f"{side} square does not commute"
-        + (f"; separating input {example}" if example is not None else ""),
-        counterexample=example,
-    )
+    if not accepted:
+        raise TwoCellError(
+            side,
+            f"{side} square does not commute"
+            + (f"; separating input {example}" if example is not None else ""),
+            counterexample=example,
+        )
+    if example is not None:
+        raise NormalizerDisagreement(f"{side} square: normalizer accepted but input {example} separates")
 
 
 def mk_two_cell(src: Optic, tgt: Optic, witness: Term, interp: Interp | None = None) -> TwoCell:
@@ -103,8 +99,6 @@ def vcompose(c1: TwoCell, c2: TwoCell, interp: Interp | None = None) -> TwoCell:
 
 def hcompose(c1: TwoCell, c2: TwoCell, interp: Interp | None = None) -> TwoCell:
     """Compose side by side; the witness is the tensor of the witnesses."""
-    from .optic import optic_compose
-
     src = optic_compose(c1.src, c2.src)
     tgt = optic_compose(c1.tgt, c2.tgt)
     return mk_two_cell(src, tgt, Ten(c1.witness, c2.witness), interp)

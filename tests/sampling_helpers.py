@@ -1,7 +1,8 @@
 """Random sampling that only the tests use, on top of `cartoptics.sampling`.
 
 Like the package's sampling, everything takes an explicit random.Random so
-test runs are reproducible.
+test runs are reproducible.  `loop_term`, a term only the tests build, lives
+here too.
 """
 
 import random
@@ -22,6 +23,7 @@ from cartoptics import (
     TwoCell,
     mk_two_cell,
 )
+from cartoptics.interp import check_identity_env
 from cartoptics.sampling import canon, random_morphism, random_obj, random_table, random_valid_cell
 
 
@@ -107,3 +109,9 @@ def random_values(rng: random.Random, interp: Interp, obj: Obj) -> tuple:
         else:
             vals.append(np.array([rng.gauss(0.0, 1.0) for _ in range(c.dimension)]))
     return tuple(vals)
+
+
+def loop_term(optic: Optic) -> Term:
+    """forward ; backward as one term (identity environment, b discarded)."""
+    check_identity_env(optic.cod_pair)
+    return optic.forward >> optic.backward

@@ -42,7 +42,6 @@ from cartoptics import (
     graph,
     lens_compose,
     lens_exec,
-    loop_term,
     main,
     normal_eq,
     normalize,
@@ -58,6 +57,7 @@ from cartoptics import (
 )
 from cartoptics.cost import FD_REL_TOL, PATH_ABS_TOL
 from cartoptics.sampling import canon, random_morphism, random_obj, random_signature
+from sampling_helpers import loop_term
 
 
 @contextmanager

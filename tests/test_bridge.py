@@ -1,5 +1,6 @@
 """Moving between lens and optic views: round trips, counit, coherence."""
 
+import itertools
 import json
 import random
 
@@ -33,6 +34,7 @@ from cartoptics import (
     opunitor,
     reify,
 )
+from cartoptics import bridge
 from cartoptics.bridge import LawResult
 from cartoptics.sampling import (
     random_composable_lenses,
@@ -187,3 +189,77 @@ class TestSuites:
         assert law.passed and law.checked == 2
         law.fail("boom")
         assert not law.passed and law.checked == 3
+
+
+def rejecting(real, reject_calls):
+    """`real`, except that the listed calls, counted from 1, raise TwoCellError."""
+    calls = itertools.count(1)
+
+    def fake(*args):
+        n = next(calls)
+        if n in reject_calls:
+            raise TwoCellError("forward", "rejected on purpose", counterexample=(n,))
+        return real(*args)
+
+    return fake
+
+
+class TestFailureRecords:
+    """Failing samples, forced by patching the cells the laws build."""
+
+    def test_rejected_counit_records_index_side_and_counterexample(self, sig, interp, monkeypatch):
+        # counit runs once per sample of counit_validity, triangle_R and triangle_E, in that order
+        monkeypatch.setattr(bridge, "counit", rejecting(bridge.counit, {2, 4, 9}))
+        report = check_adjunction(sig, interp, random.Random(97), n_lenses=3, n_optics=3)
+        laws = report.to_json()["laws"]
+        assert laws["counit_validity"]["failures"] == [
+            {"index": 1, "side": "forward", "counterexample": (2,)}
+        ]
+        assert laws["triangle_R"]["failures"] == [
+            {"index": 0, "side": "forward", "counterexample": (4,)}
+        ]
+        assert laws["triangle_E"]["failures"] == [
+            {"index": 2, "side": "forward", "counterexample": (9,)}
+        ]
+        for name in ("counit_validity", "triangle_R", "triangle_E"):
+            assert laws[name]["checked"] == 3 and laws[name]["passed"] is False
+        assert all(laws[name]["passed"] for name in ("RE_identity", "counit_naturality"))
+        assert not report.passed
+
+    @pytest.mark.parametrize("error", [TwoCellError("backward", "pasting refused"), TypeError("pasting refused")])
+    def test_pasting_failure_records_error(self, sig, interp, monkeypatch, error):
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(bridge, "vcompose", refuse)
+        l1, l2, l3 = random_composable_lenses(random.Random(96), sig, 3)
+        laws = check_oplax_coherence(l1, l2, l3, interp).to_json()["laws"]
+        for name in ("lax_associativity", "lax_left_unity", "lax_right_unity"):
+            assert laws[name] == {"passed": False, "checked": 1, "failures": [{"error": "pasting refused"}]}
+        assert laws["oplaxator_validity"]["passed"] and laws["opunitor_validity"]["passed"]
+
+    def test_rejected_oplaxator_stops_the_triple(self, sig, interp, monkeypatch):
+        monkeypatch.setattr(bridge, "oplaxator", rejecting(bridge.oplaxator, {1}))
+        l1, l2, l3 = random_composable_lenses(random.Random(96), sig, 3)
+        laws = check_oplax_coherence(l1, l2, l3, interp).to_json()["laws"]
+        assert laws == {
+            "oplaxator_validity": {
+                "passed": False,
+                "checked": 1,
+                "failures": [{"side": "forward", "counterexample": (1,)}],
+            }
+        }
+
+    def test_suite_records_failing_pairs_and_triples(self, sig, interp, monkeypatch):
+        # three pairs take oplaxator calls 1-3; the first triple's first call is 4
+        monkeypatch.setattr(bridge, "oplaxator", rejecting(bridge.oplaxator, {2, 4}))
+        report = coherence_suite(sig, interp, random.Random(98), n_pairs=3, n_triples=2)
+        laws = report.to_json()["laws"]
+        assert laws["oplaxator_validity"] == {
+            "passed": False,
+            "checked": 3,
+            "failures": [{"index": 1, "side": "forward", "counterexample": (2,)}],
+        }
+        assert laws["opunitor_validity"]["passed"]
+        for name in ("lax_associativity", "lax_left_unity", "lax_right_unity"):
+            assert laws[name] == {"passed": False, "checked": 2, "failures": [{"index": 0, "failures": []}]}

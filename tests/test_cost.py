@@ -10,7 +10,6 @@ from cartoptics import (
     chain_input,
     compose_chain,
     gen_occurrences,
-    loop_term,
     normalize,
     reify,
     rows_to_csv,
@@ -19,6 +18,7 @@ from cartoptics import (
     validate_chain_vjps,
 )
 from cartoptics.cost import CSV_COLUMNS, FD_REL_TOL
+from sampling_helpers import loop_term
 
 import numpy as np
 

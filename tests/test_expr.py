@@ -8,10 +8,14 @@ import pytest
 from cartoptics import (
     Copy,
     ExprError,
+    FiniteCarrier,
+    Generator,
     Id,
+    Obj,
     Proj1,
     Seq,
     SignatureError,
+    Sort,
     Swap,
     Ten,
     UNIT,
@@ -74,6 +78,13 @@ class TestSignatureTables:
         with pytest.raises(SignatureError) as info:
             parse_signature(_table_signature([[0], [entry]]))
         assert str(info.value).startswith("generators[1].table[1][0]:")
+
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_bool_entry_is_rejected_when_built_in_python(self, entry):
+        # a bool would evaluate, then dump as JSON true/false that no loader reads
+        a = Obj((Sort("A", FiniteCarrier(2)),))
+        with pytest.raises(SignatureError, match=f"table row 1 value {entry}"):
+            Generator("g", a, a, table=((0,), (entry,)))
 
 
 class TestErrors:

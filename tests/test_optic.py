@@ -22,7 +22,6 @@ from cartoptics import (
     evaluate,
     lens_compose,
     lens_normal_eq,
-    loop_term,
     optic_compose,
     optic_exec,
     optic_id,
@@ -32,7 +31,7 @@ from cartoptics import (
     graph,
 )
 from cartoptics.sampling import random_obj, random_optic
-from sampling_helpers import random_values
+from sampling_helpers import loop_term, random_values
 
 
 def response_term(optic):

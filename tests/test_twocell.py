@@ -35,7 +35,9 @@ from cartoptics import (
     search_cells,
     vcompose,
 )
+from cartoptics import twocell
 from cartoptics.sampling import random_obj, random_valid_cell
+from cartoptics.twocell import NormalizerDisagreement
 from sampling_helpers import random_cell_chain, random_composable_cells
 
 
@@ -77,6 +79,13 @@ class TestValidation:
             mk_two_cell(plain, tgt, Id(A), None)
         assert info.value.counterexample is None
         assert "separating input" not in str(info.value)
+
+    def test_normalizer_disagreement_is_a_bug_report(self, rewired, f, h, A, interp, monkeypatch):
+        # a normalizer that accepts everything is caught by the exhaustive cross-check
+        monkeypatch.setattr(twocell, "normal_eq", lambda lhs, rhs: True)
+        _, tgt = rewired
+        with pytest.raises(NormalizerDisagreement, match=r"forward square: .* input \(0,\) separates"):
+            mk_two_cell(Optic(A, graph(f), h), tgt, Id(A), interp)
 
     def test_witness_boundary_mismatch(self, rewired, f, interp):
         src, tgt = rewired

@@ -13,6 +13,7 @@ default recursion limit.
 
 import random
 import time
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,22 @@ def oracle_eval_dag(cf, xs, interp, report):
     return tuple(value(r) for r in cf.outputs)
 
 
+def oracle_gen_occurrences(cf):
+    """Each row's counts, merged from its arguments' counts: quadratic in the rows."""
+    counts = []
+    for gen, args in cf.nodes:
+        total = Counter({gen.name: 1})
+        for a in args:
+            if not isinstance(a, int):
+                total.update(counts[a[0]])
+        counts.append(total)
+    out = Counter()
+    for r in cf.outputs:
+        if not isinstance(r, int):
+            out.update(counts[r[0]])
+    return out
+
+
 # --- random terms ----------------------------------------------------------------
 
 
@@ -205,7 +222,7 @@ def test_normalize_matches_oracle():
     for _, t in random_terms(2, 300):
         cf, want = normalize(t), oracle_normalize(t)
         assert cf == want
-        assert gen_occurrences(cf) == gen_occurrences(want)
+        assert gen_occurrences(cf) == oracle_gen_occurrences(want)
         assert share(t).to_json() == want.to_json()
 
 
@@ -263,6 +280,17 @@ def test_chain_round_trips_match_oracle():
         assert evaluate(t, a, interp, got) == oracle_eval(t, a, interp, want)
         assert got.to_json() == want.to_json()
         assert normalize(t) == oracle_normalize(t)
+
+
+def test_gen_occurrences_matches_oracle_on_round_trips():
+    chain = build_chain(200, "finite", seed=9)
+    for n in (1, 2, 50, 200):
+        stages = list(chain.lenses[:n])
+        terms = [round_trip_term(compose_optic_chain([reify(l) for l in stages]))]
+        terms += [round_trip_term(reify(compose_chain(stages, assoc))) for assoc in ("left", "right")]
+        for t in terms:
+            cf = normalize(t)
+            assert gen_occurrences(cf) == oracle_gen_occurrences(cf)
 
 
 # --- deep chains -------------------------------------------------------------------
