@@ -249,31 +249,28 @@ def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: in
     return report
 
 
-def _opunitors(pairs: Iterable[tuple[Obj, Obj]], interp: Interp | None) -> None:
-    for pair in pairs:
-        opunitor(pair, interp)
-
-
 def check_oplax_coherence(
     l1: Lens, l2: Lens, l3: Lens, interp: Interp | None = None
 ) -> CoherenceReport:
-    """Coherence of the oplax structure on one composable triple."""
+    """Coherence of the oplax structure on one triple; a rejected structure cell ends it."""
     report = CoherenceReport()
-
-    # the pasting laws need all four oplaxators, so a rejected one ends the check
     pairs = ((l1, l2), (l2, l3), (lens_compose(l1, l2), l3), (l1, lens_compose(l2, l3)))
     cells: list[TwoCell] = []
     law = report.law("oplaxator_validity")
     law.record(lambda: cells.extend(oplaxator(x, y, interp) for x, y in pairs))
     if not law.passed:
         return report
-    d12, d23, d12_3, d1_23 = cells
-    report.law("opunitor_validity").record(_opunitors, (l1.dom_pair, l1.cod_pair, l3.cod_pair), interp)
+    law = report.law("opunitor_validity")
+    law.record(lambda: cells.extend(opunitor(p, interp) for p in (l1.dom_pair, l1.cod_pair, l3.cod_pair)))
+    if not law.passed:
+        return report
+    d12, d23, d12_3, d1_23, u1, _, u3 = cells
+    r1, r3 = identity_cell(reify(l1), interp), identity_cell(reify(l3), interp)
 
     def associativity() -> dict | None:
         # the two ways from reify(l1;l2;l3) to the three-fold optic composite
-        path_a = vcompose(d12_3, hcompose(d12, identity_cell(reify(l3), interp), interp), interp)
-        path_b = vcompose(d1_23, hcompose(identity_cell(reify(l1), interp), d23, interp), interp)
+        path_a = vcompose(d12_3, hcompose(d12, r3, interp), interp)
+        path_b = vcompose(d1_23, hcompose(r1, d23, interp), interp)
         same = {
             "witness": normal_eq(path_a.witness, path_b.witness),
             "src": optic_normal_eq(path_a.src, path_b.src),
@@ -285,13 +282,11 @@ def check_oplax_coherence(
     # beside reify(l), is the identity cell on l's input
     def left_unity() -> dict | None:
         d = oplaxator(lens_id(l1.dom_pair), l1, interp)
-        u = hcompose(opunitor(l1.dom_pair, interp), identity_cell(reify(l1), interp), interp)
-        return _not_identity(vcompose(d, u, interp), l1.dom_pair[0])
+        return _not_identity(vcompose(d, hcompose(u1, r1, interp), interp), l1.dom_pair[0])
 
     def right_unity() -> dict | None:
         d = oplaxator(l3, lens_id(l3.cod_pair), interp)
-        u = hcompose(identity_cell(reify(l3), interp), opunitor(l3.cod_pair, interp), interp)
-        return _not_identity(vcompose(d, u, interp), l3.dom_pair[0])
+        return _not_identity(vcompose(d, hcompose(r3, u3, interp), interp), l3.dom_pair[0])
 
     report.law("lax_associativity").record(_pasting, associativity)
     report.law("lax_left_unity").record(_pasting, left_unity)
@@ -312,7 +307,8 @@ def coherence_suite(sig, interp: Interp, rng, n_pairs: int = 100, n_triples: int
         oplaxator(*pair, interp)
 
     def opunitors_valid(pair: tuple[Lens, Lens]) -> None:
-        _opunitors((pair[0].dom_pair, pair[1].cod_pair), interp)
+        for p in (pair[0].dom_pair, pair[1].cod_pair):
+            opunitor(p, interp)
 
     pairs = [sampling.random_composable_lenses(rng, sig, 2) for _ in range(n_pairs)]
     _run_law(report, "oplaxator_validity", pairs, oplaxator_valid)

@@ -108,6 +108,9 @@ def _table_interp(sig) -> Interp | None:
 
 
 def cmd_check_laws(args) -> int:
+    for flag in ("--random-signatures", "--samples", "--triples"):
+        if getattr(args, flag[2:].replace("-", "_")) < 1:
+            raise ValueError(f"{flag}: expected an int of at least 1")
     rng = random.Random(args.seed)
     jobs = []
     if args.signature:

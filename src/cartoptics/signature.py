@@ -99,36 +99,28 @@ class Generator:
 
     def __post_init__(self) -> None:
         if len(self.cod) == 0:
-            raise SignatureError(f"generator {self.name}: codomain must be non-empty")
+            raise SignatureError("cod: must be non-empty")
         if (self.table is None) == (self.fn is None):
-            raise SignatureError(f"generator {self.name}: exactly one of table/fn required")
+            raise SignatureError("exactly one of table/fn required")
         if self.table is not None:
-            check_table(self.name, self.dom, self.cod, self.table)
+            check_table(self.dom, self.cod, self.table)
 
 
-def check_table(name: str, dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...]) -> None:
-    """Check a finite lookup table for totality and well-typedness."""
-    sizes = []
-    for s in dom:
+def check_table(dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...]) -> None:
+    """Check a finite lookup table for totality and well-typedness; errors lead with `table...:`."""
+    for s in tuple(dom) + tuple(cod):
         if not isinstance(s.carrier, FiniteCarrier):
-            raise SignatureError(f"generator {name}: table given but sort {s.name} is not finite")
-        sizes.append(s.carrier.size)
-    for s in cod:
-        if not isinstance(s.carrier, FiniteCarrier):
-            raise SignatureError(f"generator {name}: table given but sort {s.name} is not finite")
-    want = math.prod(sizes)
+            raise SignatureError(f"table: sort {s.name} is not finite")
+    want = math.prod(s.carrier.size for s in dom)
     if len(table) != want:
-        raise SignatureError(f"generator {name}: table has {len(table)} rows, expected {want}")
-    for i, row in enumerate(table):
+        raise SignatureError(f"table: {len(table)} rows, expected {want}")
+    for r, row in enumerate(table):
         if len(row) != len(cod):
-            raise SignatureError(
-                f"generator {name}: table row {i} has {len(row)} entries, expected {len(cod)}"
-            )
-        for v, s in zip(row, cod):
-            assert isinstance(s.carrier, FiniteCarrier)
+            raise SignatureError(f"table[{r}]: {len(row)} entries, expected {len(cod)}")
+        for c, (v, s) in enumerate(zip(row, cod)):
             if isinstance(v, bool) or not (isinstance(v, int) and 0 <= v < s.carrier.size):
                 raise SignatureError(
-                    f"generator {name}: table row {i} value {v!r} is not in the carrier of sort {s.name}"
+                    f"table[{r}][{c}]: expected an integer in the carrier of sort {s.name}, got {v!r}"
                 )
 
 
@@ -173,17 +165,29 @@ class Signature:
         return Obj(tuple(self.sort(n) for n in names))
 
 
+def _string(raw: dict, key: str, where: str) -> str:
+    value = raw.get(key)
+    if not isinstance(value, str):
+        raise SignatureError(f"{where}.{key}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise SignatureError(f"{where}: expected a list")
+    return value
+
+
 def _parse_carrier(raw: object, where: str) -> Carrier:
     if not isinstance(raw, dict) or len(raw) != 1:
-        raise SignatureError(f"{where}: carrier must be {{\"finite\": n}} or {{\"real\": n}}")
+        raise SignatureError(f"{where}: expected {{\"finite\": n}} or {{\"real\": n}}")
     (kind, value), = raw.items()
-    if not isinstance(value, int):
-        raise SignatureError(f"{where}: carrier size/dimension must be an integer")
-    if kind == "finite":
-        return FiniteCarrier(value)
-    if kind == "real":
-        return RealVector(value)
-    raise SignatureError(f"{where}: unknown carrier kind {kind!r}")
+    make = {"finite": FiniteCarrier, "real": RealVector}.get(kind)
+    if make is None:
+        raise SignatureError(f"{where}: unknown carrier kind {kind!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SignatureError(f"{where}.{kind}: expected an integer >= 1, got {value!r}")
+    return make(value)
 
 
 def parse_signature(data: dict) -> Signature:
@@ -191,54 +195,45 @@ def parse_signature(data: dict) -> Signature:
     if not isinstance(data, dict):
         raise SignatureError("signature: top level must be an object")
     sorts = []
-    for i, raw in enumerate(data.get("sorts", [])):
+    for i, raw in enumerate(_list(data.get("sorts", []), "sorts")):
         where = f"sorts[{i}]"
-        if not isinstance(raw, dict) or "name" not in raw or "carrier" not in raw:
+        if not isinstance(raw, dict) or "carrier" not in raw:
             raise SignatureError(f"{where}: expected {{name, carrier}}")
-        sorts.append(Sort(str(raw["name"]), _parse_carrier(raw["carrier"], where)))
+        sorts.append(Sort(_string(raw, "name", where), _parse_carrier(raw["carrier"], f"{where}.carrier")))
     by_name = {s.name: s for s in sorts}
 
-    def lookup_obj(names: object, where: str) -> Obj:
-        if not isinstance(names, list):
-            raise SignatureError(f"{where}: expected a list of sort names")
+    def lookup_obj(raw: dict, key: str, where: str) -> Obj:
         out = []
-        for n in names:
-            if n not in by_name:
-                raise SignatureError(f"{where}: unknown sort {n!r}")
+        for j, n in enumerate(_list(raw.get(key, []), f"{where}.{key}")):
+            if not (isinstance(n, str) and n in by_name):
+                raise SignatureError(f"{where}.{key}[{j}]: unknown sort {n!r}")
             out.append(by_name[n])
         return Obj(tuple(out))
 
     gens = []
-    for i, raw in enumerate(data.get("generators", [])):
+    for i, raw in enumerate(_list(data.get("generators", []), "generators")):
         where = f"generators[{i}]"
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise SignatureError(f"{where}: expected a generator object with a name")
-        name = str(raw["name"])
-        dom = lookup_obj(raw.get("dom", []), f"{where}.dom")
-        cod = lookup_obj(raw.get("cod", []), f"{where}.cod")
+        if not isinstance(raw, dict):
+            raise SignatureError(f"{where}: expected a generator object")
+        name = _string(raw, "name", where)
+        dom, cod = lookup_obj(raw, "dom", where), lookup_obj(raw, "cod", where)
         if "table" in raw:
-            t = raw["table"]
-            if not isinstance(t, list) or not all(isinstance(r, list) for r in t):
-                raise SignatureError(f"{where}.table: expected a list of rows")
-            for r, row in enumerate(t):
-                for c, v in enumerate(row):
-                    if isinstance(v, bool) or not isinstance(v, int):
-                        raise SignatureError(f"{where}.table[{r}][{c}]: expected an integer, got {v!r}")
-            table = tuple(tuple(row) for row in t)
-            try:
-                gens.append(Generator(name, dom, cod, table=table))
-            except SignatureError as e:
-                raise SignatureError(f"{where}: {e}") from None
+            rows = enumerate(_list(raw["table"], f"{where}.table"))
+            semantics = {"table": tuple(tuple(_list(row, f"{where}.table[{r}]")) for r, row in rows)}
         elif "builtin" in raw:
             from . import primitives
 
+            builtin = _string(raw, "builtin", where)
             try:
-                fn = primitives.resolve(str(raw["builtin"]), dom, cod)
+                semantics = {"fn": primitives.resolve(builtin, dom, cod)}
             except SignatureError as e:
                 raise SignatureError(f"{where}: {e}") from None
-            gens.append(Generator(name, dom, cod, fn=fn))
         else:
             raise SignatureError(f"{where}: one of table/builtin required")
+        try:
+            gens.append(Generator(name, dom, cod, **semantics))
+        except SignatureError as e:
+            raise SignatureError(f"{where}.{e}") from None
     return Signature(tuple(sorts), tuple(gens))
 
 

@@ -12,7 +12,8 @@ rejected square is reported together with a concrete separating input when
 one exists under that interpretation.
 
 `pi0_classes` computes connected components of a sampled hom-category,
-treating cells as undirected edges.  Witness search is a separate, bounded
+treating cells as undirected edges and identifying optics whose residuals
+and canonical forms are equal.  Witness search is a separate, bounded
 enumeration over canonical forms; it can miss deep zigzags, so experiments
 report the search depth alongside their results.
 """
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .interp import Interp, extensional_counterexample
-from .normal import normal_eq
+from .normal import normal_eq, normalize
 from .optic import Optic, optic_compose
 from .signature import Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, select_wire
@@ -129,21 +130,23 @@ class UnionFind:
 def pi0_classes(sample: HomCatSample) -> list[list[int]]:
     """Connected components of the sample, as sorted lists of optic indices.
 
-    Cells are undirected edges; structurally equal optics listed twice are
-    identified; identity cells are implicit.
+    Cells are undirected edges; optics with equal residuals and canonical
+    forms are identified, as the identity witness joins them.
     """
+    def key(o: Optic) -> tuple:
+        return o.residual, normalize(o.forward), normalize(o.backward)
+
     uf = UnionFind(len(sample.optics))
-    seen: dict[Optic, int] = {}
+    seen: dict[tuple, int] = {}
     for i, o in enumerate(sample.optics):
-        if o in seen:
-            uf.union(i, seen[o])
-        else:
-            seen[o] = i
+        uf.union(i, seen.setdefault(key(o), i))
+    by_id = {id(o): i for i, o in enumerate(sample.optics)}
 
     def index_of(o: Optic) -> int:
-        if o not in seen:
+        i = by_id[id(o)] if id(o) in by_id else seen.get(key(o))
+        if i is None:
             raise ValueError("cell endpoint is not among the sampled optics")
-        return seen[o]
+        return i
 
     for c in sample.cells:
         uf.union(index_of(c.src), index_of(c.tgt))

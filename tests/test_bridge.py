@@ -34,8 +34,9 @@ from cartoptics import (
     opunitor,
     reify,
 )
-from cartoptics import bridge
+from cartoptics import bridge, twocell
 from cartoptics.bridge import LawResult
+from cartoptics.cost import build_chain
 from cartoptics.sampling import (
     random_composable_lenses,
     random_lens,
@@ -149,6 +150,29 @@ class TestOplaxStructure:
         assert cell.tgt == optic_id((A, B))
         assert cell.witness == Delete(A)
 
+    def test_each_cell_is_validated_once(self, monkeypatch):
+        chain = build_chain(8, "finite", seed=0)
+        interp = Interp.from_signature(chain.signature)
+        l1, l2, l3 = chain.lenses[2:5]
+        calls = []
+
+        def counted(src, tgt, witness, interp=None):
+            calls.append((src, tgt, witness))
+            return mk_two_cell(src, tgt, witness, interp)
+
+        # bridge builds oplaxators and opunitors itself, twocell builds the rest
+        monkeypatch.setattr(bridge, "mk_two_cell", counted)
+        monkeypatch.setattr(twocell, "mk_two_cell", counted)
+        assert check_oplax_coherence(l1, l2, l3, interp).passed
+        assert len(calls) == 19
+        for cell in (
+            (reify(lens_id(l1.dom_pair)), optic_id(l1.dom_pair), Delete(l1.dom_pair[0])),
+            (reify(lens_id(l3.cod_pair)), optic_id(l3.cod_pair), Delete(l3.cod_pair[0])),
+            (reify(l1), reify(l1), Id(l1.dom_pair[0])),
+            (reify(l3), reify(l3), Id(l3.dom_pair[0])),
+        ):
+            assert calls.count(cell) == 1
+
     def test_triple_coherence(self, sig, interp):
         rng = random.Random(96)
         for _ in range(10):
@@ -248,6 +272,19 @@ class TestFailureRecords:
                 "checked": 1,
                 "failures": [{"side": "forward", "counterexample": (1,)}],
             }
+        }
+
+    def test_rejected_opunitor_stops_the_triple(self, sig, interp, monkeypatch):
+        monkeypatch.setattr(bridge, "opunitor", rejecting(bridge.opunitor, {2}))
+        l1, l2, l3 = random_composable_lenses(random.Random(96), sig, 3)
+        laws = check_oplax_coherence(l1, l2, l3, interp).to_json()["laws"]
+        assert laws == {
+            "oplaxator_validity": {"passed": True, "checked": 1, "failures": []},
+            "opunitor_validity": {
+                "passed": False,
+                "checked": 1,
+                "failures": [{"side": "forward", "counterexample": (2,)}],
+            },
         }
 
     def test_suite_records_failing_pairs_and_triples(self, sig, interp, monkeypatch):

@@ -1,6 +1,7 @@
 """Command line behaviour: output shapes, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +385,23 @@ class TestCheckLaws:
         assert data["passed"] is True
         mutation = data["adjunction"]["laws"]["mutation_sensitivity"]
         assert mutation["passed"] and mutation["checked"] >= 1
+
+    def test_report_matches_golden(self, capsys):
+        # any change to law names, checked counts or failures shows here
+        rc, out, _ = run_cli(
+            capsys, "check-laws", "--random-signatures", "2",
+            "--samples", "8", "--triples", "3", "--seed", "0",
+        )
+        assert rc == 0
+        golden = Path(__file__).with_name("check_laws_golden.jsonl").read_text()
+        assert out.splitlines() == golden.splitlines()
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--triples", "-3"), ("--random-signatures", "-2")])
+    def test_counts_below_one_are_usage_errors(self, capsys, flag, value):
+        argv = ["check-laws", "--random-signatures", "1", "--samples", "1", "--triples", "1"]
+        rc, out, err = run_cli(capsys, *argv, flag, value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {flag}: expected an int of at least 1\n"
 
     def test_explicit_signature(self, capsys, sig_path):
         rc, out, _ = run_cli(

@@ -79,12 +79,55 @@ class TestSignatureTables:
             parse_signature(_table_signature([[0], [entry]]))
         assert str(info.value).startswith("generators[1].table[1][0]:")
 
+    @pytest.mark.parametrize("entry", [2, -1])
+    def test_out_of_carrier_entry_is_rejected_with_location(self, entry):
+        with pytest.raises(SignatureError) as info:
+            parse_signature(_table_signature([[0], [entry]]))
+        assert str(info.value) == (
+            f"generators[1].table[1][0]: expected an integer in the carrier of sort A, got {entry}"
+        )
+
     @pytest.mark.parametrize("entry", [True, False])
     def test_bool_entry_is_rejected_when_built_in_python(self, entry):
         # a bool would evaluate, then dump as JSON true/false that no loader reads
         a = Obj((Sort("A", FiniteCarrier(2)),))
-        with pytest.raises(SignatureError, match=f"table row 1 value {entry}"):
+        with pytest.raises(SignatureError, match=rf"^table\[1\]\[0\]: .* got {entry}$"):
             Generator("g", a, a, table=((0,), (entry,)))
+
+
+class TestSignatureInput:
+    """Malformed signature JSON is rejected at its location, never coerced."""
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("sorts", 0, "name"), 5, "sorts[0].name: expected a string, got 5"),
+            (("sorts", 0, "carrier"), {"finite": True}, "sorts[0].carrier.finite: expected an integer >= 1, got True"),
+            (("sorts", 0, "carrier"), {"real": False}, "sorts[0].carrier.real: expected an integer >= 1, got False"),
+            (("sorts", 0, "carrier"), {"finite": 0}, "sorts[0].carrier.finite: expected an integer >= 1, got 0"),
+            (("sorts",), {"A": 2}, "sorts: expected a list"),
+            (("generators", 0, "name"), 5, "generators[0].name: expected a string, got 5"),
+            (("generators", 0, "dom"), [["A"]], "generators[0].dom[0]: unknown sort ['A']"),
+            (("generators", 0, "cod"), [], "generators[0].cod: must be non-empty"),
+            (("generators", 0, "table"), [[1], 0], "generators[0].table[1]: expected a list"),
+            (("generators", 0, "table"), [[1]], "generators[0].table: 1 rows, expected 2"),
+            (("generators", 1), {"name": "v", "dom": ["A"], "cod": ["A"], "builtin": 7},
+             "generators[1].builtin: expected a string, got 7"),
+        ],
+        ids=[
+            "sort-name", "finite-bool", "real-bool", "finite-zero", "sorts-object", "generator-name",
+            "dom-entry", "cod-empty", "row-not-list", "row-count", "builtin-name",
+        ],
+    )
+    def test_rejected_with_location(self, path, value, message):
+        data = _table_signature([[0], [1]])
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(SignatureError) as info:
+            parse_signature(data)
+        assert str(info.value) == message
 
 
 class TestErrors:

@@ -1,6 +1,7 @@
 """Cells between optics: validation, pasting, and connected components."""
 
 import random
+import time
 
 import pytest
 
@@ -35,7 +36,8 @@ from cartoptics import (
     search_cells,
     vcompose,
 )
-from cartoptics import twocell
+from cartoptics import compose_optic_chain, twocell
+from cartoptics.cost import build_chain
 from cartoptics.sampling import random_obj, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
 from sampling_helpers import random_cell_chain, random_composable_cells
@@ -163,6 +165,17 @@ class TestComponents:
         cell = mk_two_cell(src, tgt, e, interp)
         with pytest.raises(ValueError, match="not among"):
             pi0_classes(HomCatSample((src,), (cell,)))
+
+
+class TestDeepComponents:
+    def test_1500_stage_composed_optic(self):
+        # the dataclass hash and == of such an optic recurse once per term level
+        chain = build_chain(1500, "finite", seed=3)
+        optics = [compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2)]
+        start = time.perf_counter()
+        assert pi0_classes(HomCatSample(optics[:1])) == [[0]]
+        assert pi0_classes(HomCatSample(tuple(optics))) == [[0, 1]]
+        assert time.perf_counter() - start < 5.0
 
 
 @pytest.fixture(scope="module")
