@@ -9,6 +9,10 @@ same syntax.
 bump per generator application, one copy per duplicated wire.  Identities,
 deletions, swaps and projections are free.  Values move by `term.run`, the
 walker `normalize` uses to evaluate in the syntactic model.
+
+Exhaustive equality is one column pass per term: `term.run` moves a column
+(one wire's value for every input tuple of a block) where it would move a
+value, and each generator looks its rows up for the whole column at once.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Iterator
 
 import numpy as np
@@ -25,6 +30,7 @@ from .signature import Carrier, FiniteCarrier, Generator, Obj, Signature, Sort
 from .term import Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
+_BLOCK = 4096  # input tuples per column pass of the exhaustive check
 
 
 class EnumerationCapError(RuntimeError):
@@ -67,7 +73,11 @@ def carrier_bytes(c: Carrier) -> int:
 
 
 class Interp:
-    """Carrier and semantics assignment, possibly overriding declarations."""
+    """Carrier and semantics assignment, possibly overriding declarations.
+
+    A generator's table and carriers are read once, at its first application;
+    its function, if it has no table, is looked up in `fns` at every call.
+    """
 
     def __init__(
         self,
@@ -78,6 +88,7 @@ class Interp:
         self.carriers = dict(carriers or {})
         self.tables = dict(tables or {})
         self.fns = dict(fns or {})
+        self._row_index: dict[str, tuple] = {}  # see _build_index
 
     @staticmethod
     def from_signature(sig: Signature) -> "Interp":
@@ -97,23 +108,62 @@ class Interp:
     def is_finite(self, obj: Obj) -> bool:
         return all(isinstance(self.carrier_of(s), FiniteCarrier) for s in obj)
 
-    def apply(self, gen: Generator, args: tuple) -> tuple:
+    def _build_index(self, gen: Generator) -> tuple | None:
+        """(table, strides, width, columns): a table generator's row index, kept by name.
+
+        The row of args is `sum(v * stride)`.  `columns` is the table
+        transposed to one tuple per output, or None if some row has the wrong
+        width.  None for a generator without a table, whose function is looked
+        up at each call.  Keyed by name: hashing a Generator hashes its table.
+        """
         table = self.tables.get(gen.name)
-        if table is not None:
-            idx = 0
-            for v, s in zip(args, gen.dom):
-                idx = idx * self.size_of(s) + v
-            out = tuple(table[idx])
+        if table is None:
+            return None
+        strides, n = [], 1
+        for s in reversed(gen.dom.sorts):
+            strides.insert(0, n)
+            n *= self.size_of(s)
+        table = tuple(map(tuple, table))
+        width = len(gen.cod)
+        columns = tuple(zip(*table)) if all(len(r) == width for r in table) else None
+        index = self._row_index[gen.name] = (table, tuple(strides), width, columns)
+        return index
+
+    def apply(self, gen: Generator, args: tuple) -> tuple:
+        index = self._row_index.get(gen.name) or self._build_index(gen)
+        if index is not None:
+            table, strides, width, _ = index
+            out = table[sum(map(mul, args, strides))]
         else:
             fn = self.fns.get(gen.name)
             if fn is None:
                 raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
-            out = tuple(fn(args))
-        if len(out) != len(gen.cod):
+            out, width = tuple(fn(args)), len(gen.cod)
+        if len(out) != width:
             raise CarrierMismatch(
-                f"generator {gen.name} returned {len(out)} values, expected {len(gen.cod)}"
+                f"generator {gen.name} returned {len(out)} values, expected {width}"
             )
         return out
+
+    def column_apply(self, count: int) -> Callable[[Generator, tuple], tuple]:
+        """`apply` over columns: lists of `count` values, one per input tuple."""
+
+        def apply(gen: Generator, cols: tuple) -> tuple:
+            index = self._row_index.get(gen.name) or self._build_index(gen)
+            if index is None or index[3] is None:
+                # a function, or a table with a bad row: point by point, with apply's checks
+                points = zip(*cols) if cols else itertools.repeat((), count)
+                return tuple(map(list, zip(*[self.apply(gen, p) for p in points])))
+            _, strides, _, columns = index
+            if len(cols) == 1:
+                idx = cols[0]
+            elif cols:
+                idx = [sum(map(mul, p, strides)) for p in zip(*cols)]
+            else:
+                idx = [0] * count
+            return tuple([[c[i] for i in idx] for c in columns])
+
+        return apply
 
     def obj_bytes(self, obj: Obj) -> int:
         return sum(carrier_bytes(self.carrier_of(s)) for s in obj)
@@ -183,16 +233,25 @@ def enumerate_inputs(obj: Obj, interp: Interp, cap: int = TUPLE_CAP) -> Iterator
 
 
 def extensional_counterexample(f: Term, g: Term, interp: Interp) -> tuple | None:
-    """First input where f and g disagree under a finite interpretation."""
+    """First input where f and g disagree under a finite interpretation.
+
+    The inputs go through both terms in row-major blocks, one column per
+    wire; the first block with a mismatch ends the check.
+    """
     if f.dom != g.dom or f.cod != g.cod:
         raise TermTypeError(
             f"extensional comparison needs equal boundaries: "
             f"({f.dom} -> {f.cod}) vs ({g.dom} -> {g.cod})"
         )
-    apply = interp.apply
-    for xs in enumerate_inputs(f.dom, interp):
-        if run(f, xs, apply)[0] != run(g, xs, apply)[0]:
-            return xs
+    inputs = enumerate_inputs(f.dom, interp)
+    while block := list(itertools.islice(inputs, _BLOCK)):
+        cols = tuple(map(list, zip(*block)))
+        apply = interp.column_apply(len(block))
+        fs, gs = run(f, cols, apply)[0], run(g, cols, apply)[0]
+        if fs != gs:
+            for x, a, b in zip(block, zip(*fs), zip(*gs)):
+                if a != b:
+                    return x
     return None
 
 

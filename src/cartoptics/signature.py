@@ -243,7 +243,10 @@ def load_signature(path: str) -> Signature:
             data = json.load(f)
         except json.JSONDecodeError as e:
             raise SignatureError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    return parse_signature(data)
+    try:
+        return parse_signature(data)
+    except SignatureError as e:
+        raise SignatureError(f"{path}: {e}") from None
 
 
 def carrier_to_json(c: Carrier) -> dict:

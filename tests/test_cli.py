@@ -258,6 +258,23 @@ class TestInputFiles:
         assert (rc, out) == (2, "")
         assert err == "error: --search-depth: expected a non-negative int\n"
 
+    def test_signature_error_names_the_file(self, capsys, work):
+        path = work / "bad-table-sig.json"
+        data = {
+            "sorts": [{"name": "A", "carrier": {"finite": 2}}],
+            "generators": [
+                {"name": "u", "dom": ["A"], "cod": ["A"], "table": [[1], [0]]},
+                {"name": "v", "dom": ["A"], "cod": ["A"], "table": [[0], [2]]},
+            ],
+        }
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "normalize", "--signature", str(path), "--expr", "u")
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"error: {path}: generators[1].table[1][0]: "
+            "expected an integer in the carrier of sort A, got 2\n"
+        )
+
 
 class TestInternalErrors:
     """A fault in the package is exit 3, not a usage error (exit 2) or a failed check (1)."""

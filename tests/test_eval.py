@@ -12,6 +12,7 @@ from cartoptics import (
     Generator,
     Interp,
     Obj,
+    Proj1,
     RealVector,
     Signature,
     SignatureError,
@@ -145,6 +146,48 @@ class TestExtensionalComparison:
 
     def test_carrier_override(self, interp):
         assert interp.obj_bytes(Obj()) == 0
+
+
+class TestExtensionalErrors:
+    """The column check fails with the messages a per-point evaluation gives."""
+
+    @staticmethod
+    def message(exc_type, call) -> str:
+        with pytest.raises(exc_type) as info:
+            call()
+        return str(info.value)
+
+    def test_generator_without_semantics(self, sig, f, g, e):
+        bare = Interp(tables={"f": sig.generator("f").table, "g": sig.generator("g").table})
+        missing = UnsupportedInterpretation
+        got = self.message(missing, lambda: extensional_counterexample(f >> g, e, bare))
+        want = self.message(missing, lambda: evaluate(e, (0,), bare))
+        assert got == want == "no semantics for generator e"
+
+    def test_table_row_of_wrong_width(self, sig, f, g, e):
+        tables = {"f": sig.generator("f").table, "g": sig.generator("g").table}
+        wide = Interp(tables={**tables, "e": ((1,), (0, 1))})
+        got = self.message(CarrierMismatch, lambda: extensional_counterexample(f >> g, e, wide))
+        want = self.message(CarrierMismatch, lambda: evaluate(e, (1,), wide))
+        assert got == want == "generator e returned 2 values, expected 1"
+
+    def test_over_cap_domain_runs_no_generator(self, A, e):
+        calls = []
+        counting = Interp(fns={"e": lambda args: calls.append(args) or (1 - args[0],)})
+        dom = Obj(tuple(A) * 20)
+        t = Proj1(A, dom[1:]) >> e
+        got = self.message(EnumerationCapError, lambda: extensional_counterexample(t, t, counting))
+        assert got == f"{2**20} input tuples for {dom} exceeds the cap of {10**6}"
+        assert calls == []
+
+    def test_replaced_functions_are_called(self, f, g, e):
+        first, second = [], []
+        fns = {"f": lambda args: (args[0] + 1,), "g": lambda args: (args[0] % 2,)}
+        interp = Interp(fns={**fns, "e": lambda args: first.append(args) or (1 - args[0],)})
+        assert extensional_counterexample(f >> g, e, interp) is None
+        interp.fns = {**fns, "e": lambda args: second.append(args) or args}
+        assert extensional_counterexample(f >> g, e, interp) == (0,)
+        assert first == second == [(0,), (1,)]
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,12 @@ Since evaluating and normalizing share the walker, the cross-check of
 `normal_eq` against exhaustive evaluation no longer catches a walker bug.  The
 recursive walkers the package used before are kept here as the oracle: the
 differential tests compare outputs, generator counts, copies and canonical
-forms on random terms.  A recursive evaluator of canonical forms, from the
-outputs down and each row once, is the oracle for `evaluate_dag`.  The
-recursive printer is kept the same way as the oracle for `term_to_expr`.  The
-deep-chain tests run terms nested several times deeper than the interpreter's
-default recursion limit.
+forms on random terms.  The exhaustive check, which runs the walker once over
+columns of inputs, is compared with a per-point loop over the oracle.  A
+recursive evaluator of canonical forms, from the outputs down and each row
+once, is the oracle for `evaluate_dag`.  The recursive printer is kept the
+same way as the oracle for `term_to_expr`.  The deep-chain tests run terms
+nested several times deeper than the interpreter's default recursion limit.
 """
 
 import random
@@ -19,15 +20,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cartoptics import (
+    UNIT,
     Copy,
     CostReport,
     Delete,
+    FiniteCarrier,
     Gen,
+    Generator,
     Id,
     Interp,
+    Obj,
     Proj1,
     Proj2,
     Seq,
+    Signature,
+    Sort,
     Swap,
     Ten,
     build_chain,
@@ -46,10 +53,11 @@ from cartoptics import (
     read_back,
     reify,
     round_trip_term,
+    select_wire,
     share,
 )
 from cartoptics.normal import _UniqueTable
-from cartoptics.sampling import random_morphism, random_obj, random_signature
+from cartoptics.sampling import random_morphism, random_obj, random_signature, random_table
 from sampling_helpers import padded_variants
 
 # --- oracle: the recursive walkers ---------------------------------------------
@@ -148,6 +156,15 @@ def oracle_eval_dag(cf, xs, interp, report):
         return results[node][out]
 
     return tuple(value(r) for r in cf.outputs)
+
+
+def oracle_counterexample(f, g, interp):
+    """The per-point loop: the first input tuple, row-major, where f and g differ."""
+    for xs in enumerate_inputs(f.dom, interp):
+        throwaway = CostReport()
+        if oracle_eval(f, xs, interp, throwaway) != oracle_eval(g, xs, interp, throwaway):
+            return xs
+    return None
 
 
 def oracle_gen_occurrences(cf):
@@ -259,13 +276,94 @@ def test_normal_eq_and_counterexample_match_oracle():
         if f.dom != g.dom or f.cod != g.cod:
             g = rng.choice(padded_variants(rng, f))
         assert normal_eq(f, g) == oracle_normal_eq(f, g)
-        want = None
-        for xs in enumerate_inputs(f.dom, interp):
-            throwaway = CostReport()
-            if oracle_eval(f, xs, interp, throwaway) != oracle_eval(g, xs, interp, throwaway):
-                want = xs
-                break
-        assert extensional_counterexample(f, g, interp) == want
+        assert extensional_counterexample(f, g, interp) == oracle_counterexample(f, g, interp)
+
+
+# --- the column check against the per-point loop -------------------------------------
+
+A2, B3 = Sort("A", FiniteCarrier(2)), Sort("B", FiniteCarrier(3))
+A, B = Obj((A2,)), Obj((B3,))
+
+
+def column_signature(rng):
+    """A constant k, a two-output m, a two-input h and endomaps p, q of B agreeing below 2."""
+    p = random_table(rng, B, B)
+    q = p[:2] + ((rng.choice([v for v in range(3) if v != p[2][0]]),),)
+    return Signature(
+        (A2, B3),
+        (
+            Generator("k", UNIT, A, table=random_table(rng, UNIT, A)),
+            Generator("m", A, A @ B, table=random_table(rng, A, A @ B)),
+            Generator("h", A @ B, A, table=random_table(rng, A @ B, A)),
+            Generator("p", B, B, table=p),
+            Generator("q", B, B, table=q),
+        ),
+    )
+
+
+def column_interp(rng, sig):
+    """The declared tables, some generators given as functions (checked point by point)."""
+    tables = Interp.from_signature(sig)
+    interp = Interp(tables={g.name: g.table for g in sig.generators})
+    for g in sig.generators:
+        if rng.random() < 0.3:
+            del interp.tables[g.name]
+            interp.fns[g.name] = lambda args, g=g: tables.apply(g, args)
+    return interp
+
+
+def column_cases(rng, sig):
+    """Pairs with one boundary: unit domains, del then a constant, two outputs, no outputs."""
+    dom = random_obj(rng, sig, 1, 3)
+    cod = random_obj(rng, sig, 1, 2)
+    k, m = Gen(sig.generator("k")), Gen(sig.generator("m"))
+    some = random_morphism(rng, sig, dom, cod, budget=3)
+    moves = structural_term(rng, sig, dom, 4)
+    def sampled(dom, cod):
+        return random_morphism(rng, sig, dom, cod, budget=3)
+
+    return [
+        (sampled(UNIT, cod), sampled(UNIT, cod)),
+        (k >> m, sampled(UNIT, A @ B)),
+        (Delete(dom) >> k, sampled(dom, A)),
+        (Delete(dom) >> k >> m, sampled(dom, A @ B)),
+        (Proj2(dom, A) >> m, sampled(dom @ A, A @ B)),
+        (Delete(dom), some >> Delete(cod)),
+        (some, sampled(dom, cod)),
+        (some, rng.choice(padded_variants(rng, some))),
+        (moves, sampled(dom, moves.cod)),
+    ]
+
+
+COLUMN_SETTINGS = settings(
+    deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@settings(COLUMN_SETTINGS, max_examples=60)
+@given(st.randoms(use_true_random=False))
+def test_column_check_matches_per_point_loop(rng):
+    sig = column_signature(rng)
+    interp = column_interp(rng, sig)
+    for f, g in column_cases(rng, sig):
+        assert extensional_counterexample(f, g, interp) == oracle_counterexample(f, g, interp)
+
+
+@settings(COLUMN_SETTINGS, max_examples=4)
+@given(st.randoms(use_true_random=False))
+def test_column_check_spans_blocks(rng):
+    """8 wires of size 3: 6561 inputs, more than one block.  p and q differ only at 2."""
+    sig = column_signature(rng)
+    interp = column_interp(rng, sig)
+    dom = Obj((B3,) * 8)
+    p, q = Gen(sig.generator("p")), Gen(sig.generator("q"))
+    # the first wire is 2 from row 2 * 3**7 = 4374 on, in the second block
+    first, other = select_wire(dom, 0), select_wire(dom, rng.randrange(1, 8))
+    assert oracle_counterexample(first >> p, first >> q, interp) == (2,) + (0,) * 7
+    pairs = [(first >> p, first >> q), (other >> p, other >> q), (first >> p, first >> p)]
+    pairs.append((other >> Delete(B), Delete(dom)))
+    for f, g in pairs:
+        assert extensional_counterexample(f, g, interp) == oracle_counterexample(f, g, interp)
 
 
 def test_chain_round_trips_match_oracle():

@@ -38,6 +38,7 @@ import tarfile
 import tempfile
 import timeit
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = [("chain", n) for n in (16, 64, 128, 200)] + [("copy", k) for k in (12, 16, 20, 64)]
@@ -84,29 +85,45 @@ def measure(kind: str, size: int) -> dict:
     }
 
 
-def run_one(src: Path, kind: str, size: int) -> dict:
+def run_child(script: str, src: Path, args: list[str], timeout_s: float = TIMEOUT_S) -> dict:
+    """Run `script --one ARGS` on src in a fresh interpreter, which prints one JSON object."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    cmd = [sys.executable, __file__, "--one", kind, str(size)]
+    cmd = [sys.executable, script, "--one", *args]
     try:
-        p = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        p = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout_s)
     except subprocess.TimeoutExpired:
-        return {"status": f"not run: did not finish within {TIMEOUT_S:g} s"}
+        return {"status": f"not run: did not finish within {timeout_s:g} s"}
     if p.returncode != 0:
         err = (p.stderr.strip().splitlines() or ["no output"])[-1]
         return {"status": f"not run: failed with {err}"}
     return {"status": "ok", **json.loads(p.stdout)}
 
 
+def interleave(sides: dict[str, Path], cases: dict[str, Callable[[Path], dict]], rounds: int):
+    """Every case on every side, `rounds` times: side -> case -> rows, one per round.
+
+    Within a round the side that goes first alternates from round to round,
+    so a machine whose speed drifts slows both alike.
+    """
+    names = list(sides)
+    runs: dict[str, dict[str, list[dict]]] = {name: {key: [] for key in cases} for name in names}
+    for r in range(rounds):
+        for key, measure in cases.items():
+            for name in names if r % 2 == 0 else names[::-1]:
+                row = measure(sides[name])
+                runs[name][key].append(row)
+                print(f"round {r} {name:6s} {key:12s}  {json.dumps(row)}", file=sys.stderr)
+    return runs
+
+
 def run_all(sides: dict[str, Path]) -> dict:
     """Every size on every side, ROUNDS times; rows per side, then ratios."""
     names = list(sides)
-    runs: dict[str, dict[str, list[dict]]] = {name: {} for name in names}
-    for r in range(ROUNDS):
-        for kind, size in SIZES:
-            for name in names if r % 2 == 0 else names[::-1]:
-                row = run_one(sides[name], kind, size)
-                runs[name].setdefault(f"{kind} {size}", []).append(row)
-                print(f"round {r} {name:6s} {kind:6s} {size:4d}  {json.dumps(row)}", file=sys.stderr)
+    cases = {
+        f"{kind} {size}": lambda src, args=[kind, str(size)]: run_child(__file__, src, args)
+        for kind, size in SIZES
+    }
+    runs = interleave(sides, cases, ROUNDS)
     out: dict = {name: {} for name in names}
     for name in names:
         for key, rows in runs[name].items():
@@ -131,6 +148,18 @@ def run_all(sides: dict[str, Path]) -> dict:
                     for op in OPS
                 }
     return out
+
+
+def extract_src(rev: str, dest: Path) -> tuple[str, Path]:
+    """`src/` of git revision REV, extracted with `git archive` under dest: (short hash, path)."""
+    rev = subprocess.run(
+        ["git", "rev-parse", "--short", rev], cwd=ROOT, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = dest / "src.tar"
+    subprocess.run(["git", "archive", "-o", str(archive), rev, "src"], cwd=ROOT, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    return rev, dest / "src"
 
 
 def versions() -> dict:
@@ -165,15 +194,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"after": ROOT / "src"}
         if args.before:
-            rev = subprocess.run(
-                ["git", "rev-parse", "--short", args.before], cwd=ROOT, check=True,
-                capture_output=True, text=True,
-            ).stdout.strip()
-            archive = Path(tmp) / "src.tar"
-            subprocess.run(["git", "archive", "-o", str(archive), rev, "src"], cwd=ROOT, check=True)
-            with tarfile.open(archive) as tar:
-                tar.extractall(tmp, filter="data")
-            sides = {"before": Path(tmp) / "src", **sides}
+            rev, src = extract_src(args.before, Path(tmp))
+            sides = {"before": src, **sides}
             report["before_rev"] = rev
         report.update(run_all(sides))
     text = json.dumps(report, indent=2) + "\n"
