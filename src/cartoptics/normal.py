@@ -19,7 +19,8 @@ Normalizing is evaluation in the syntactic model: `normalize` pushes refs
 through the term with `term.run`, the walker `evaluate` uses, and each
 generator looks its row up in a unique table, appending it when new; one
 renumbering pass then keeps the live rows in walk order.  `normal_eq` pushes
-both terms through one table and compares their output refs.  `read_back`
+both terms through one table and compares their output refs; `twocell` keeps
+a `UniqueTable` per square in the same way, for many witnesses.  `read_back`
 rebuilds a term (with explicit copies and projections) from a canonical form;
 normalizing it gives it back.
 """
@@ -60,7 +61,7 @@ class CanonicalForm:
         }
 
 
-class _UniqueTable:
+class UniqueTable:
     """One row per distinct generator application, within one call.
 
     A row is keyed on its generator and its argument refs; `apply` returns
@@ -122,7 +123,7 @@ class _UniqueTable:
 
 
 def normalize(t: Term) -> CanonicalForm:
-    table = _UniqueTable(len(t.dom))
+    table = UniqueTable(len(t.dom))
     return table.form(t.dom, t.cod, run(t, table.inputs, table.apply)[0])
 
 
@@ -134,7 +135,7 @@ def normal_eq(f: Term, g: Term) -> bool:
     """
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    table = _UniqueTable(len(f.dom))
+    table = UniqueTable(len(f.dom))
     fs, _ = run(f, table.inputs, table.apply)
     gs, _ = run(g, table.inputs, table.apply)
     return fs == gs

@@ -67,22 +67,6 @@ def random_signature(rng: random.Random) -> Signature:
     return Signature(tuple(sorts), tuple(gens))
 
 
-def min_depths(sig: Signature, dom: Obj) -> dict[Sort, int]:
-    """Least wire depth at which each sort is producible from dom."""
-    depth: dict[Sort, int] = {s: 0 for s in dom}
-    changed = True
-    while changed:
-        changed = False
-        for g in sig.generators:
-            if all(s in depth for s in g.dom):
-                d = 1 + max((depth[s] for s in g.dom), default=0)
-                for s in g.cod:
-                    if depth.get(s, d + 1) > d:
-                        depth[s] = d
-                        changed = True
-    return depth
-
-
 def random_obj(rng: random.Random, sig: Signature, lo: int = 1, hi: int = 2) -> Obj:
     return Obj(tuple(rng.choice(sig.sorts) for _ in range(rng.randint(lo, hi))))
 
@@ -117,7 +101,7 @@ def random_morphism(
     rng: random.Random, sig: Signature, dom: Obj, cod: Obj, budget: int = 2
 ) -> Term:
     """A random well-typed term dom -> cod, one sampled wire term per output."""
-    mind = min_depths(sig, dom)
+    mind = sig.min_depths(dom)
     wires = []
     for s in cod:
         if s not in mind:

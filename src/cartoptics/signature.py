@@ -145,6 +145,7 @@ class Signature:
             by_gen[g.name] = g
         object.__setattr__(self, "_sorts_by_name", by_sort)
         object.__setattr__(self, "_gens_by_name", by_gen)
+        object.__setattr__(self, "_min_depths", {})
 
     def sort(self, name: str) -> Sort:
         try:
@@ -163,6 +164,29 @@ class Signature:
 
     def obj(self, *names: str) -> Obj:
         return Obj(tuple(self.sort(n) for n in names))
+
+    def min_depths(self, dom: Obj) -> dict[Sort, int]:
+        """Least wire depth at which each sort is producible from dom.
+
+        Kept per domain on the signature, so a lookup hashes no tables; the
+        dict is shared between callers and must not be changed.
+        """
+        depth = self._min_depths.get(dom)  # type: ignore[attr-defined]
+        if depth is not None:
+            return depth
+        depth = {s: 0 for s in dom}
+        changed = True
+        while changed:
+            changed = False
+            for g in self.generators:
+                if all(s in depth for s in g.dom):
+                    d = 1 + max((depth[s] for s in g.dom), default=0)
+                    for s in g.cod:
+                        if depth.get(s, d + 1) > d:
+                            depth[s] = d
+                            changed = True
+        self._min_depths[dom] = depth  # type: ignore[attr-defined]
+        return depth
 
 
 def _string(raw: dict, key: str, where: str) -> str:

@@ -1,19 +1,26 @@
 """Cells between optics: validation, pasting, and connected components."""
 
+import itertools
 import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cartoptics import (
+    UNIT,
     Copy,
     Delete,
     FiniteCarrier,
+    Gen,
     Generator,
     HomCatSample,
     Id,
+    Interp,
     Obj,
     Optic,
+    Proj1,
     Proj2,
     Signature,
     Sort,
@@ -36,9 +43,10 @@ from cartoptics import (
     search_cells,
     vcompose,
 )
-from cartoptics import compose_optic_chain, twocell
+from cartoptics import compose_chain, compose_optic_chain, twocell
 from cartoptics.cost import build_chain
-from cartoptics.sampling import random_obj, random_valid_cell
+from cartoptics.interp import extensional_counterexample
+from cartoptics.sampling import random_obj, random_optic, random_signature, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
 from sampling_helpers import random_cell_chain, random_composable_cells
 
@@ -84,7 +92,7 @@ class TestValidation:
 
     def test_normalizer_disagreement_is_a_bug_report(self, rewired, f, h, A, interp, monkeypatch):
         # a normalizer that accepts everything is caught by the exhaustive cross-check
-        monkeypatch.setattr(twocell, "normal_eq", lambda lhs, rhs: True)
+        monkeypatch.setattr(twocell.Squares, "commutes", lambda self, side, witness: True)
         _, tgt = rewired
         with pytest.raises(NormalizerDisagreement, match=r"forward square: .* input \(0,\) separates"):
             mk_two_cell(Optic(A, graph(f), h), tgt, Id(A), interp)
@@ -216,3 +224,124 @@ class TestWitnessSearch:
         sample = search_cells([o, reify(erase(o))], sig, depth=2, interp=interp)
         assert len(sample.cells) >= 2  # both directions
         assert pi0_classes(sample) == [[0, 1]]
+
+
+def demo_family(table):
+    """The optics A -> A of demos/05 over an endo-generator f with the given table."""
+    a = Sort("A", FiniteCarrier(2))
+    A = Obj((a,))
+    sig = Signature((a,), (Generator("f", A, A, table=table),))
+    unary = [Id(A), Gen(sig.generator("f"))]
+    family = [Optic(UNIT, fw, bw) for fw in unary for bw in unary]
+    family += [
+        Optic(A, Copy(A) >> (u @ v), p >> w)
+        for u in unary
+        for v in unary
+        for p in (Proj1(A, A), Proj2(A, A))
+        for w in unary
+    ]
+    return sig, family, Interp.from_signature(sig)
+
+
+DEMO_TABLES = (((0,), (0,)), ((0,), (1,)), ((1,), (0,)), ((1,), (1,)))
+
+
+def window_packagings(lenses):
+    """The four ways to package three chain stages as one optic."""
+    l1, l2, l3 = lenses
+    return [
+        reify(compose_chain([l1, l2, l3])),
+        compose_optic_chain([reify(compose_chain([l1, l2])), reify(l3)]),
+        compose_optic_chain([reify(l1), reify(compose_chain([l2, l3]))]),
+        compose_optic_chain([reify(l1), reify(l2), reify(l3)]),
+    ]
+
+
+def reference_search(optics, sig, depth, interp):
+    """Every candidate of every ordered pair through mk_two_cell, on its own."""
+    cells = []
+    for src, tgt in itertools.permutations(optics, 2):
+        if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
+            continue
+        for r in enumerate_morphisms(sig, src.residual, tgt.residual, depth):
+            try:
+                cells.append(mk_two_cell(src, tgt, r, interp))
+            except TwoCellError:
+                pass
+    return cells
+
+
+def assert_search_matches_reference(optics, sig, depth, interp):
+    got = search_cells(optics, sig, depth, interp).cells
+    want = reference_search(optics, sig, depth, interp)
+    index = {id(o): i for i, o in enumerate(optics)}
+
+    def listing(cells):
+        return [(index[id(c.src)], index[id(c.tgt)], c.witness) for c in cells]
+
+    assert listing(got) == listing(want)
+    return got
+
+
+class TestSearchAgainstReference:
+    @pytest.mark.parametrize("table", DEMO_TABLES)
+    def test_demo_families_at_depth_3(self, table):
+        sig, family, interp = demo_family(table)
+        assert assert_search_matches_reference(family, sig, 3, interp)
+
+    @pytest.mark.parametrize("start", range(6))
+    def test_chain_window_packagings(self, start):
+        chain = build_chain(8, "finite")
+        optics = window_packagings(chain.lenses[start : start + 3])
+        interp = Interp.from_signature(chain.signature)
+        assert assert_search_matches_reference(optics, chain.signature, 2, interp)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.randoms(use_true_random=False))
+    def test_random_optic_families(self, rng):
+        sig = random_signature(rng)
+        interp = Interp.from_signature(sig)
+        dom_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        cod_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        cell = random_valid_cell(rng, sig, interp, dom_pair, cod_pair)
+        optics = [random_optic(rng, sig, dom_pair, cod_pair) for _ in range(2)]
+        optics += [reify(erase(optics[0])), cell.src, cell.tgt]
+        assert_search_matches_reference(optics, sig, 1, interp)
+
+
+class TestSearchCrossChecks:
+    def test_only_accepted_squares_are_cross_checked(self, monkeypatch):
+        sig, family, interp = demo_family(((1,), (0,)))
+        checked = []
+
+        def recording(lhs, rhs, interp):
+            checked.append((lhs, rhs))
+            return extensional_counterexample(lhs, rhs, interp)
+
+        accepted = rejected = 0
+        for src, tgt in itertools.permutations(family, 2):
+            squares = twocell.Squares(src, tgt)
+            for r in enumerate_morphisms(sig, src.residual, tgt.residual, 3):
+                for side in ("forward", "backward"):
+                    if not normal_eq(*squares.sides(side, r)):
+                        rejected += 1
+                        break
+                    accepted += 1
+        monkeypatch.setattr(twocell, "extensional_counterexample", recording)
+        search_cells(family, sig, 3, interp)
+        assert accepted > 0 and rejected > 0
+        assert len(checked) == accepted
+        assert all(normal_eq(lhs, rhs) for lhs, rhs in checked)
+
+    def test_normalizer_disagreement_in_search(self, monkeypatch):
+        # an always-accepting normalizer must not let the search return a bogus cell
+        sig, family, interp = demo_family(((1,), (0,)))
+        monkeypatch.setattr(twocell.Squares, "commutes", lambda self, side, witness: True)
+        with pytest.raises(NormalizerDisagreement, match=r"square: normalizer accepted but input"):
+            search_cells(family, sig, 3, interp)

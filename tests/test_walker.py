@@ -56,7 +56,7 @@ from cartoptics import (
     select_wire,
     share,
 )
-from cartoptics.normal import _UniqueTable
+from cartoptics.normal import UniqueTable
 from cartoptics.sampling import random_morphism, random_obj, random_signature, random_table
 from sampling_helpers import padded_variants
 
@@ -129,14 +129,14 @@ def oracle_print(t):
 
 
 def oracle_normalize(t):
-    table = _UniqueTable(len(t.dom))
+    table = UniqueTable(len(t.dom))
     return table.form(t.dom, t.cod, oracle_push(t, table.inputs, table))
 
 
 def oracle_normal_eq(f, g):
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    table = _UniqueTable(len(f.dom))
+    table = UniqueTable(len(f.dom))
     return oracle_push(f, table.inputs, table) == oracle_push(g, table.inputs, table)
 
 

@@ -10,7 +10,8 @@ Three cases, each run in its own interpreter:
   verdict;
 - `pi0`: witness search at depth 3 and `pi0_classes` on the optic family of
   `demos/05_connected_components.py`, once for each of the four tables of f;
-  the output is the classes.
+  the output is the classes, the number of cells and every cell as
+  (source index, target index, witness text).
 
 The in-process cases report the median of REPEAT single shots.
 
@@ -88,7 +89,13 @@ def pi0_shot():
         cases.append((sig, family, C.Interp.from_signature(sig)))
 
     def shot():
-        return [C.pi0_classes(C.search_cells(o, sig, depth=3, interp=ip)) for sig, o, ip in cases]
+        out = []
+        for sig, family, ip in cases:
+            sample = C.search_cells(family, sig, depth=3, interp=ip)
+            index = {id(o): i for i, o in enumerate(family)}
+            cells = [(index[id(c.src)], index[id(c.tgt)], str(c.witness)) for c in sample.cells]
+            out.append({"classes": C.pi0_classes(sample), "n_cells": len(cells), "cells": cells})
+        return out
 
     return shot
 
