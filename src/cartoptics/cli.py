@@ -9,8 +9,9 @@ Subcommands:
   normalize    print the canonical form of an expression
   optimize     print the hash-consed dag of an expression
   check-cell   validate a structure map between two optic files
-  pi0          connected components of a family of optics under
-               bounded-depth witness search
+  pi0          the cells between a family of optics, decided exactly, and
+               their connected components; `search_depth` is accepted for
+               old files and bounds nothing
 
 Exit codes: 0 success, 1 a check failed, 2 usage or input error, 3 internal
 error (a fault in this package, not in the input).  All output except
@@ -20,6 +21,7 @@ wall-clock columns is deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -239,12 +241,14 @@ def cmd_pi0(args) -> int:
         raise ValueError(f"{where}: expected a non-negative int")
     interp = _table_interp(sig)
     sample = search_cells(optics, sig, depth, interp)
-    classes = pi0_classes(sample)
+    index = {id(o): i for i, o in enumerate(optics)}
+    edges = [[index[id(c.src)], index[id(c.tgt)], n] for c, n in zip(sample.cells, sample.counts)]
     print(
         _json_line(
             {
-                "classes": classes,
-                "n_cells": len(sample.cells),
+                "classes": pi0_classes(sample),
+                "edges": edges,
+                "n_cells": sum(sample.counts),
                 "n_optics": len(optics),
                 "search_depth": depth,
             }
@@ -253,7 +257,9 @@ def cmd_pi0(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gets a fresh namespace."""
     p = argparse.ArgumentParser(prog="cartoptics")
     p.add_argument(
         "--version",
@@ -269,7 +275,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", type=int, default=100)
     q.add_argument("--triples", type=int, default=50)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(fn=cmd_check_laws)
 
     q = sub.add_parser("bench", help="space-time tradeoff CSV")
     q.add_argument("--max-n", type=int, default=8)
@@ -279,7 +284,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--carrier-size", type=int, default=2)
     q.add_argument("--dim", type=int, default=4)
     q.add_argument("--out", help="write CSV here instead of stdout")
-    q.set_defaults(fn=cmd_bench)
 
     q = sub.add_parser("run", help="execute a lens or optic on one input")
     g = q.add_mutually_exclusive_group(required=True)
@@ -288,30 +292,37 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--signature", required=True)
     q.add_argument("--input", required=True, help="JSON list, one entry per wire")
     q.add_argument("--env", default="id", help="'id' or 'const:<json list>'")
-    q.set_defaults(fn=cmd_run)
 
     q = sub.add_parser("normalize", help="canonical form of an expression")
     q.add_argument("--signature", required=True)
     q.add_argument("--expr", required=True)
-    q.set_defaults(fn=cmd_normalize)
 
     q = sub.add_parser("optimize", help="hash-consed dag of an expression")
     q.add_argument("--signature", required=True)
     q.add_argument("--expr", required=True)
-    q.set_defaults(fn=cmd_optimize)
 
     q = sub.add_parser("check-cell", help="validate a structure map between optics")
     q.add_argument("--signature", required=True)
     q.add_argument("--src", required=True, help="source optic JSON file")
     q.add_argument("--tgt", required=True, help="target optic JSON file")
     q.add_argument("--witness", required=True, help="expression between the residuals")
-    q.set_defaults(fn=cmd_check_cell)
 
-    q = sub.add_parser("pi0", help="connected components under witness search")
+    q = sub.add_parser(
+        "pi0",
+        help="exact cells between optics and their connected components",
+        description="Decide every cell between the optics of a homcat file by matching "
+        "inside the fibres of erasure. Prints the connected components (classes), one "
+        "[source, target, count] edge per connected ordered pair, and n_cells, the exact "
+        "number of cells.",
+    )
     q.add_argument("--signature", required=True)
     q.add_argument("--homcat", required=True, help="JSON file listing optics")
-    q.add_argument("--search-depth", type=int, default=None)
-    q.set_defaults(fn=cmd_pi0)
+    q.add_argument(
+        "--search-depth",
+        type=int,
+        default=None,
+        help="accepted and echoed for old files; it bounds nothing (the search is exact)",
+    )
     return p
 
 
@@ -322,7 +333,8 @@ def main(argv=None) -> int:
         code = e.code
         return int(code) if code is not None else 0
     try:
-        return args.fn(args)
+        # looked up at each call, so the cached parser holds no command functions
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (SignatureError, ExprError, TermTypeError, ValueError, OSError,
             EnumerationCapError, UnsupportedInterpretation) as e:
         print(f"error: {e}", file=sys.stderr)

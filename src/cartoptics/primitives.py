@@ -2,13 +2,17 @@
 
 Every affine family member is deterministic: its weights are drawn from a PRNG
 seeded with a CRC of the builtin name and the boundary dimensions, so the same
-name always denotes the same function.  Each forward primitive has a matching
+name always denotes the same function.  Weights are drawn when a primitive is
+first applied, not when it is resolved, and kept read-only in one cache keyed
+by (tag, m, n), which a forward primitive and its `_vjp` share: loading a
+signature draws nothing.  Each forward primitive has a matching
 `*_vjp` transpose-derivative: given the primal input and an output cotangent
 it returns the input cotangent, which is what backward passes are built from.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 from typing import Callable
@@ -32,10 +36,12 @@ def _seeded(name: str, *dims: int) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(key))
 
 
+@functools.cache
 def _affine_weights(tag: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     rng = _seeded(f"affine_{tag}", m, n)
     w = rng.standard_normal((n, m)) / np.sqrt(m)
     b = rng.standard_normal(n) * 0.1
+    w.flags.writeable = b.flags.writeable = False
     return w, b
 
 
@@ -63,35 +69,38 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
     elif m := re.fullmatch(r"affine_tanh_vjp_(\w+)", name):
         if len(ddims) != 2 or len(cdims) != 1 or cdims[0] != ddims[0]:
             raise SignatureError(f"builtin {name}: expects (x, cotangent) -> x-cotangent")
-        w, b = _affine_weights("tanh_" + m.group(1), ddims[0], ddims[1])
+        key = ("tanh_" + m.group(1), ddims[0], ddims[1])
 
         def fn(args):
             x, c = args
+            w, b = _affine_weights(*key)
             y = np.tanh(w @ x + b)
             return (w.T @ (c * (1.0 - y * y)),)
 
     elif m := re.fullmatch(r"affine_tanh_(\w+)", name):
         if len(ddims) != 1 or len(cdims) != 1:
             raise SignatureError(f"builtin {name}: expects one real sort each side")
-        w, b = _affine_weights("tanh_" + m.group(1), ddims[0], cdims[0])
+        key = ("tanh_" + m.group(1), ddims[0], cdims[0])
 
         def fn(args):
+            w, b = _affine_weights(*key)
             return (np.tanh(w @ args[0] + b),)
 
     elif m := re.fullmatch(r"affine_vjp_(\w+)", name):
         if len(ddims) != 2 or len(cdims) != 1 or cdims[0] != ddims[0]:
             raise SignatureError(f"builtin {name}: expects (x, cotangent) -> x-cotangent")
-        w, _ = _affine_weights(m.group(1), ddims[0], ddims[1])
+        key = (m.group(1), ddims[0], ddims[1])
 
         def fn(args):
-            return (w.T @ args[1],)
+            return (_affine_weights(*key)[0].T @ args[1],)
 
     elif m := re.fullmatch(r"affine_(\w+)", name):
         if len(ddims) != 1 or len(cdims) != 1:
             raise SignatureError(f"builtin {name}: expects one real sort each side")
-        w, b = _affine_weights(m.group(1), ddims[0], cdims[0])
+        key = (m.group(1), ddims[0], cdims[0])
 
         def fn(args):
+            w, b = _affine_weights(*key)
             return (w @ args[0] + b,)
 
     else:

@@ -12,24 +12,36 @@ into it once, and each witness pushes only its own part.  When a finite
 interpretation is given every accepted square is cross-checked by exhaustive
 evaluation.  `mk_two_cell` (and so `cartoptics check-cell`) reports a
 rejected square together with a concrete separating input when one exists
-under that interpretation; the witness search drops rejected candidates
-without computing one.
+under that interpretation.
 
-`pi0_classes` computes connected components of a sampled hom-category,
-treating cells as undirected edges and identifying optics whose residuals
-and canonical forms are equal.  Witness search is a separate, bounded
-enumeration over canonical forms; it can miss deep zigzags, so experiments
-report the search depth alongside their results.
+`search_cells` decides every cell between the optics of a family exactly,
+with no candidate enumeration.  Cells preserve erasure, so only ordered
+pairs in one fibre of `erase` can have cells.  Each optic's passes are
+pushed once into one unique table per boundary.  Matching bw2 against bw1
+row by row binds every residual wire bw2 reads to the one ref it must be,
+or fails; each bound ref must land on fw2's ref once moved into the forward
+pass.  The wires bw2 does not read meet the forward square only, and one
+pass over the table's rows counts their solutions.  So each pair gets its
+exact number of cells (witnesses distinct up to normal form) and its first
+witness, which still goes through `Squares` and the exhaustive
+cross-check.  The search depth is accepted as before and bounds nothing.
+`enumerate_morphisms` is the bounded enumeration the search replaced; it is
+kept as an oracle for tests.
+
+`pi0_classes` computes connected components of a sample, treating cells as
+undirected edges and identifying optics whose residuals and canonical forms
+are equal.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from .interp import Interp, extensional_counterexample
-from .normal import UniqueTable, normalize
+from .normal import Ref, UniqueTable, normalize, read_back
 from .optic import Optic, optic_compose
 from .signature import Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
@@ -55,6 +67,14 @@ class TwoCell:
     witness: Term
 
 
+def _check_boundaries(src: Optic, tgt: Optic) -> None:
+    if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
+        raise TermTypeError(
+            f"cell endpoints have different boundaries: "
+            f"{src.dom_pair}->{src.cod_pair} vs {tgt.dom_pair}->{tgt.cod_pair}"
+        )
+
+
 class Squares:
     """The two squares of the cells from src to tgt, for any number of witnesses.
 
@@ -66,11 +86,7 @@ class Squares:
     """
 
     def __init__(self, src: Optic, tgt: Optic):
-        if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
-            raise TermTypeError(
-                f"cell endpoints have different boundaries: "
-                f"{src.dom_pair}->{src.cod_pair} vs {tgt.dom_pair}->{tgt.cod_pair}"
-            )
+        _check_boundaries(src, tgt)
         self.src, self.tgt = src, tgt
         self._forward: tuple | None = None  # table, fw1's M refs, fw1's B refs, fw2's refs
         self._backward: tuple | None = None  # table, bw1's refs
@@ -170,10 +186,16 @@ def hcompose(c1: TwoCell, c2: TwoCell, interp: Interp | None = None) -> TwoCell:
 
 @dataclass(frozen=True)
 class HomCatSample:
-    """A finite sample of a hom-category: optics plus validated cells."""
+    """A finite sample of a hom-category: optics plus validated cells.
+
+    A search also fills `counts`: counts[k] is the number of cells between
+    the endpoints of cells[k], witnesses distinct up to normal form, and
+    cells[k] is the first of them.
+    """
 
     optics: tuple[Optic, ...]
     cells: tuple[TwoCell, ...] = ()
+    counts: tuple[int, ...] = ()
 
 
 class UnionFind:
@@ -219,7 +241,7 @@ def pi0_classes(sample: HomCatSample) -> list[list[int]]:
     return sorted(groups.values())
 
 
-# --- bounded enumeration and witness search ---------------------------------
+# --- bounded enumeration ------------------------------------------------------
 
 
 def enumerate_wire_terms(sig: Signature, dom: Obj, target: Sort, depth: int) -> list[Term]:
@@ -258,35 +280,228 @@ def enumerate_morphisms(sig: Signature, dom: Obj, cod: Obj, depth: int) -> Itera
         yield pairing(list(parts), dom)
 
 
-def _cells(
-    src: Optic, tgt: Optic, candidates: Iterable[Term], interp: Interp | None
-) -> list[TwoCell]:
-    """The cells src -> tgt whose witnesses are among the candidates, in order."""
-    squares = Squares(src, tgt)
-    return [TwoCell(src, tgt, r) for r in candidates if squares.failing_side(r, interp) is None]
+# --- deciding the cells by matching ---------------------------------------------
+
+
+def _check_depth(depth) -> None:
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"search depth: expected a non-negative int, got {depth!r}")
+
+
+def _rebuild(rows: list, refs: list, leaf, apply) -> list:
+    """Refs of a table rebuilt in another table, or in the same one.
+
+    `leaf(ref)` gives a ref its new ref outright, or None; every other ref
+    is a row, rebuilt from its rebuilt arguments by `apply(gen, args)`.  The
+    walk keeps its own stack.
+    """
+    new: dict = {}
+    todo = list(refs)
+    while todo:
+        r = todo[-1]
+        if r in new:
+            todo.pop()
+            continue
+        hit = leaf(r)
+        if hit is None:
+            gen, args = rows[r[0]]
+            pending = [a for a in args if a not in new]
+            if pending:
+                todo += pending
+                continue
+            hit = apply(gen, tuple(new[a] for a in args))[r[1]]
+        todo.pop()
+        new[r] = hit
+    return [new[r] for r in refs]
+
+
+class _Passes:
+    """The passes of a family of optics with one boundary, each pushed once.
+
+    One unique table holds them all.  Its inputs are A, then B', then a block
+    of fresh residual inputs per optic.  Each forward pass runs over A, and
+    gives its residual refs and its B refs.  Each backward pass runs over
+    its own block and B', which is what matching compares, and over its
+    forward residual refs and B', which is the put of its erasure.  So two
+    optics lie in one fibre of `erase` exactly when their B refs and their
+    erased puts are the same refs.
+    """
+
+    def __init__(self, optics: list[Optic]):
+        a, _ = optics[0].dom_pair
+        _, b_back = optics[0].cod_pair
+        na, nb = len(a), len(b_back)
+        self.optics = optics
+        self.sizes = [len(o.residual) for o in optics]
+        table = self.table = UniqueTable(na + nb + sum(self.sizes))
+        back = table.inputs[na : na + nb]
+        self.back = range(na, na + nb)
+        self.starts, self.fw, self.bw, self.fibre = [], [], [], []
+        start = na + nb
+        for o, k in zip(optics, self.sizes):
+            fw = run(o.forward, table.inputs[:na], table.apply)[0]
+            self.starts.append(start)
+            self.fw.append(fw)
+            self.bw.append(run(o.backward, table.inputs[start : start + k] + back, table.apply)[0])
+            self.fibre.append((fw[k:], run(o.backward, fw[:k] + back, table.apply)[0]))
+            start += k
+        reads = self.reads_back = []  # per row: does it read B' (which no witness sees)?
+        for _, args in table.rows:
+            reads.append(any(x in self.back if isinstance(x, int) else reads[x[0]] for x in args))
+        self._solutions: dict[int, tuple] = {}
+
+    def match(self, i: int, j: int) -> dict[int, Ref] | None:
+        """The ref over optic i's block that each residual wire bw_j reads must be.
+
+        First-order matching of bw_j against bw_i, row by row, with
+        generators compared by table identity; None on a conflict, or when
+        a wire would have to read B'.
+        """
+        rows, lo, k = self.table.rows, self.starts[j], self.sizes[j]
+        bound: dict[int, Ref] = {}
+        seen: dict[int, int] = {}  # pattern row -> the row it matched
+        todo = list(zip(self.bw[j], self.bw[i]))
+        while todo:
+            p, t = todo.pop()
+            if isinstance(p, int):
+                if lo <= p < lo + k:
+                    if bound.setdefault(p - lo, t) != t:
+                        return None
+                elif p != t:
+                    return None
+                continue
+            if isinstance(t, int) or p[1] != t[1]:
+                return None
+            hit = seen.get(p[0])
+            if hit is None:
+                seen[p[0]] = t[0]
+                (gp, ps), (gt, ts) = rows[p[0]], rows[t[0]]
+                if gp is not gt:
+                    return None
+                todo += zip(ps, ts)
+            elif hit != t[0]:
+                return None
+        if any(t in self.back if isinstance(t, int) else self.reads_back[t[0]] for t in bound.values()):
+            return None
+        return bound
+
+    def solutions(self, i: int) -> tuple[dict, Callable[[Ref], int]]:
+        """Forward-square solutions over optic i's residual, counted row by row.
+
+        A solution for a forward ref is a residual wire whose forward ref it
+        is, or a generator row applied to solutions for its arguments.  So
+        its count is the number of such wires plus, for a row, the product of
+        its arguments' counts: one pass over the rows, arguments first.
+        Returns the wires on each ref and the count of a ref.
+        """
+        got = self._solutions.get(i)
+        if got is None:
+            wires: dict[Ref, list[int]] = {}
+            for q, r in enumerate(self.fw[i][: self.sizes[i]]):
+                wires.setdefault(r, []).append(q)
+            prods: list[int] = []
+
+            def count(x: Ref) -> int:
+                return len(wires.get(x, ())) + (0 if isinstance(x, int) else prods[x[0]])
+
+            for _, args in self.table.rows:
+                prods.append(math.prod(map(count, args)))
+            got = self._solutions[i] = wires, count
+        return got
+
+    def decide(self, i: int, j: int) -> tuple[int, Term | None]:
+        """The number of cells from optic i to optic j, and the first witness.
+
+        Witnesses are counted distinct up to normal form.  The first is the
+        one a bounded enumeration would list first: on each wire a residual
+        wire before a generator, the lowest wire first.
+        """
+        k1, k2 = self.sizes[i], self.sizes[j]
+        m1, m2 = self.fw[i][:k1], self.fw[j][:k2]
+        if self.fw[i][k1:] != self.fw[j][k2:]:
+            return 0, None
+        bound = self.match(i, j)
+        if bound is None:
+            return 0, None
+        rows, lo = self.table.rows, self.starts[i]
+        # the bound wires must also close the forward square
+        read = list(bound)
+        landed = _rebuild(
+            rows, [bound[w] for w in read], lambda r: m1[r - lo] if isinstance(r, int) else None,
+            self.table.apply,
+        )
+        if any(ref != m2[w] for w, ref in zip(read, landed)):
+            return 0, None
+        # the wires bw_j does not read are constrained by the forward square only
+        wires, solutions = self.solutions(i)
+        free = [w for w in range(k2) if w not in bound]
+        count = math.prod(solutions(m2[w]) for w in free)
+        if not count:
+            return 0, None
+        # the first witness, as a listing over optic i's residual
+        table = UniqueTable(k1)
+        outs = dict(zip(read, _rebuild(
+            rows, [bound[w] for w in read], lambda r: r - lo if isinstance(r, int) else None,
+            table.apply,
+        )))
+        outs.update(zip(free, _rebuild(
+            rows, [m2[w] for w in free], lambda r: wires[r][0] if r in wires else None,
+            table.apply,
+        )))
+        src, tgt = self.optics[i].residual, self.optics[j].residual
+        return count, read_back(table.form(src, tgt, tuple(outs[w] for w in range(k2))))
+
+
+def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple[int, TwoCell | None]:
+    """The number of cells from optic i to optic j, and the first, checked by `Squares`."""
+    count, witness = passes.decide(i, j)
+    if not count:
+        return 0, None
+    src, tgt = passes.optics[i], passes.optics[j]
+    side = Squares(src, tgt).failing_side(witness, interp)
+    if side is not None:
+        raise AssertionError(f"the matched witness fails the {side} square")
+    return count, TwoCell(src, tgt, witness)
 
 
 def find_witnesses(
     src: Optic, tgt: Optic, sig: Signature, depth: int, interp: Interp | None = None
 ) -> list[TwoCell]:
-    """Try every bounded-depth residual map as a witness; keep the valid ones."""
-    return _cells(src, tgt, enumerate_morphisms(sig, src.residual, tgt.residual, depth), interp)
+    """The first cell src -> tgt as a list, empty if there is none.
+
+    `sig` and `depth` are accepted as before; `depth` bounds nothing.
+    """
+    _check_depth(depth)
+    _check_boundaries(src, tgt)
+    _, cell = _first_cell(_Passes([src, tgt]), 0, 1, interp)
+    return [] if cell is None else [cell]
 
 
 def search_cells(
     optics: list[Optic], sig: Signature, depth: int, interp: Interp | None = None
 ) -> HomCatSample:
-    """Connect a family of optics by exhaustive bounded-depth witness search.
+    """Every cell between the optics of a family, decided exactly.
 
-    The candidate maps between two residuals are enumerated once per search.
+    Cells preserve erasure, so only ordered pairs with one boundary and one
+    erasure are decided.  For each pair with cells the sample holds the first
+    cell and the number of cells.  `sig` and `depth` are accepted as before;
+    `depth` bounds nothing.
     """
-    pools: dict[tuple[Obj, Obj], list[Term]] = {}
+    _check_depth(depth)
+    groups: dict[tuple, list[int]] = {}
+    for i, o in enumerate(optics):
+        groups.setdefault((o.dom_pair, o.cod_pair), []).append(i)
+    place: dict[int, tuple[_Passes, int]] = {}
+    for members in groups.values():
+        passes = _Passes([optics[i] for i in members])
+        place.update((i, (passes, n)) for n, i in enumerate(members))
     cells: list[TwoCell] = []
-    for src, tgt in itertools.permutations(optics, 2):
-        if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
-            continue
-        key = (src.residual, tgt.residual)
-        if key not in pools:
-            pools[key] = list(enumerate_morphisms(sig, *key, depth))
-        cells += _cells(src, tgt, pools[key], interp)
-    return HomCatSample(tuple(optics), tuple(cells))
+    counts: list[int] = []
+    for i, j in itertools.permutations(range(len(optics)), 2):
+        (p, a), (q, b) = place[i], place[j]
+        if p is q and p.fibre[a] == p.fibre[b]:
+            count, cell = _first_cell(p, a, b, interp)
+            if count:
+                cells.append(cell)
+                counts.append(count)
+    return HomCatSample(tuple(optics), tuple(cells), tuple(counts))

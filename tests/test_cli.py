@@ -365,6 +365,7 @@ class TestPi0:
         data = json.loads(out)
         assert data["classes"] == [[0, 1]]
         assert data["n_cells"] == 1  # deleting the residual; no map back
+        assert data["edges"] == [[1, 0, 1]]
         assert data["n_optics"] == 2
         assert data["search_depth"] == 2
 
@@ -386,6 +387,50 @@ class TestPi0:
         )
         assert rc == 0
         assert json.loads(out)["search_depth"] == 1
+
+    def test_counts_are_exact_at_any_depth(self, capsys, sig_path, work):
+        # the residual holds the input twice and the backward pass reads neither copy
+        homcat = work / "homcat2.json"
+        homcat.write_text(
+            json.dumps(
+                {
+                    "optics": [
+                        {"residual": ["A", "A"], "forward": "copy[A] ; copy[A] * id[A]",
+                         "backward": "pi2[A A,A]"},
+                        {"residual": ["A"], "forward": "copy[A]", "backward": "pi2[A,A]"},
+                    ],
+                    "search_depth": 0,
+                }
+            )
+        )
+        rc, out, _ = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(homcat))
+        assert rc == 0
+        data = json.loads(out)
+        assert data["edges"] == [[0, 1, 2], [1, 0, 1]]
+        assert data["n_cells"] == 3 and data["classes"] == [[0, 1]]
+
+    def test_no_state_leaks_between_calls(self, capsys, sig_path, work):
+        # one parser serves every call in a process
+        homcat = work / "homcat3.json"
+        homcat.write_text(
+            json.dumps(
+                {
+                    "optics": [{"residual": [], "forward": "id[A]", "backward": "id[A]"}],
+                    "search_depth": 3,
+                }
+            )
+        )
+        argv = ("pi0", "--signature", sig_path, "--homcat", str(homcat))
+        rc, out, _ = run_cli(capsys, *argv, "--search-depth", "1")
+        assert rc == 0 and json.loads(out)["search_depth"] == 1
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0 and json.loads(out)["search_depth"] == 3
+        for _ in range(2):
+            rc, out, _ = run_cli(capsys, "pi0", "--help")
+            assert rc == 0 and "bounds nothing" in out
+            rc, _, err = run_cli(capsys, "pi0", "--signature", sig_path)
+            assert rc == 2 and "--homcat" in err
+        assert cli._parser() is cli._parser()
 
 
 class TestCheckLaws:

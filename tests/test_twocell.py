@@ -1,6 +1,7 @@
 """Cells between optics: validation, pasting, and connected components."""
 
 import itertools
+import math
 import random
 import time
 
@@ -46,6 +47,8 @@ from cartoptics import (
 from cartoptics import compose_chain, compose_optic_chain, twocell
 from cartoptics.cost import build_chain
 from cartoptics.interp import extensional_counterexample
+from cartoptics.normal import UniqueTable
+from cartoptics.term import gen_wire, pairing, run, select_wire
 from cartoptics.sampling import random_obj, random_optic, random_signature, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
 from sampling_helpers import random_cell_chain, random_composable_cells
@@ -186,6 +189,25 @@ class TestDeepComponents:
         assert time.perf_counter() - start < 5.0
 
 
+    def test_1000_stage_packagings_are_decided(self):
+        # four packagings of one chain; the bounded search needed depth 4 at 5 stages
+        chain = build_chain(1000, "finite", seed=0)
+        lenses = list(chain.lenses)
+        halves = [reify(compose_chain(lenses[:500])), reify(compose_chain(lenses[500:]))]
+        family = [
+            reify(compose_chain(lenses)),
+            reify(compose_chain(lenses, "right")),
+            compose_optic_chain([reify(l) for l in lenses]),
+            compose_optic_chain(halves),
+        ]
+        sample = search_cells(family, chain.signature, 2)
+        index = {id(o): i for i, o in enumerate(family)}
+        edges = [(index[id(c.src)], index[id(c.tgt)], n) for c, n in zip(sample.cells, sample.counts)]
+        # cells run from recompute to store, and the optic chain has none going out
+        assert edges == [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 0, 1), (1, 2, 1), (1, 3, 1), (3, 2, 1)]
+        assert pi0_classes(sample) == [[0, 1, 2, 3]]
+
+
 @pytest.fixture(scope="module")
 def mono_sig():
     a = Sort("A", FiniteCarrier(2))
@@ -211,7 +233,42 @@ class TestEnumeration:
         assert normalize(k >> Proj2(A, A)) in forms
 
 
+def twin_residuals(A, reads_residual):
+    """An optic holding its input twice, and one holding it once; one fibre of erase.
+
+    The backward passes read the second copy and the one copy, or neither.
+    """
+    if reads_residual:
+        back2, back1 = Proj2(A, A @ A) >> Proj1(A, A), Proj1(A, A)
+    else:
+        back2, back1 = Proj2(A @ A, A), Proj2(A, A)
+    return Optic(A @ A, Copy(A) >> (Copy(A) @ Id(A)), back2), Optic(A, Copy(A), back1)
+
+
 class TestWitnessSearch:
+    def test_the_backward_square_binds_what_it_reads(self, sig, A, interp):
+        src, tgt = twin_residuals(A, reads_residual=True)
+        sample = search_cells([src, tgt], sig, 0, interp)
+        assert sample.counts == (1, 1)
+        assert normal_eq(sample.cells[0].witness, Proj2(A, A))
+        assert normal_eq(sample.cells[1].witness, Copy(A))
+
+    def test_wires_read_by_nothing_count_every_forward_solution(self, sig, A, interp):
+        src, tgt = twin_residuals(A, reads_residual=False)
+        sample = search_cells([src, tgt], sig, 0, interp)
+        assert sample.counts == (2, 1)
+        # the first witness takes the lowest residual wire
+        assert normal_eq(sample.cells[0].witness, Proj1(A, A))
+        assert find_witnesses(src, tgt, sig, 0, interp)[0].witness == sample.cells[0].witness
+
+    def test_depth_is_validated_and_bounds_nothing(self, sig, A, interp):
+        o = Optic(A, Copy(A) >> (Id(A) @ Gen(sig.generator("e"))), Proj1(A, A))
+        hub = reify(erase(o))
+        for depth in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="search depth"):
+                search_cells([o, hub], sig, depth, interp)
+        assert search_cells([o, hub], sig, 0, interp).counts == (1, 1)
+
     def test_counit_witness_is_found(self, sig, f, h, A, interp):
         o = Optic(A, graph(f), h)
         hub = reify(erase(o))
@@ -258,7 +315,7 @@ def window_packagings(lenses):
 
 
 def reference_search(optics, sig, depth, interp):
-    """Every candidate of every ordered pair through mk_two_cell, on its own."""
+    """The bounded oracle: every candidate of every ordered pair through mk_two_cell."""
     cells = []
     for src, tgt in itertools.permutations(optics, 2):
         if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
@@ -271,30 +328,115 @@ def reference_search(optics, sig, depth, interp):
     return cells
 
 
+ENUMERATION_CAP = 4096
+
+
+def forward_solutions(src, tgt, cap=ENUMERATION_CAP):
+    """Every witness closing the forward square, distinct up to normal form; None past cap.
+
+    A solution for one of tgt's forward residual refs is a wire of src's
+    residual on that ref, or a generator row over solutions for its
+    arguments, enumerated as terms; the witnesses are their tuples.
+    """
+    table = UniqueTable(len(src.forward.dom))
+    fw1 = run(src.forward, table.inputs, table.apply)[0]
+    fw2 = run(tgt.forward, table.inputs, table.apply)[0]
+    m1, k1, k2 = src.residual, len(src.residual), len(tgt.residual)
+    if fw1[k1:] != fw2[k2:]:
+        return []
+    memo = {}
+
+    def terms(ref):
+        if ref not in memo:
+            out = [select_wire(m1, q) for q in range(k1) if fw1[q] == ref]
+            if not isinstance(ref, int):
+                gen, args = table.rows[ref[0]]
+                for parts in itertools.product(*map(terms, args)):
+                    out.append(gen_wire(gen, ref[1], list(parts), m1))
+                    if len(out) > cap:
+                        break
+            memo[ref] = out
+        return memo[ref]
+
+    wires = [terms(ref) for ref in fw2[:k2]]
+    if any(len(w) > cap for w in wires) or math.prod(map(len, wires)) > cap:
+        return None
+    return [pairing(list(parts), m1) for parts in itertools.product(*wires)]
+
+
+def enumerated_count(src, tgt):
+    """Forward-square solutions that also close the backward square; None past the cap."""
+    solutions = forward_solutions(src, tgt)
+    if solutions is None:
+        return None
+    squares = twocell.Squares(src, tgt)
+    return sum(squares.commutes("backward", r) for r in solutions)
+
+
+def fibre(o):
+    l = erase(o)
+    return o.dom_pair, o.cod_pair, normalize(l.get), normalize(l.put)
+
+
+def generator_depth(t):
+    """The deepest nesting of generators in the canonical form of t."""
+    cf = normalize(t)
+    depth = []
+    for _, args in cf.nodes:
+        depth.append(1 + max((depth[a[0]] for a in args if not isinstance(a, int)), default=0))
+    return max((depth[r[0]] for r in cf.outputs if not isinstance(r, int)), default=0)
+
+
 def assert_search_matches_reference(optics, sig, depth, interp):
-    got = search_cells(optics, sig, depth, interp).cells
-    want = reference_search(optics, sig, depth, interp)
+    """The exact search against the bounded oracle and an enumeration of both squares."""
+    sample = search_cells(optics, sig, depth, interp)
     index = {id(o): i for i, o in enumerate(optics)}
-
-    def listing(cells):
-        return [(index[id(c.src)], index[id(c.tgt)], c.witness) for c in cells]
-
-    assert listing(got) == listing(want)
-    return got
+    decided = {
+        (index[id(c.src)], index[id(c.tgt)]): (n, c.witness)
+        for c, n in zip(sample.cells, sample.counts)
+    }
+    assert len(decided) == len(sample.cells) == len(sample.counts)
+    oracle: dict = {}
+    for c in reference_search(optics, sig, depth, interp):
+        oracle.setdefault((index[id(c.src)], index[id(c.tgt)]), []).append(c.witness)
+    for (i, j), witnesses in oracle.items():
+        # the oracle finds no cell between different fibres of erase
+        assert fibre(optics[i]) == fibre(optics[j])
+        # every oracle cell is among the decided ones, and the first is the same
+        count, first = decided[i, j]
+        assert len(witnesses) <= count
+        assert normal_eq(witnesses[0], first)
+    for (i, j), (count, witness) in decided.items():
+        assert count >= 1
+        mk_two_cell(optics[i], optics[j], witness, interp)
+        if generator_depth(witness) <= depth:
+            assert (i, j) in oracle
+    enumerated = 0
+    for i, j in itertools.permutations(range(len(optics)), 2):
+        src, tgt = optics[i], optics[j]
+        if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
+            continue
+        want = enumerated_count(src, tgt)
+        if want is not None:
+            enumerated += 1
+            assert decided.get((i, j), (0, None))[0] == want, (i, j)
+    return sample, enumerated
 
 
 class TestSearchAgainstReference:
     @pytest.mark.parametrize("table", DEMO_TABLES)
     def test_demo_families_at_depth_3(self, table):
         sig, family, interp = demo_family(table)
-        assert assert_search_matches_reference(family, sig, 3, interp)
+        sample, enumerated = assert_search_matches_reference(family, sig, 3, interp)
+        assert sample.cells and enumerated == len(family) * (len(family) - 1)
 
     @pytest.mark.parametrize("start", range(6))
     def test_chain_window_packagings(self, start):
         chain = build_chain(8, "finite")
         optics = window_packagings(chain.lenses[start : start + 3])
         interp = Interp.from_signature(chain.signature)
-        assert assert_search_matches_reference(optics, chain.signature, 2, interp)
+        sample, enumerated = assert_search_matches_reference(optics, chain.signature, 2, interp)
+        assert pi0_classes(sample) == [[0, 1, 2, 3]] and enumerated == 12
 
     @settings(
         max_examples=25,
@@ -317,6 +459,7 @@ class TestSearchAgainstReference:
 
 class TestSearchCrossChecks:
     def test_only_accepted_squares_are_cross_checked(self, monkeypatch):
+        # the cross-check runs once per square of each returned witness, and only there
         sig, family, interp = demo_family(((1,), (0,)))
         checked = []
 
@@ -324,24 +467,25 @@ class TestSearchCrossChecks:
             checked.append((lhs, rhs))
             return extensional_counterexample(lhs, rhs, interp)
 
-        accepted = rejected = 0
-        for src, tgt in itertools.permutations(family, 2):
-            squares = twocell.Squares(src, tgt)
-            for r in enumerate_morphisms(sig, src.residual, tgt.residual, 3):
-                for side in ("forward", "backward"):
-                    if not normal_eq(*squares.sides(side, r)):
-                        rejected += 1
-                        break
-                    accepted += 1
         monkeypatch.setattr(twocell, "extensional_counterexample", recording)
-        search_cells(family, sig, 3, interp)
-        assert accepted > 0 and rejected > 0
-        assert len(checked) == accepted
+        sample = search_cells(family, sig, 3, interp)
+        want = [
+            twocell.Squares(c.src, c.tgt).sides(side, c.witness)
+            for c in sample.cells
+            for side in ("forward", "backward")
+        ]
+        assert sample.cells and checked == want
         assert all(normal_eq(lhs, rhs) for lhs, rhs in checked)
 
-    def test_normalizer_disagreement_in_search(self, monkeypatch):
+    def test_a_wrong_match_is_caught_by_the_squares(self, monkeypatch, sig, A, interp):
+        # a matcher that binds nothing takes the first forward solution, wire 0
+        monkeypatch.setattr(twocell._Passes, "match", lambda self, i, j: {})
+        with pytest.raises(AssertionError, match=r"matched witness fails the backward square"):
+            search_cells(list(twin_residuals(A, reads_residual=True)), sig, 0, interp)
+
+    def test_normalizer_disagreement_in_search(self, monkeypatch, sig, A, interp):
         # an always-accepting normalizer must not let the search return a bogus cell
-        sig, family, interp = demo_family(((1,), (0,)))
+        monkeypatch.setattr(twocell._Passes, "match", lambda self, i, j: {})
         monkeypatch.setattr(twocell.Squares, "commutes", lambda self, side, witness: True)
-        with pytest.raises(NormalizerDisagreement, match=r"square: normalizer accepted but input"):
-            search_cells(family, sig, 3, interp)
+        with pytest.raises(NormalizerDisagreement, match=r"backward square: normalizer accepted but input"):
+            search_cells(list(twin_residuals(A, reads_residual=True)), sig, 0, interp)

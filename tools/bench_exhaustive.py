@@ -1,6 +1,6 @@
-"""Time the layers that cross-check 2-cells by exhaustive evaluation.
+"""Time the layers that cross-check 2-cells by exhaustive evaluation, and `pi0`.
 
-Three cases, each run in its own interpreter:
+Four cases, each run in its own interpreter:
 
 - `check-laws`: `cartoptics check-laws --random-signatures 3 --seed 0`, wall
   time of the whole command (one shot), with the SHA-256 of its stdout;
@@ -8,12 +8,20 @@ Three cases, each run in its own interpreter:
   `build_chain(64, "finite", seed=0)` that start at 0, 8, ..., 56; one shot
   checks all eight windows, and the output is every law's checked count and
   verdict;
-- `pi0`: witness search at depth 3 and `pi0_classes` on the optic family of
+- `pi0`: `search_cells` at depth 3 and `pi0_classes` on the optic family of
   `demos/05_connected_components.py`, once for each of the four tables of f;
-  the output is the classes, the number of cells and every cell as
-  (source index, target index, witness text).
+- `pi0-1000`: `search_cells` at depth 2 with no interpretation and
+  `pi0_classes` on four packagings of `build_chain(1000, "finite", seed=0)`:
+  reify of the left- and of the right-associated lens composite, the optic
+  chain, and the optic of two reified half chains.
 
-The in-process cases report the median of REPEAT single shots.
+The output of a `pi0` case is, per family, the classes, the number of cells
+and every cell as (source index, target index, witness text, count), the
+count being 1 where the search reports none.  Its classes also get a digest
+of their own (`classes_sha256`), since a search that finds more cells
+changes the rest of the output but must not change the classes.  The
+in-process cases report the median of REPEAT single shots (one shot for
+`pi0-1000`).
 
     python tools/bench_exhaustive.py                      # this checkout's src/
     python tools/bench_exhaustive.py --before REV --out BENCH_exhaustive.json
@@ -24,7 +32,9 @@ both sides, the side that goes first alternating) are those of
 `tools/bench_hashcons.py`.  Each side reports the median and quartiles over
 rounds; `after_over_before` is the median of the per-round ratios; and
 `outputs_identical` says whether every run of every side printed the same
-output digest.
+output digest, and `classes_identical` the same for the classes of the `pi0`
+cases.  The exit code is 0 when every run finished, `check-laws` and
+`coherence` printed identical outputs, and `pi0` identical classes.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_hashcons import ROOT, extract_src, interleave, run_child, versions  # noqa: E402
 
-CASES = ("check-laws", "coherence", "pi0")
+CASES = ("check-laws", "coherence", "pi0", "pi0-1000")
 CHECK_LAWS = ["check-laws", "--random-signatures", "3", "--seed", "0"]
 REPEAT = 5
 ROUNDS = 10
@@ -69,6 +79,34 @@ def coherence_shot():
     return shot
 
 
+def pi0_output(C, sample, family) -> dict:
+    index = {id(o): i for i, o in enumerate(family)}
+    counts = getattr(sample, "counts", ()) or (1,) * len(sample.cells)
+    cells = [
+        (index[id(c.src)], index[id(c.tgt)], str(c.witness), n) for c, n in zip(sample.cells, counts)
+    ]
+    return {"classes": C.pi0_classes(sample), "n_cells": sum(counts), "cells": cells}
+
+
+def pi0_1000_shot():
+    import cartoptics as C
+
+    chain = C.build_chain(1000, "finite", seed=0)
+    sig, lenses = chain.signature, list(chain.lenses)
+    halves = [C.reify(C.compose_chain(lenses[:500])), C.reify(C.compose_chain(lenses[500:]))]
+    family = [
+        C.reify(C.compose_chain(lenses)),
+        C.reify(C.compose_chain(lenses, "right")),
+        C.compose_optic_chain([C.reify(l) for l in lenses]),
+        C.compose_optic_chain(halves),
+    ]
+
+    def shot():
+        return [pi0_output(C, C.search_cells(family, sig, depth=2, interp=None), family)]
+
+    return shot
+
+
 def pi0_shot():
     import cartoptics as C
 
@@ -89,23 +127,26 @@ def pi0_shot():
         cases.append((sig, family, C.Interp.from_signature(sig)))
 
     def shot():
-        out = []
-        for sig, family, ip in cases:
-            sample = C.search_cells(family, sig, depth=3, interp=ip)
-            index = {id(o): i for i, o in enumerate(family)}
-            cells = [(index[id(c.src)], index[id(c.tgt)], str(c.witness)) for c in sample.cells]
-            out.append({"classes": C.pi0_classes(sample), "n_cells": len(cells), "cells": cells})
-        return out
+        return [
+            pi0_output(C, C.search_cells(family, sig, depth=3, interp=ip), family)
+            for sig, family, ip in cases
+        ]
 
     return shot
 
 
 def measure(case: str) -> dict:
-    """Run in the child interpreter: the median of REPEAT shots and the output digest."""
-    shot = {"coherence": coherence_shot, "pi0": pi0_shot}[case]()
-    output = json.dumps(shot(), sort_keys=True)
-    seconds = statistics.median(timeit.repeat(shot, number=1, repeat=REPEAT))
-    return {"seconds": seconds, "output_sha256": digest(output)}
+    """Run in the child interpreter: the median of REPEAT shots and the output digests."""
+    shot = {"coherence": coherence_shot, "pi0": pi0_shot, "pi0-1000": pi0_1000_shot}[case]()
+    start = time.perf_counter()
+    result = shot()
+    seconds = [time.perf_counter() - start]
+    if case != "pi0-1000":
+        seconds = timeit.repeat(shot, number=1, repeat=REPEAT)
+    out = {"seconds": statistics.median(seconds), "output_sha256": digest(json.dumps(result, sort_keys=True))}
+    if case.startswith("pi0"):
+        out["classes_sha256"] = digest(json.dumps([r["classes"] for r in result]))
+    return out
 
 
 def run_check_laws(src: Path) -> dict:
@@ -146,13 +187,18 @@ def run_all(sides: dict[str, Path]) -> dict:
                 "status": "ok",
                 "median_s": statistics.median(seconds),
                 "quartiles_s": quartiles(seconds),
-                "output_sha256": rows[0]["output_sha256"],
+                **{k: v for k, v in rows[0].items() if k.endswith("_sha256")},
             }
     every = [row for by_case in runs.values() for rows in by_case.values() for row in rows]
-    out["outputs_identical"] = {
-        case: len({row.get("output_sha256") for rows in runs.values() for row in rows[case]}) == 1
-        for case in CASES
-    }
+
+    def identical(key: str, cases) -> dict:
+        return {
+            case: len({row.get(key) for rows in runs.values() for row in rows[case]}) == 1
+            for case in cases
+        }
+
+    out["outputs_identical"] = identical("output_sha256", CASES)
+    out["classes_identical"] = identical("classes_sha256", ("pi0", "pi0-1000"))
     out["all_ok"] = all(row["status"] == "ok" for row in every)
     if len(runs) == 2:
         before, after = runs["before"], runs["after"]
@@ -197,7 +243,9 @@ def main() -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0 if report["all_ok"] and all(report["outputs_identical"].values()) else 1
+    same = report["outputs_identical"]
+    ok = report["all_ok"] and same["check-laws"] and same["coherence"]
+    return 0 if ok and report["classes_identical"]["pi0"] else 1
 
 
 if __name__ == "__main__":
