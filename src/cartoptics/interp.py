@@ -31,6 +31,7 @@ from .term import Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
 _BLOCK = 4096  # input tuples per column pass of the exhaustive check
+Runner = Callable[[tuple, Callable], tuple]  # (input values, apply) -> output values
 
 
 class EnumerationCapError(RuntimeError):
@@ -243,11 +244,22 @@ def extensional_counterexample(f: Term, g: Term, interp: Interp) -> tuple | None
             f"extensional comparison needs equal boundaries: "
             f"({f.dom} -> {f.cod}) vs ({g.dom} -> {g.cod})"
         )
-    inputs = enumerate_inputs(f.dom, interp)
+    return first_disagreement(
+        f.dom, lambda xs, apply: run(f, xs, apply)[0], lambda xs, apply: run(g, xs, apply)[0], interp
+    )
+
+
+def first_disagreement(dom: Obj, f: Runner, g: Runner, interp: Interp) -> tuple | None:
+    """First input in dom where two runners disagree under a finite interpretation.
+
+    A runner pushes a tuple of input columns through a morphism with a
+    column apply, as `term.run` does, and returns the output columns.
+    """
+    inputs = enumerate_inputs(dom, interp)
     while block := list(itertools.islice(inputs, _BLOCK)):
         cols = tuple(map(list, zip(*block)))
         apply = interp.column_apply(len(block))
-        fs, gs = run(f, cols, apply)[0], run(g, cols, apply)[0]
+        fs, gs = f(cols, apply), g(cols, apply)
         if fs != gs:
             for x, a, b in zip(block, zip(*fs), zip(*gs)):
                 if a != b:

@@ -22,7 +22,8 @@ renumbering pass then keeps the live rows in walk order.  `normal_eq` pushes
 both terms through one table and compares their output refs; `twocell` keeps
 a `UniqueTable` per square in the same way, for many witnesses.  `read_back`
 rebuilds a term (with explicit copies and projections) from a canonical form;
-normalizing it gives it back.
+normalizing it gives it back.  `run_form` pushes values through a canonical
+form row by row, each row once.
 """
 
 from __future__ import annotations
@@ -155,6 +156,22 @@ def read_back(cf: CanonicalForm) -> Term:
     for gen, args in cf.nodes:
         rows.append(pairing([term(a) for a in args], dom) >> Gen(gen))
     return pairing([term(r) for r in cf.outputs], dom)
+
+
+def run_form(cf: CanonicalForm, xs: tuple, apply) -> tuple:
+    """Push the value tuple xs through a canonical form, as `term.run` does a term.
+
+    Each row is applied once, so a row that many others share costs one
+    application, where running its `read_back` term costs one per path.
+    """
+    vals: list[tuple] = []
+
+    def value(r: Ref):
+        return xs[r] if isinstance(r, int) else vals[r[0]][r[1]]
+
+    for gen, args in cf.nodes:
+        vals.append(apply(gen, tuple(map(value, args))))
+    return tuple(map(value, cf.outputs))
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:

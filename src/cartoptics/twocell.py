@@ -10,7 +10,8 @@ Equality is decided by the normalizer.  `Squares` holds one unique table per
 square for a pair of optics: the sides that do not depend on r are pushed
 into it once, and each witness pushes only its own part.  When a finite
 interpretation is given every accepted square is cross-checked by exhaustive
-evaluation.  `mk_two_cell` (and so `cartoptics check-cell`) reports a
+evaluation.  A witness may be given as its canonical form, which runs row by
+row, each row once.  `mk_two_cell` (and so `cartoptics check-cell`) reports a
 rejected square together with a concrete separating input when one exists
 under that interpretation.
 
@@ -23,10 +24,10 @@ or fails; each bound ref must land on fw2's ref once moved into the forward
 pass.  The wires bw2 does not read meet the forward square only, and one
 pass over the table's rows counts their solutions.  So each pair gets its
 exact number of cells (witnesses distinct up to normal form) and its first
-witness, which still goes through `Squares` and the exhaustive
-cross-check.  The search depth is accepted as before and bounds nothing.
-`enumerate_morphisms` is the bounded enumeration the search replaced; it is
-kept as an oracle for tests.
+witness, whose canonical form still goes through `Squares` and the
+exhaustive cross-check.  The search depth is accepted as before and bounds
+nothing.  `enumerate_morphisms` is the bounded enumeration the search
+replaced; it is kept as an oracle for tests.
 
 `pi0_classes` computes connected components of a sample, treating cells as
 undirected edges and identifying optics whose residuals and canonical forms
@@ -40,8 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .interp import Interp, extensional_counterexample
-from .normal import Ref, UniqueTable, normalize, read_back
+from .interp import Interp, Runner, first_disagreement
+from .normal import CanonicalForm, Ref, UniqueTable, normalize, read_back, run_form
 from .optic import Optic, optic_compose
 from .signature import Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
@@ -75,6 +76,13 @@ def _check_boundaries(src: Optic, tgt: Optic) -> None:
         )
 
 
+def _push(witness: Term | CanonicalForm, xs: tuple, apply) -> tuple:
+    """Run a witness given as a term, or as a canonical form row by row."""
+    if isinstance(witness, CanonicalForm):
+        return run_form(witness, xs, apply)
+    return run(witness, xs, apply)[0]
+
+
 class Squares:
     """The two squares of the cells from src to tgt, for any number of witnesses.
 
@@ -82,7 +90,9 @@ class Squares:
     forward table once, and a witness r pushes only `r x B` from fw1's output
     refs; bw1 is pushed into the backward table once, at the first forward
     square that holds, and r pushes `(r x B') ; bw2` from its inputs.  A
-    square commutes exactly when both sides end at the same refs.
+    square commutes exactly when both sides end at the same refs.  A witness
+    is a term or a canonical form; a form runs each of its rows once, so a
+    witness whose rows share arguments is checked in time linear in its rows.
     """
 
     def __init__(self, src: Optic, tgt: Optic):
@@ -91,14 +101,24 @@ class Squares:
         self._forward: tuple | None = None  # table, fw1's M refs, fw1's B refs, fw2's refs
         self._backward: tuple | None = None  # table, bw1's refs
 
-    def sides(self, side: str, witness: Term) -> tuple[Term, Term]:
-        """The left and right side of one square, as terms."""
-        b_obj, b_back = self.src.cod_pair
+    def sides(self, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
+        """The left and right side of one square, as runners `(xs, apply) -> outputs`."""
+        k = len(self.src.residual)
+        src, tgt = self.src, self.tgt
         if side == "forward":
-            return self.src.forward >> Ten(witness, Id(b_obj)), self.tgt.forward
-        return Ten(witness, Id(b_back)) >> self.tgt.backward, self.src.backward
 
-    def commutes(self, side: str, witness: Term) -> bool:
+            def left(xs: tuple, apply) -> tuple:
+                ys = run(src.forward, xs, apply)[0]
+                return _push(witness, ys[:k], apply) + ys[k:]
+
+            return left, lambda xs, apply: run(tgt.forward, xs, apply)[0]
+
+        def left(xs: tuple, apply) -> tuple:
+            return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)[0]
+
+        return left, lambda xs, apply: run(src.backward, xs, apply)[0]
+
+    def commutes(self, side: str, witness: Term | CanonicalForm) -> bool:
         """The normalizer's verdict on one square."""
         k = len(self.src.residual)
         if side == "forward":
@@ -108,22 +128,24 @@ class Squares:
                 fw2 = run(self.tgt.forward, table.inputs, table.apply)[0]
                 self._forward = table, fw1[:k], fw1[k:], fw2
             table, ms, bs, want = self._forward
-            return run(witness, ms, table.apply)[0] + bs == want
+            return _push(witness, ms, table.apply) + bs == want
         if self._backward is None:
             table = UniqueTable(len(self.src.backward.dom))
             self._backward = table, run(self.src.backward, table.inputs, table.apply)[0]
         table, want = self._backward
-        ms = run(witness, table.inputs[:k], table.apply)[0]
+        ms = _push(witness, table.inputs[:k], table.apply)
         return run(self.tgt.backward, ms + table.inputs[k:], table.apply)[0] == want
 
-    def separating_input(self, side: str, witness: Term, interp: Interp | None) -> tuple | None:
+    def separating_input(
+        self, side: str, witness: Term | CanonicalForm, interp: Interp | None
+    ) -> tuple | None:
         """The first input where the sides of one square differ, if interp is finite there."""
         dom = (self.src.forward if side == "forward" else self.src.backward).dom
         if interp is None or not interp.is_finite(dom):
             return None
-        return extensional_counterexample(*self.sides(side, witness), interp)
+        return first_disagreement(dom, *self.sides(side, witness), interp)
 
-    def failing_side(self, witness: Term, interp: Interp | None = None) -> str | None:
+    def failing_side(self, witness: Term | CanonicalForm, interp: Interp | None = None) -> str | None:
         """The first square the normalizer rejects, or None if both commute.
 
         An accepted square is cross-checked on every input when `interp` is
@@ -409,12 +431,13 @@ class _Passes:
             got = self._solutions[i] = wires, count
         return got
 
-    def decide(self, i: int, j: int) -> tuple[int, Term | None]:
+    def decide(self, i: int, j: int) -> tuple[int, CanonicalForm | None]:
         """The number of cells from optic i to optic j, and the first witness.
 
         Witnesses are counted distinct up to normal form.  The first is the
         one a bounded enumeration would list first: on each wire a residual
-        wire before a generator, the lowest wire first.
+        wire before a generator, the lowest wire first.  It comes as its
+        canonical form.
         """
         k1, k2 = self.sizes[i], self.sizes[j]
         m1, m2 = self.fw[i][:k1], self.fw[j][:k2]
@@ -449,19 +472,23 @@ class _Passes:
             table.apply,
         )))
         src, tgt = self.optics[i].residual, self.optics[j].residual
-        return count, read_back(table.form(src, tgt, tuple(outs[w] for w in range(k2))))
+        return count, table.form(src, tgt, tuple(outs[w] for w in range(k2)))
 
 
 def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple[int, TwoCell | None]:
-    """The number of cells from optic i to optic j, and the first, checked by `Squares`."""
-    count, witness = passes.decide(i, j)
+    """The number of cells from optic i to optic j, and the first, checked by `Squares`.
+
+    The squares check the witness's canonical form, which runs each row
+    once; the cell holds the term `read_back` builds from it.
+    """
+    count, form = passes.decide(i, j)
     if not count:
         return 0, None
     src, tgt = passes.optics[i], passes.optics[j]
-    side = Squares(src, tgt).failing_side(witness, interp)
+    side = Squares(src, tgt).failing_side(form, interp)
     if side is not None:
         raise AssertionError(f"the matched witness fails the {side} square")
-    return count, TwoCell(src, tgt, witness)
+    return count, TwoCell(src, tgt, read_back(form))
 
 
 def find_witnesses(

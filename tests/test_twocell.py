@@ -46,7 +46,7 @@ from cartoptics import (
 )
 from cartoptics import compose_chain, compose_optic_chain, twocell
 from cartoptics.cost import build_chain
-from cartoptics.interp import extensional_counterexample
+from cartoptics.interp import first_disagreement
 from cartoptics.normal import UniqueTable
 from cartoptics.term import gen_wire, pairing, run, select_wire
 from cartoptics.sampling import random_obj, random_optic, random_signature, random_valid_cell
@@ -206,6 +206,24 @@ class TestDeepComponents:
         # cells run from recompute to store, and the optic chain has none going out
         assert edges == [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 0, 1), (1, 2, 1), (1, 3, 1), (3, 2, 1)]
         assert pi0_classes(sample) == [[0, 1, 2, 3]]
+
+    def test_a_witness_sharing_its_rows_is_checked_row_by_row(self):
+        # t applies m to two copies of the previous stage 40 times: 40 rows, 2**40 paths
+        a = Sort("A", FiniteCarrier(2))
+        A = Obj((a,))
+        sig = Signature((a,), (Generator("m", A @ A, A, table=((0,), (1,), (1,), (0,))),))
+        t = Id(A)
+        for _ in range(40):
+            t = t >> Copy(A) >> Gen(sig.generator("m"))
+        holds_input = Optic(A, Copy(A) >> (Id(A) @ t), Proj2(A, A))
+        holds_output = Optic(A, Copy(A) >> (t @ t), Proj2(A, A))
+        start = time.perf_counter()
+        sample = search_cells([holds_input, holds_output], sig, 2, Interp.from_signature(sig))
+        found = find_witnesses(holds_input, holds_output, sig, 2)
+        assert time.perf_counter() - start < 5.0
+        # the witness recomputes t; nothing gets the input back from t
+        assert [(c.src, c.tgt) for c in sample.cells] == [(holds_input, holds_output)]
+        assert sample.counts == (1,) and len(found) == 1
 
 
 @pytest.fixture(scope="module")
@@ -463,19 +481,22 @@ class TestSearchCrossChecks:
         sig, family, interp = demo_family(((1,), (0,)))
         checked = []
 
-        def recording(lhs, rhs, interp):
-            checked.append((lhs, rhs))
-            return extensional_counterexample(lhs, rhs, interp)
+        def recording(dom, lhs, rhs, interp):
+            checked.append((dom, lhs, rhs))
+            return first_disagreement(dom, lhs, rhs, interp)
 
-        monkeypatch.setattr(twocell, "extensional_counterexample", recording)
+        monkeypatch.setattr(twocell, "first_disagreement", recording)
         sample = search_cells(family, sig, 3, interp)
-        want = [
-            twocell.Squares(c.src, c.tgt).sides(side, c.witness)
-            for c in sample.cells
-            for side in ("forward", "backward")
-        ]
-        assert sample.cells and checked == want
-        assert all(normal_eq(lhs, rhs) for lhs, rhs in checked)
+        want = [(c, side) for c in sample.cells for side in ("forward", "backward")]
+        assert sample.cells and len(checked) == len(want)
+        for (dom, lhs, rhs), (c, side) in zip(checked, want):
+            assert dom == (c.src.forward if side == "forward" else c.src.backward).dom
+            # the checked sides are that square of that cell's witness, and they commute
+            table = UniqueTable(len(dom))
+            sides = twocell.Squares(c.src, c.tgt).sides(side, c.witness)
+            want_refs = [run_side(table.inputs, table.apply) for run_side in sides]
+            assert [run_side(table.inputs, table.apply) for run_side in (lhs, rhs)] == want_refs
+            assert want_refs[0] == want_refs[1]
 
     def test_a_wrong_match_is_caught_by_the_squares(self, monkeypatch, sig, A, interp):
         # a matcher that binds nothing takes the first forward solution, wire 0

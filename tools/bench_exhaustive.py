@@ -33,8 +33,9 @@ both sides, the side that goes first alternating) are those of
 rounds; `after_over_before` is the median of the per-round ratios; and
 `outputs_identical` says whether every run of every side printed the same
 output digest, and `classes_identical` the same for the classes of the `pi0`
-cases.  The exit code is 0 when every run finished, `check-laws` and
-`coherence` printed identical outputs, and `pi0` identical classes.
+cases.  The exit code is 0 when every run finished and `check-laws`,
+`coherence` and `pi0` printed identical outputs; `pi0-1000` is not gated,
+since a search bounded by depth finds fewer of its cells.
 """
 
 from __future__ import annotations
@@ -244,8 +245,7 @@ def main() -> int:
     else:
         sys.stdout.write(text)
     same = report["outputs_identical"]
-    ok = report["all_ok"] and same["check-laws"] and same["coherence"]
-    return 0 if ok and report["classes_identical"]["pi0"] else 1
+    return 0 if report["all_ok"] and same["check-laws"] and same["coherence"] and same["pi0"] else 1
 
 
 if __name__ == "__main__":
