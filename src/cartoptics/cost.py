@@ -11,6 +11,8 @@ chain are compared on identical inputs:
     residual.  Forward work is linear, held state is linear.
   * shared: normalize the lens round trip and evaluate it as a hash-consed
     dag, which deduplicates the recomputed prefixes back to linear work.
+    Building the dag is linear too: normalizing pushes each recomputed
+    prefix, a subterm the composite shares, into the unique table once.
 
 `run_tradeoff` verifies the three strategies agree pointwise, asserts the
 closed-form counts for left association, and returns one row per prefix

@@ -18,7 +18,12 @@ the dataclass `==` and `hash` decide sameness.
 Normalizing is evaluation in the syntactic model: `normalize` pushes refs
 through the term with `term.run`, the walker `evaluate` uses, and each
 generator looks its row up in a unique table, appending it when new; one
-renumbering pass then keeps the live rows in walk order.  `normal_eq` pushes
+renumbering pass then keeps the live rows in walk order.  A term enters a
+table only through `UniqueTable.push`, whose walk keeps the output of a
+subterm it meets again (the same node, on the same input refs), so each
+shared subterm is pushed once: the get pass that a lens composite's put
+recomputes at every stage costs one walk, and normalizing takes time linear
+in the term's distinct subterms rather than in its tree.  `normal_eq` pushes
 both terms through one table and compares their output refs; `twocell` keeps
 a `UniqueTable` per square in the same way, for many witnesses.  `read_back`
 rebuilds a term (with explicit copies and projections) from a canonical form;
@@ -92,8 +97,19 @@ class UniqueTable:
         if outs is None:
             node = len(self.rows)
             self.rows.append((rep, xs))
-            outs = self.outs[key] = tuple((node, j) for j in range(len(rep.cod)))
+            outs = self.outs[key] = tuple([(node, j) for j in range(len(rep.cod.sorts))])
         return outs
+
+    def push(self, t: Term | CanonicalForm, xs: tuple[Ref, ...]) -> tuple[Ref, ...]:
+        """The refs t outputs on input refs xs, entering its rows in the table.
+
+        This is how a term enters a table: one walk with a fresh memo, so a
+        subterm shared by identity is pushed once per distinct input.  A
+        canonical form is pushed row by row, each row once.
+        """
+        if isinstance(t, CanonicalForm):
+            return run_form(t, xs, self.apply)
+        return run(t, xs, self.apply, memo={})[0]
 
     def form(self, dom: Obj, cod: Obj, outputs: tuple[Ref, ...]) -> CanonicalForm:
         """The rows the outputs use, renumbered in left-to-right walk order.
@@ -125,7 +141,7 @@ class UniqueTable:
 
 def normalize(t: Term) -> CanonicalForm:
     table = UniqueTable(len(t.dom))
-    return table.form(t.dom, t.cod, run(t, table.inputs, table.apply)[0])
+    return table.form(t.dom, t.cod, table.push(t, table.inputs))
 
 
 def normal_eq(f: Term, g: Term) -> bool:
@@ -137,9 +153,7 @@ def normal_eq(f: Term, g: Term) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
     table = UniqueTable(len(f.dom))
-    fs, _ = run(f, table.inputs, table.apply)
-    gs, _ = run(g, table.inputs, table.apply)
-    return fs == gs
+    return table.push(f, table.inputs) == table.push(g, table.inputs)
 
 
 def read_back(cf: CanonicalForm) -> Term:

@@ -44,6 +44,20 @@ def _chain(stages: list[Term], dom: Obj) -> Term:
     return reduce(Seq, stages) if stages else Id(dom)
 
 
+def _flat(t: Term) -> Term:
+    """t as a flat chain: t itself if it already is one, else rebuilt from its stages.
+
+    A flat chain is a left-nested `Seq` whose stages are neither `Seq` nor
+    `Id`, a single such stage, or a lone `Id`.
+    """
+    s = t
+    while isinstance(s, Seq) and not isinstance(s.right, (Seq, Id)):
+        s = s.left
+    if isinstance(s, Seq) or (isinstance(s, Id) and s is not t):
+        return _chain(_stages(t), t.dom)
+    return t
+
+
 def _wrap(m: Obj, t: Term) -> Term:
     """Tensor an identity context onto a stage, merging adjacent contexts.
 
@@ -66,8 +80,8 @@ class Optic:
     cod_pair: tuple[Obj, Obj] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "forward", _chain(_stages(self.forward), self.forward.dom))
-        object.__setattr__(self, "backward", _chain(_stages(self.backward), self.backward.dom))
+        object.__setattr__(self, "forward", _flat(self.forward))
+        object.__setattr__(self, "backward", _flat(self.backward))
         m = self.residual
         if self.forward.cod[: len(m)] != m:
             raise TermTypeError(

@@ -204,7 +204,11 @@ _JOIN = object()  # marks where a tensor's right half is done
 
 
 def run(
-    t: Term, xs: tuple, apply: Callable[[Generator, tuple], tuple], counts: Counter | None = None
+    t: Term,
+    xs: tuple,
+    apply: Callable[[Generator, tuple], tuple],
+    counts: Counter | None = None,
+    memo: dict | None = None,
 ) -> tuple[tuple, int]:
     """Push the value tuple xs through t; return the outputs and the wires copied.
 
@@ -213,18 +217,35 @@ def run(
     interpretation evaluates t; looking rows up in a unique table normalizes
     it.  With `counts` given, each application also bumps `counts[gen.name]`.
     The walk keeps its own stack, so terms of any depth run.
+
+    With `memo` given (an empty dict, one per call), a `Seq` node reached
+    more than once is run once per distinct input: its first visit only
+    marks it, from its second visit on its output is kept, keyed by the
+    input, and a later visit with an equal input reuses it.  So a subterm
+    shared by identity costs one walk, not one per path to it, and a term
+    that shares nothing keeps no values.  The memo is keyed by node
+    identity, which is sound while t, and so every node it reaches, is
+    alive.  Values must be hashable and applications free of effects, so
+    only `normal.UniqueTable.push` passes a memo; evaluation never does, and
+    its counts stay exact.  A memo skips applications, so `counts` and
+    `memo` together raise ValueError, and the copies returned are those of
+    the nodes actually walked.
     """
+    if counts is not None and memo is not None:
+        raise ValueError("run: a memo skips applications, so counts cannot be kept with it")
+    # Seq nodes are taken apart here without a memo, and by the memo branch with one
+    descend = Seq if memo is None else None
     copied = 0
     todo: list = []  # terms still to run, and the pieces of tensors in progress
     parked: list[tuple] = []  # left parts of tensor outputs, waiting for the right part
     while True:
         kind = type(t)
-        while kind is Seq:
+        while kind is descend:
             todo.append(t.right)
             t = t.left
             kind = type(t)
         if kind is Ten:
-            k = len(t.left.dom)
+            k = len(t.left.dom.sorts)  # the tuple's len: Obj.__len__ is a Python call
             if type(t.left) is Id:
                 # the identity context of a composed optic stage: park it for the join
                 parked.append(xs[:k])
@@ -249,17 +270,37 @@ def run(
         elif kind is Id:
             pass
         elif kind is Copy:
-            copied += len(t.obj)
+            copied += len(t.obj.sorts)
             xs = xs + xs
         elif kind is Delete:
             xs = ()
         elif kind is Swap:
-            k = len(t.first)
+            k = len(t.first.sorts)
             xs = xs[k:] + xs[:k]
         elif kind is Proj1:
-            xs = xs[: len(t.first)]
+            xs = xs[: len(t.first.sorts)]
         elif kind is Proj2:
-            xs = xs[len(t.first) :]
+            xs = xs[len(t.first.sorts) :]
+        elif kind is Seq:  # only with a memo: down t's left spine, all on input xs
+            while kind is Seq:
+                key = id(t)
+                if key not in memo:  # first visit: mark it, keep nothing
+                    memo[key] = None
+                else:
+                    kept = memo[key]
+                    if kept is None:  # second visit: keep its outputs from now on
+                        kept = memo[key] = {}
+                    elif xs in kept:
+                        xs = kept[xs]
+                        break
+                    todo.append([kept, xs])  # where t's output is kept once it is done
+                todo.append(t.right)
+                t = t.left
+                kind = type(t)
+            else:
+                continue
+        elif kind is list:  # a kept Seq node is done: keep its output under its input
+            t[0][t[1]] = xs
         else:
             raise TypeError(f"not a term: {t!r}")
         if not todo:

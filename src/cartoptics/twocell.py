@@ -124,17 +124,17 @@ class Squares:
         if side == "forward":
             if self._forward is None:
                 table = UniqueTable(len(self.src.forward.dom))
-                fw1 = run(self.src.forward, table.inputs, table.apply)[0]
-                fw2 = run(self.tgt.forward, table.inputs, table.apply)[0]
+                fw1 = table.push(self.src.forward, table.inputs)
+                fw2 = table.push(self.tgt.forward, table.inputs)
                 self._forward = table, fw1[:k], fw1[k:], fw2
             table, ms, bs, want = self._forward
-            return _push(witness, ms, table.apply) + bs == want
+            return table.push(witness, ms) + bs == want
         if self._backward is None:
             table = UniqueTable(len(self.src.backward.dom))
-            self._backward = table, run(self.src.backward, table.inputs, table.apply)[0]
+            self._backward = table, table.push(self.src.backward, table.inputs)
         table, want = self._backward
-        ms = _push(witness, table.inputs[:k], table.apply)
-        return run(self.tgt.backward, ms + table.inputs[k:], table.apply)[0] == want
+        ms = table.push(witness, table.inputs[:k])
+        return table.push(self.tgt.backward, ms + table.inputs[k:]) == want
 
     def separating_input(
         self, side: str, witness: Term | CanonicalForm, interp: Interp | None
@@ -361,11 +361,11 @@ class _Passes:
         self.starts, self.fw, self.bw, self.fibre = [], [], [], []
         start = na + nb
         for o, k in zip(optics, self.sizes):
-            fw = run(o.forward, table.inputs[:na], table.apply)[0]
+            fw = table.push(o.forward, table.inputs[:na])
             self.starts.append(start)
             self.fw.append(fw)
-            self.bw.append(run(o.backward, table.inputs[start : start + k] + back, table.apply)[0])
-            self.fibre.append((fw[k:], run(o.backward, fw[:k] + back, table.apply)[0]))
+            self.bw.append(table.push(o.backward, table.inputs[start : start + k] + back))
+            self.fibre.append((fw[k:], table.push(o.backward, fw[:k] + back)))
             start += k
         reads = self.reads_back = []  # per row: does it read B' (which no witness sees)?
         for _, args in table.rows:

@@ -13,6 +13,7 @@ path, so they are used on small forms only.
 import pickle
 import time
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -28,15 +29,19 @@ from cartoptics import (
     Sort,
     build_chain,
     compose_chain,
+    compose_optic_chain,
     eq_extensional,
     gen_occurrences,
     normal_eq,
     normalize,
+    pi0_classes,
     read_back,
     reify,
+    search_cells,
     select_wire,
     share,
 )
+from cartoptics.normal import UniqueTable
 from cartoptics.optic import round_trip_term
 from cartoptics.sampling import random_morphism, random_obj, random_signature
 from cartoptics.term import run
@@ -52,6 +57,59 @@ def _copy_chain(k):
     for _ in range(k):
         t = t >> (Copy(A) >> H)
     return t
+
+
+@pytest.fixture
+def applications(monkeypatch):
+    """Every `UniqueTable.apply` call made while the test runs, as generator names."""
+    calls = []
+    apply = UniqueTable.apply
+
+    def counted(self, gen, xs):
+        calls.append(gen.name)
+        return apply(self, gen, xs)
+
+    monkeypatch.setattr(UniqueTable, "apply", counted)
+    return calls
+
+
+class TestSharedSubtermsPushedOnce:
+    """A lens composite's put reruns each prefix of its get pass; the table sees each once."""
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 256])
+    def test_round_trips_take_linear_applications(self, n, applications):
+        chain = build_chain(n, "finite", seed=0)
+        lenses = list(chain.lenses)
+        left = round_trip_term(reify(compose_chain(lenses)))
+        cf = normalize(left)
+        # n for the get pass, n - 1 for its prefixes once more inside the put, n puts
+        assert len(applications) == 3 * n
+        assert len(cf.nodes) == 2 * n
+        for t in (
+            round_trip_term(reify(compose_chain(lenses, "right"))),
+            round_trip_term(compose_optic_chain([reify(l) for l in lenses])),
+        ):
+            applications.clear()
+            assert normalize(t) == cf
+            assert len(applications) <= 3 * n
+        applications.clear()
+        assert normal_eq(left, left) and len(applications) == 6 * n
+
+    def test_four_packagings_are_decided_in_linear_applications(self, applications):
+        n = 300
+        chain = build_chain(n, "finite", seed=0)
+        lenses = list(chain.lenses)
+        halves = [reify(compose_chain(lenses[:150])), reify(compose_chain(lenses[150:]))]
+        family = [
+            reify(compose_chain(lenses)),
+            reify(compose_chain(lenses, "right")),
+            compose_optic_chain([reify(l) for l in lenses]),
+            compose_optic_chain(halves),
+        ]
+        sample = search_cells(family, chain.signature, 2)
+        assert len(sample.cells) == 7 and pi0_classes(sample) == [[0, 1, 2, 3]]
+        # about 84 per stage; walking the puts as trees took about 1300 per stage
+        assert len(applications) <= 100 * n
 
 
 class TestExponentialCases:

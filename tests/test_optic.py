@@ -7,10 +7,13 @@ from functools import reduce
 import pytest
 
 from cartoptics import (
+    UNIT,
+    Copy,
     Id,
     Interp,
     Optic,
     Proj1,
+    Proj2,
     Swap,
     Ten,
     TermTypeError,
@@ -30,6 +33,7 @@ from cartoptics import (
     round_trip_term,
     graph,
 )
+from cartoptics.optic import _chain, _stages
 from cartoptics.sampling import random_obj, random_optic
 from sampling_helpers import loop_term, random_values
 
@@ -74,6 +78,44 @@ class TestConstruction:
         plain = Optic(A, graph(f), h)
         padded = Optic(A, Id(A) >> graph(f), (Id(A @ B) >> h) >> Id(A))
         assert padded == plain
+
+    def test_flat_passes_are_kept(self, f, g, h, A, B):
+        # left-nested chains with no identity stage, single stages, lone identities
+        fw = Copy(A) >> Ten(Id(A), f) >> Ten(Id(A), g >> f)
+        bw = Ten(Id(A), g >> f) >> Ten(Id(A), g) >> Swap(A, A) >> Ten(f, Id(A)) >> Proj2(B, A)
+        for m, fw, bw in ((A, fw, bw), (A, graph(f), h), (A, fw, h), (UNIT, Id(A), Id(A))):
+            o = Optic(m, fw, bw)
+            assert o.forward is fw and o.backward is bw
+
+    def test_nested_or_padded_passes_are_rebuilt(self, f, g, h, A, B):
+        s1, s2, s3 = Copy(A), Ten(Id(A), f), Ten(Id(A), g >> f)
+        flat = s1 >> s2 >> s3
+        for fw in (
+            s1 >> (s2 >> s3),  # right-nested
+            (s1 >> Id(A @ A)) >> s2 >> s3,  # an identity stage inside
+            Id(A) >> flat,  # an identity stage first
+            flat >> Id(A @ B),  # an identity stage last
+            Id(A) >> s1 >> (s2 >> (Id(A @ B) >> s3)),
+        ):
+            o = Optic(A, fw, h)
+            assert o.forward is not fw
+            assert o.forward == _chain(_stages(fw), fw.dom) == flat
+        # a pass with no stages left is the identity on its domain
+        assert Optic(UNIT, Id(A) >> Id(A), Id(A)).forward == Id(A)
+
+    def test_composed_chains_equal_rebuilt_ones(self, sig):
+        rng = random.Random(75)
+        for _ in range(40):
+            pair = (random_obj(rng, sig), random_obj(rng, sig))
+            chain = []
+            for _ in range(rng.randint(1, 5)):
+                o = optic_id(pair) if rng.random() < 0.2 else random_optic(rng, sig, pair)
+                chain.append(o)
+                pair = o.cod_pair
+            o = compose_optic_chain(chain)
+            fw, bw = (_chain(_stages(t), t.dom) for t in (o.forward, o.backward))
+            assert (o.forward, o.backward) == (fw, bw)
+            assert Optic(o.residual, fw, bw) == o
 
 
 class TestStrictCategoryLaws:

@@ -10,12 +10,15 @@ recursive evaluator of canonical forms, from the outputs down and each row
 once, is the oracle for `evaluate_dag`.  The recursive printer is kept the
 same way as the oracle for `term_to_expr`.  The deep-chain tests run terms
 nested several times deeper than the interpreter's default recursion limit.
+Pushes into a unique table remember the outputs of shared subterms; they are
+checked against the same term reparsed from its text, which shares nothing.
 """
 
 import random
 import time
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -46,10 +49,12 @@ from cartoptics import (
     evaluate_dag,
     extensional_counterexample,
     gen_occurrences,
+    lens_compose,
     lens_exec,
     normal_eq,
     normalize,
     optic_exec,
+    parse_term,
     read_back,
     reify,
     round_trip_term,
@@ -57,7 +62,15 @@ from cartoptics import (
     share,
 )
 from cartoptics.normal import UniqueTable
-from cartoptics.sampling import random_morphism, random_obj, random_signature, random_table
+from cartoptics.sampling import (
+    random_composable_lenses,
+    random_lens,
+    random_morphism,
+    random_obj,
+    random_signature,
+    random_table,
+)
+from cartoptics.term import run
 from sampling_helpers import padded_variants
 
 # --- oracle: the recursive walkers ---------------------------------------------
@@ -462,3 +475,104 @@ def test_deep_lens_chain_executes():
     assert report.total_evals(chain.get_names) == DEEP_LENS * (DEEP_LENS + 1) // 2
     assert report.total_evals(chain.put_names) == DEEP_LENS
     assert time.perf_counter() - start < 120
+
+
+# --- pushes that remember shared subterms -----------------------------------------
+
+
+def _counting_table(dom):
+    """A unique table that records every generator it is asked to apply."""
+    table, calls = UniqueTable(len(dom)), []
+    apply = table.apply
+
+    def counted(gen, xs):
+        calls.append(gen.name)
+        return apply(gen, xs)
+
+    table.apply = counted
+    return table, calls
+
+
+def test_run_rejects_counts_with_a_memo():
+    A = Obj((Sort("A", FiniteCarrier(2)),))
+    t = Copy(A) >> Swap(A, A)
+    with pytest.raises(ValueError, match="memo"):
+        run(t, (0,), lambda gen, xs: xs, Counter(), {})
+    assert run(t, (0,), lambda gen, xs: xs, memo={}) == ((0, 0), 1)
+
+
+def test_a_shared_subterm_runs_once_per_distinct_input():
+    A = Obj((Sort("A", FiniteCarrier(2)),))
+    d = Gen(Generator("d", A, A, table=((1,), (0,))))
+    s = d >> d  # a Seq node: the memo sits on those
+    # s meets x twice, then s(x) twice: the first visit only marks s, the
+    # second keeps its output on x, the third on s(x), and the fourth reuses that
+    t = Copy(A) >> Ten(s, s) >> Ten(s, Id(A)) >> Ten(Id(A), s)
+    table, calls = _counting_table(A)
+    memo: dict = {}
+    outs, copied = run(t, table.inputs, table.apply, memo=memo)
+    assert (len(calls), copied) == (2 + 2 + 2, 1)
+    assert memo[id(s)] == {(0,): ((1, 0),), ((1, 0),): ((3, 0),)}
+    assert outs == ((3, 0), (3, 0))
+    assert table.form(A, A @ A, outs) == oracle_normalize(t)
+
+
+def test_a_term_sharing_nothing_keeps_no_values():
+    chain = build_chain(16, "finite", seed=2)
+    optic = round_trip_term(compose_optic_chain([reify(l) for l in chain.lenses]))
+    lens = round_trip_term(reify(compose_chain(list(chain.lenses))))
+    kept = {}
+    for name, t in (("optic", optic), ("lens", lens)):
+        memo: dict = {}
+        table = UniqueTable(len(t.dom))
+        run(t, table.inputs, table.apply, memo=memo)
+        assert memo, name  # its Seq nodes are marked
+        kept[name] = sum(v is not None for v in memo.values())
+    # the lens composite's put reruns each prefix of its get pass
+    assert kept == {"optic": 0, "lens": 14}
+
+
+def _random_composite(rng):
+    """A random bracketing of random lenses whose last backward boundary fits its forward one.
+
+    Half the time the stages are drawn from two lenses (C, C) -> (C, C), so
+    one get term recurs at several stages, on different inputs.
+    """
+    while True:
+        sig = random_signature(rng)
+        c = random_obj(rng, sig)
+        try:
+            if rng.random() < 0.5:
+                pool = [random_lens(rng, sig, (c, c), (c, c)) for _ in range(2)]
+                lenses = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            else:
+                lenses = list(random_composable_lenses(rng, sig, rng.randint(1, 5)))
+                lenses.append(random_lens(rng, sig, lenses[-1].cod_pair, (c, c)))
+        except ValueError:
+            continue
+        break
+
+    def bracket(ls):
+        if len(ls) == 1:
+            return ls[0]
+        k = rng.randint(1, len(ls) - 1)
+        return lens_compose(bracket(ls[:k]), bracket(ls[k:]))
+
+    return sig, bracket(lenses)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.randoms(use_true_random=False))
+def test_pushes_of_lens_round_trips_match_their_unshared_copies(rng):
+    sig, lens = _random_composite(rng)
+    t = round_trip_term(reify(lens))
+    copy = parse_term(str(t), sig)  # the same tree, with no node reached twice
+    cf = normalize(t)
+    assert cf == normalize(copy) == oracle_normalize(t)
+    assert normal_eq(t, copy) and normal_eq(lens.put, parse_term(str(lens.put), sig))

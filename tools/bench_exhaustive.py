@@ -21,7 +21,9 @@ count being 1 where the search reports none.  Its classes also get a digest
 of their own (`classes_sha256`), since a search that finds more cells
 changes the rest of the output but must not change the classes.  The
 in-process cases report the median of REPEAT single shots (one shot for
-`pi0-1000`).
+`pi0-1000`); a `pi0` case also reports the seconds spent in `search_cells`
+alone (`search_s`), since printing the witnesses of `pi0-1000` takes longer
+than finding them.
 
     python tools/bench_exhaustive.py                      # this checkout's src/
     python tools/bench_exhaustive.py --before REV --out BENCH_exhaustive.json
@@ -33,9 +35,8 @@ both sides, the side that goes first alternating) are those of
 rounds; `after_over_before` is the median of the per-round ratios; and
 `outputs_identical` says whether every run of every side printed the same
 output digest, and `classes_identical` the same for the classes of the `pi0`
-cases.  The exit code is 0 when every run finished and `check-laws`,
-`coherence` and `pi0` printed identical outputs; `pi0-1000` is not gated,
-since a search bounded by depth finds fewer of its cells.
+cases.  The exit code is 0 when every run finished and every case printed
+identical outputs.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def coherence_shot():
     return shot
 
 
+def timed_search(search_s: list[float], family, sig, depth, interp):
+    """`search_cells`, adding its seconds to the last entry of search_s."""
+    from cartoptics import search_cells
+
+    start = time.perf_counter()
+    sample = search_cells(family, sig, depth, interp)
+    search_s[-1] += time.perf_counter() - start
+    return sample
+
+
 def pi0_output(C, sample, family) -> dict:
     index = {id(o): i for i, o in enumerate(family)}
     counts = getattr(sample, "counts", ()) or (1,) * len(sample.cells)
@@ -89,7 +100,7 @@ def pi0_output(C, sample, family) -> dict:
     return {"classes": C.pi0_classes(sample), "n_cells": sum(counts), "cells": cells}
 
 
-def pi0_1000_shot():
+def pi0_1000_shot(search_s: list[float]):
     import cartoptics as C
 
     chain = C.build_chain(1000, "finite", seed=0)
@@ -103,12 +114,13 @@ def pi0_1000_shot():
     ]
 
     def shot():
-        return [pi0_output(C, C.search_cells(family, sig, depth=2, interp=None), family)]
+        search_s.append(0.0)
+        return [pi0_output(C, timed_search(search_s, family, sig, 2, None), family)]
 
     return shot
 
 
-def pi0_shot():
+def pi0_shot(search_s: list[float]):
     import cartoptics as C
 
     a = C.Sort("A", C.FiniteCarrier(2))
@@ -128,8 +140,9 @@ def pi0_shot():
         cases.append((sig, family, C.Interp.from_signature(sig)))
 
     def shot():
+        search_s.append(0.0)
         return [
-            pi0_output(C, C.search_cells(family, sig, depth=3, interp=ip), family)
+            pi0_output(C, timed_search(search_s, family, sig, 3, ip), family)
             for sig, family, ip in cases
         ]
 
@@ -138,7 +151,11 @@ def pi0_shot():
 
 def measure(case: str) -> dict:
     """Run in the child interpreter: the median of REPEAT shots and the output digests."""
-    shot = {"coherence": coherence_shot, "pi0": pi0_shot, "pi0-1000": pi0_1000_shot}[case]()
+    search_s: list[float] = []  # seconds in `search_cells`, one entry per shot
+    if case == "coherence":
+        shot = coherence_shot()
+    else:
+        shot = {"pi0": pi0_shot, "pi0-1000": pi0_1000_shot}[case](search_s)
     start = time.perf_counter()
     result = shot()
     seconds = [time.perf_counter() - start]
@@ -147,6 +164,7 @@ def measure(case: str) -> dict:
     out = {"seconds": statistics.median(seconds), "output_sha256": digest(json.dumps(result, sort_keys=True))}
     if case.startswith("pi0"):
         out["classes_sha256"] = digest(json.dumps([r["classes"] for r in result]))
+        out["search_s"] = statistics.median(search_s[-len(seconds) :])
     return out
 
 
@@ -190,6 +208,8 @@ def run_all(sides: dict[str, Path]) -> dict:
                 "quartiles_s": quartiles(seconds),
                 **{k: v for k, v in rows[0].items() if k.endswith("_sha256")},
             }
+            if "search_s" in rows[0]:
+                out[name][case]["search_median_s"] = statistics.median(row["search_s"] for row in rows)
     every = [row for by_case in runs.values() for rows in by_case.values() for row in rows]
 
     def identical(key: str, cases) -> dict:
@@ -209,6 +229,10 @@ def run_all(sides: dict[str, Path]) -> dict:
             if all(a["status"] == b["status"] == "ok" for a, b in pairs):
                 ratios[case] = statistics.median(a["seconds"] / b["seconds"] for a, b in pairs)
                 ratios[f"{case} wins"] = sum(a["seconds"] < b["seconds"] for a, b in pairs)
+                if all("search_s" in row for pair in pairs for row in pair):
+                    ratios[f"{case} search"] = statistics.median(
+                        a["search_s"] / b["search_s"] for a, b in pairs
+                    )
     return out
 
 
@@ -244,8 +268,7 @@ def main() -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    same = report["outputs_identical"]
-    return 0 if report["all_ok"] and same["check-laws"] and same["coherence"] and same["pi0"] else 1
+    return 0 if report["all_ok"] and all(report["outputs_identical"].values()) else 1
 
 
 if __name__ == "__main__":

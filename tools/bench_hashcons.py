@@ -1,11 +1,15 @@
 """Time normalize, share, normal_eq, ==, hash and gen_occurrences on deep shared terms.
 
-Two families of terms, each at several sizes:
+Three families of terms, each at several sizes:
 
 - `chain n`: the round trip of `build_chain(n)` as one lens (finite carriers,
   seed 0): 2n distinct nodes, n(n+1)/2 + 2n generator occurrences;
 - `copy k`: `(copy[A] ; h)` repeated k times: k distinct nodes, 2^k - 1
-  generator occurrences.
+  generator occurrences;
+- `optic n`: the round trip of `compose_optic_chain` over the n reified
+  stages of the same chain: the same 2n distinct nodes and occurrences as
+  `chain n`, but no subterm of the term is reached twice, so the walk that
+  keeps the outputs of shared subterms finds none to keep (its worst case).
 
 Each size runs in its own interpreter, killed after TIMEOUT_S seconds (marked
 "not run"), which times REPEAT single shots of each operation and reports
@@ -41,7 +45,11 @@ from pathlib import Path
 from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = [("chain", n) for n in (16, 64, 128, 200)] + [("copy", k) for k in (12, 16, 20, 64)]
+SIZES = (
+    [("chain", n) for n in (16, 64, 128, 200, 1000)]
+    + [("copy", k) for k in (12, 16, 20, 64)]
+    + [("optic", n) for n in (64, 256, 1000)]
+)
 OPS = ("normalize", "share", "normal_eq", "eq", "hash", "gen_occurrences")
 REPEAT = 5
 ROUNDS = 6
@@ -55,6 +63,9 @@ def build_term(kind: str, size: int):
     if kind == "chain":
         chain = C.build_chain(size, "finite", seed=0)
         return round_trip_term(C.reify(C.compose_chain(chain.lenses)))
+    if kind == "optic":
+        chain = C.build_chain(size, "finite", seed=0)
+        return round_trip_term(C.compose_optic_chain([C.reify(l) for l in chain.lenses]))
     a = C.Obj((C.Sort("A", C.FiniteCarrier(2)),))
     h = C.Gen(C.Generator("h", a @ a, a, table=((0,), (1,), (1,), (0,))))
     t = C.Id(a)
