@@ -49,8 +49,7 @@ print(f"Family: {len(family)} optics A -> A over the map f(a) = 1 - a,")
 print("with residuals ranging over the unit object and A itself.")
 print()
 
-# the depth argument is accepted for old callers; it bounds nothing
-sample = search_cells(family, sig, depth=0, interp=interp)
+sample = search_cells(family, interp)
 classes = pi0_classes(sample)
 print(f"The exact search found {sum(sample.counts)} cells, over {len(sample.cells)} ordered")
 print(f"pairs of optics, giving {len(classes)} connected components:")

@@ -240,7 +240,7 @@ def cmd_pi0(args) -> int:
         where = f"{args.homcat}: search_depth" if from_file else "--search-depth"
         raise ValueError(f"{where}: expected a non-negative int")
     interp = _table_interp(sig)
-    sample = search_cells(optics, sig, depth, interp)
+    sample = search_cells(optics, interp)
     index = {id(o): i for i, o in enumerate(optics)}
     edges = [[index[id(c.src)], index[id(c.tgt)], n] for c, n in zip(sample.cells, sample.counts)]
     print(

@@ -24,11 +24,11 @@ subterm it meets again (the same node, on the same input refs), so each
 shared subterm is pushed once: the get pass that a lens composite's put
 recomputes at every stage costs one walk, and normalizing takes time linear
 in the term's distinct subterms rather than in its tree.  `normal_eq` pushes
-both terms through one table and compares their output refs; `twocell` keeps
-a `UniqueTable` per square in the same way, for many witnesses.  `read_back`
-rebuilds a term (with explicit copies and projections) from a canonical form;
-normalizing it gives it back.  `run_form` pushes values through a canonical
-form row by row, each row once.
+both terms through one table and compares their output refs; `twocell`
+decides both squares of a cell in one `UniqueTable` in the same way.
+`read_back` rebuilds a term (with explicit copies and projections) from a
+canonical form; normalizing it gives it back.  `run_form` pushes values
+through a canonical form row by row, each row once.
 """
 
 from __future__ import annotations

@@ -6,14 +6,15 @@ r: M1 -> M2 making both squares commute:
     fw1 ; (r x B)  ==  fw2          (forward square)
     (r x B') ; bw2 ==  bw1          (backward square)
 
-Equality is decided by the normalizer.  `Squares` holds one unique table per
-square for a pair of optics: the sides that do not depend on r are pushed
-into it once, and each witness pushes only its own part.  When a finite
-interpretation is given every accepted square is cross-checked by exhaustive
-evaluation.  A witness may be given as its canonical form, which runs row by
-row, each row once.  `mk_two_cell` (and so `cartoptics check-cell`) reports a
-rejected square together with a concrete separating input when one exists
-under that interpretation.
+Equality is decided by the normalizer, in one unique table that holds both
+squares: the forward square commutes when the witness moves fw1's residual
+refs onto fw2's, and only then is bw1 pushed, over M1 and B', for the
+backward square to end at.  A witness may be given as its canonical form,
+which runs row by row, each row once.  When a finite interpretation is given
+every accepted square is cross-checked by exhaustive evaluation.
+`mk_two_cell` (and so `cartoptics check-cell`) reports a rejected square
+together with a concrete separating input when one exists under that
+interpretation.
 
 `search_cells` decides every cell between the optics of a family exactly,
 with no candidate enumeration.  Cells preserve erasure, so only ordered
@@ -24,10 +25,12 @@ or fails; each bound ref must land on fw2's ref once moved into the forward
 pass.  The wires bw2 does not read meet the forward square only, and one
 pass over the table's rows counts their solutions.  So each pair gets its
 exact number of cells (witnesses distinct up to normal form) and its first
-witness, whose canonical form still goes through `Squares` and the
-exhaustive cross-check.  The search depth is accepted as before and bounds
-nothing.  `enumerate_morphisms` is the bounded enumeration the search
-replaced; it is kept as an oracle for tests.
+witness, whose squares are checked in that same table (pushing only the
+witness and bw2) and cross-checked by exhaustive evaluation.
+
+`enumerate_wire_terms` and `enumerate_morphisms`, the bounded enumeration the
+search replaced, stay: `perfbench/run.py` patches them by name, `bridge`
+uses the first and tests use the second as an oracle.
 
 `pi0_classes` computes connected components of a sample, treating cells as
 undirected edges and identifying optics whose residuals and canonical forms
@@ -83,92 +86,70 @@ def _push(witness: Term | CanonicalForm, xs: tuple, apply) -> tuple:
     return run(witness, xs, apply)[0]
 
 
-class Squares:
-    """The two squares of the cells from src to tgt, for any number of witnesses.
-
-    Each square has one unique table.  fw1 and fw2 are pushed into the
-    forward table once, and a witness r pushes only `r x B` from fw1's output
-    refs; bw1 is pushed into the backward table once, at the first forward
-    square that holds, and r pushes `(r x B') ; bw2` from its inputs.  A
-    square commutes exactly when both sides end at the same refs.  A witness
-    is a term or a canonical form; a form runs each of its rows once, so a
-    witness whose rows share arguments is checked in time linear in its rows.
-    """
-
-    def __init__(self, src: Optic, tgt: Optic):
-        _check_boundaries(src, tgt)
-        self.src, self.tgt = src, tgt
-        self._forward: tuple | None = None  # table, fw1's M refs, fw1's B refs, fw2's refs
-        self._backward: tuple | None = None  # table, bw1's refs
-
-    def sides(self, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
-        """The left and right side of one square, as runners `(xs, apply) -> outputs`."""
-        k = len(self.src.residual)
-        src, tgt = self.src, self.tgt
-        if side == "forward":
-
-            def left(xs: tuple, apply) -> tuple:
-                ys = run(src.forward, xs, apply)[0]
-                return _push(witness, ys[:k], apply) + ys[k:]
-
-            return left, lambda xs, apply: run(tgt.forward, xs, apply)[0]
+def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
+    """The left and right side of one square, as runners `(xs, apply) -> outputs`."""
+    k = len(src.residual)
+    if side == "forward":
 
         def left(xs: tuple, apply) -> tuple:
-            return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)[0]
+            ys = run(src.forward, xs, apply)[0]
+            return _push(witness, ys[:k], apply) + ys[k:]
 
-        return left, lambda xs, apply: run(src.backward, xs, apply)[0]
+        return left, lambda xs, apply: run(tgt.forward, xs, apply)[0]
 
-    def commutes(self, side: str, witness: Term | CanonicalForm) -> bool:
-        """The normalizer's verdict on one square."""
-        k = len(self.src.residual)
-        if side == "forward":
-            if self._forward is None:
-                table = UniqueTable(len(self.src.forward.dom))
-                fw1 = table.push(self.src.forward, table.inputs)
-                fw2 = table.push(self.tgt.forward, table.inputs)
-                self._forward = table, fw1[:k], fw1[k:], fw2
-            table, ms, bs, want = self._forward
-            return table.push(witness, ms) + bs == want
-        if self._backward is None:
-            table = UniqueTable(len(self.src.backward.dom))
-            self._backward = table, table.push(self.src.backward, table.inputs)
-        table, want = self._backward
-        ms = table.push(witness, table.inputs[:k])
-        return table.push(self.tgt.backward, ms + table.inputs[k:]) == want
+    def left(xs: tuple, apply) -> tuple:
+        return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)[0]
 
-    def separating_input(
-        self, side: str, witness: Term | CanonicalForm, interp: Interp | None
-    ) -> tuple | None:
-        """The first input where the sides of one square differ, if interp is finite there."""
-        dom = (self.src.forward if side == "forward" else self.src.backward).dom
-        if interp is None or not interp.is_finite(dom):
-            return None
-        return first_disagreement(dom, *self.sides(side, witness), interp)
+    return left, lambda xs, apply: run(src.backward, xs, apply)[0]
 
-    def failing_side(self, witness: Term | CanonicalForm, interp: Interp | None = None) -> str | None:
-        """The first square the normalizer rejects, or None if both commute.
 
-        An accepted square is cross-checked on every input when `interp` is
-        finite on its domain; an input that separates it is a normalizer bug.
-        """
-        for side in ("forward", "backward"):
-            if not self.commutes(side, witness):
-                return side
-            example = self.separating_input(side, witness, interp)
-            if example is not None:
-                raise NormalizerDisagreement(
-                    f"{side} square: normalizer accepted but input {example} separates"
-                )
-        return None
+def _rejected_side(
+    table: UniqueTable, fw1: tuple, fw2: tuple, bw1: Callable[[], tuple], ins: tuple, bw2: Term, witness
+) -> str | None:
+    """The first square the normalizer rejects, or None if both commute.
+
+    `table` holds fw1's and fw2's refs over A, and `ins` are its inputs for
+    M1 and B'.  The forward square commutes when the witness moves fw1's
+    residual refs onto fw2's; only then is `bw1()`, bw1's refs over `ins`,
+    asked for, for `(r x B') ; bw2` to end at.
+    """
+    k = len(witness.dom)
+    if table.push(witness, fw1[:k]) + fw1[k:] != fw2:
+        return "forward"
+    want = bw1()
+    if table.push(bw2, table.push(witness, ins[:k]) + ins[k:]) != want:
+        return "backward"
+    return None
+
+
+def _cross_check(
+    src: Optic, tgt: Optic, witness: Term | CanonicalForm, rejected: str | None, interp: Interp | None
+) -> tuple | None:
+    """Evaluate the squares up to the rejected one on every input, where interp is finite.
+
+    An input that separates an accepted square is a normalizer bug.  Returns
+    the first input that separates the rejected square, if any.
+    """
+    for side in ("forward", "backward"):
+        dom = (src.forward if side == "forward" else src.backward).dom
+        example = None
+        if interp is not None and interp.is_finite(dom):
+            example = first_disagreement(dom, *_square_sides(src, tgt, side, witness), interp)
+        if side == rejected:
+            return example
+        if example is not None:
+            raise NormalizerDisagreement(f"{side} square: normalizer accepted but input {example} separates")
+    return None
 
 
 def mk_two_cell(src: Optic, tgt: Optic, witness: Term, interp: Interp | None = None) -> TwoCell:
     """Validate both squares and build the cell; raises TwoCellError if invalid.
 
-    The error names the failing square and, under a finite interpretation,
-    an input that separates its sides.
+    Both squares are decided in one unique table over A, M1 and B'.  The
+    error names the failing square and, under a finite interpretation, an
+    input that separates its sides.
     """
-    squares = Squares(src, tgt)
+    _check_boundaries(src, tgt)
     if witness.dom != src.residual or witness.cod != tgt.residual:
         raise TermTypeError(
             f"witness boundary {witness.dom} -> {witness.cod} does not match "
@@ -176,9 +157,13 @@ def mk_two_cell(src: Optic, tgt: Optic, witness: Term, interp: Interp | None = N
             expected=src.residual,
             actual=witness.dom,
         )
-    side = squares.failing_side(witness, interp)
+    na = len(src.forward.dom)
+    table = UniqueTable(na + len(src.backward.dom))
+    a, ins = table.inputs[:na], table.inputs[na:]
+    fw1, fw2 = table.push(src.forward, a), table.push(tgt.forward, a)
+    side = _rejected_side(table, fw1, fw2, lambda: table.push(src.backward, ins), ins, tgt.backward, witness)
+    example = _cross_check(src, tgt, witness, side, interp)
     if side is not None:
-        example = squares.separating_input(side, witness, interp)
         raise TwoCellError(
             side,
             f"{side} square does not commute"
@@ -303,11 +288,6 @@ def enumerate_morphisms(sig: Signature, dom: Obj, cod: Obj, depth: int) -> Itera
 
 
 # --- deciding the cells by matching ---------------------------------------------
-
-
-def _check_depth(depth) -> None:
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"search depth: expected a non-negative int, got {depth!r}")
 
 
 def _rebuild(rows: list, refs: list, leaf, apply) -> list:
@@ -476,45 +456,33 @@ class _Passes:
 
 
 def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple[int, TwoCell | None]:
-    """The number of cells from optic i to optic j, and the first, checked by `Squares`.
+    """The number of cells from optic i to optic j, and the first, with its squares checked.
 
-    The squares check the witness's canonical form, which runs each row
-    once; the cell holds the term `read_back` builds from it.
+    The check pushes only the witness's canonical form and bw2 into the
+    passes' table; the cell holds the term `read_back` builds from the form.
     """
     count, form = passes.decide(i, j)
     if not count:
         return 0, None
     src, tgt = passes.optics[i], passes.optics[j]
-    side = Squares(src, tgt).failing_side(form, interp)
+    lo = passes.starts[i]
+    ins = (*range(lo, lo + passes.sizes[i]), *passes.back)
+    side = _rejected_side(
+        passes.table, passes.fw[i], passes.fw[j], lambda: passes.bw[i], ins, tgt.backward, form
+    )
+    _cross_check(src, tgt, form, side, interp)
     if side is not None:
         raise AssertionError(f"the matched witness fails the {side} square")
     return count, TwoCell(src, tgt, read_back(form))
 
 
-def find_witnesses(
-    src: Optic, tgt: Optic, sig: Signature, depth: int, interp: Interp | None = None
-) -> list[TwoCell]:
-    """The first cell src -> tgt as a list, empty if there is none.
-
-    `sig` and `depth` are accepted as before; `depth` bounds nothing.
-    """
-    _check_depth(depth)
-    _check_boundaries(src, tgt)
-    _, cell = _first_cell(_Passes([src, tgt]), 0, 1, interp)
-    return [] if cell is None else [cell]
-
-
-def search_cells(
-    optics: list[Optic], sig: Signature, depth: int, interp: Interp | None = None
-) -> HomCatSample:
+def search_cells(optics: list[Optic], interp: Interp | None = None) -> HomCatSample:
     """Every cell between the optics of a family, decided exactly.
 
     Cells preserve erasure, so only ordered pairs with one boundary and one
     erasure are decided.  For each pair with cells the sample holds the first
-    cell and the number of cells.  `sig` and `depth` are accepted as before;
-    `depth` bounds nothing.
+    cell and the number of cells.
     """
-    _check_depth(depth)
     groups: dict[tuple, list[int]] = {}
     for i, o in enumerate(optics):
         groups.setdefault((o.dom_pair, o.cod_pair), []).append(i)

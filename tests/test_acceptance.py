@@ -206,8 +206,8 @@ def _pi0_family(sig, A, f):
 
 def test_criterion_6_components_are_lens_fibers(capsys):
     desc = (
-        "connected components of a 2-element-carrier optic family (witness "
-        "depth 3) coincide exactly with the fibers of erasure, merging "
+        "connected components of a 2-element-carrier optic family, every "
+        "cell decided exactly, coincide with the fibers of erasure, merging "
         "different residuals and separating different behaviours (< 60s)"
     )
     with criterion(capsys, 6, desc):
@@ -216,7 +216,7 @@ def test_criterion_6_components_are_lens_fibers(capsys):
         interp = Interp.from_signature(sig)
         family, composites = _pi0_family(sig, A, f)
 
-        sample = search_cells(family, sig, depth=3, interp=interp)
+        sample = search_cells(family, interp)
         classes = {frozenset(c) for c in pi0_classes(sample)}
 
         fibers = {}

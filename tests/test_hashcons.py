@@ -24,10 +24,12 @@ from cartoptics import (
     Gen,
     Generator,
     Id,
+    Interp,
     Obj,
     Proj2,
     Sort,
     build_chain,
+    check_oplax_coherence,
     compose_chain,
     compose_optic_chain,
     eq_extensional,
@@ -106,10 +108,21 @@ class TestSharedSubtermsPushedOnce:
             compose_optic_chain([reify(l) for l in lenses]),
             compose_optic_chain(halves),
         ]
-        sample = search_cells(family, chain.signature, 2)
+        sample = search_cells(family)
+        searched = len(applications)
         assert len(sample.cells) == 7 and pi0_classes(sample) == [[0, 1, 2, 3]]
-        # about 84 per stage; walking the puts as trees took about 1300 per stage
-        assert len(applications) <= 100 * n
+        # about 52 per stage; squares in tables of their own took about 84, and
+        # walking the puts as trees about 1300
+        assert searched <= 60 * n
+
+    def test_coherence_windows_take_the_same_applications(self, applications):
+        # validating a cell pushes fw1, fw2, bw1, bw2 and the witness (on each
+        # square) once each; sharing one table for both squares adds no push
+        chain = build_chain(64, "finite", seed=1)
+        interp = Interp.from_signature(chain.signature)
+        for i in range(20):
+            assert check_oplax_coherence(*chain.lenses[i : i + 3], interp).passed
+        assert len(applications) == 3960
 
 
 class TestExponentialCases:

@@ -29,7 +29,6 @@ from cartoptics import (
     TwoCellError,
     enumerate_morphisms,
     erase,
-    find_witnesses,
     graph,
     hcompose,
     identity_cell,
@@ -95,7 +94,7 @@ class TestValidation:
 
     def test_normalizer_disagreement_is_a_bug_report(self, rewired, f, h, A, interp, monkeypatch):
         # a normalizer that accepts everything is caught by the exhaustive cross-check
-        monkeypatch.setattr(twocell.Squares, "commutes", lambda self, side, witness: True)
+        monkeypatch.setattr(twocell, "_rejected_side", lambda *args: None)
         _, tgt = rewired
         with pytest.raises(NormalizerDisagreement, match=r"forward square: .* input \(0,\) separates"):
             mk_two_cell(Optic(A, graph(f), h), tgt, Id(A), interp)
@@ -200,7 +199,7 @@ class TestDeepComponents:
             compose_optic_chain([reify(l) for l in lenses]),
             compose_optic_chain(halves),
         ]
-        sample = search_cells(family, chain.signature, 2)
+        sample = search_cells(family)
         index = {id(o): i for i, o in enumerate(family)}
         edges = [(index[id(c.src)], index[id(c.tgt)], n) for c, n in zip(sample.cells, sample.counts)]
         # cells run from recompute to store, and the optic chain has none going out
@@ -218,8 +217,8 @@ class TestDeepComponents:
         holds_input = Optic(A, Copy(A) >> (Id(A) @ t), Proj2(A, A))
         holds_output = Optic(A, Copy(A) >> (t @ t), Proj2(A, A))
         start = time.perf_counter()
-        sample = search_cells([holds_input, holds_output], sig, 2, Interp.from_signature(sig))
-        found = find_witnesses(holds_input, holds_output, sig, 2)
+        sample = search_cells([holds_input, holds_output], Interp.from_signature(sig))
+        found = search_cells([holds_input, holds_output]).cells
         assert time.perf_counter() - start < 5.0
         # the witness recomputes t; nothing gets the input back from t
         assert [(c.src, c.tgt) for c in sample.cells] == [(holds_input, holds_output)]
@@ -264,39 +263,31 @@ def twin_residuals(A, reads_residual):
 
 
 class TestWitnessSearch:
-    def test_the_backward_square_binds_what_it_reads(self, sig, A, interp):
+    def test_the_backward_square_binds_what_it_reads(self, A, interp):
         src, tgt = twin_residuals(A, reads_residual=True)
-        sample = search_cells([src, tgt], sig, 0, interp)
+        sample = search_cells([src, tgt], interp)
         assert sample.counts == (1, 1)
         assert normal_eq(sample.cells[0].witness, Proj2(A, A))
         assert normal_eq(sample.cells[1].witness, Copy(A))
 
-    def test_wires_read_by_nothing_count_every_forward_solution(self, sig, A, interp):
+    def test_wires_read_by_nothing_count_every_forward_solution(self, A, interp):
         src, tgt = twin_residuals(A, reads_residual=False)
-        sample = search_cells([src, tgt], sig, 0, interp)
+        sample = search_cells([src, tgt], interp)
         assert sample.counts == (2, 1)
         # the first witness takes the lowest residual wire
         assert normal_eq(sample.cells[0].witness, Proj1(A, A))
-        assert find_witnesses(src, tgt, sig, 0, interp)[0].witness == sample.cells[0].witness
+        assert search_cells([src, tgt], interp).cells[0].witness == sample.cells[0].witness
 
-    def test_depth_is_validated_and_bounds_nothing(self, sig, A, interp):
-        o = Optic(A, Copy(A) >> (Id(A) @ Gen(sig.generator("e"))), Proj1(A, A))
-        hub = reify(erase(o))
-        for depth in (-1, 1.5, True):
-            with pytest.raises(ValueError, match="search depth"):
-                search_cells([o, hub], sig, depth, interp)
-        assert search_cells([o, hub], sig, 0, interp).counts == (1, 1)
-
-    def test_counit_witness_is_found(self, sig, f, h, A, interp):
+    def test_counit_witness_is_found(self, f, h, A, interp):
         o = Optic(A, graph(f), h)
         hub = reify(erase(o))
-        found = find_witnesses(hub, o, sig, depth=2, interp=interp)
+        found = [c for c in search_cells([hub, o], interp).cells if c.src is hub]
         assert len(found) == 1
         assert normal_eq(found[0].witness, Id(A))
 
-    def test_search_connects_hub_and_optic(self, sig, f, h, A, interp):
+    def test_search_connects_hub_and_optic(self, f, h, A, interp):
         o = Optic(A, graph(f), h)
-        sample = search_cells([o, reify(erase(o))], sig, depth=2, interp=interp)
+        sample = search_cells([o, reify(erase(o))], interp)
         assert len(sample.cells) >= 2  # both directions
         assert pi0_classes(sample) == [[0, 1]]
 
@@ -387,8 +378,15 @@ def enumerated_count(src, tgt):
     solutions = forward_solutions(src, tgt)
     if solutions is None:
         return None
-    squares = twocell.Squares(src, tgt)
-    return sum(squares.commutes("backward", r) for r in solutions)
+    table = UniqueTable(len(src.backward.dom))
+    k = len(src.residual)
+    want = run(src.backward, table.inputs, table.apply)[0]
+
+    def closes(r):
+        ms = run(r, table.inputs[:k], table.apply)[0]
+        return run(tgt.backward, ms + table.inputs[k:], table.apply)[0] == want
+
+    return sum(map(closes, solutions))
 
 
 def fibre(o):
@@ -407,7 +405,7 @@ def generator_depth(t):
 
 def assert_search_matches_reference(optics, sig, depth, interp):
     """The exact search against the bounded oracle and an enumeration of both squares."""
-    sample = search_cells(optics, sig, depth, interp)
+    sample = search_cells(optics, interp)
     index = {id(o): i for i, o in enumerate(optics)}
     decided = {
         (index[id(c.src)], index[id(c.tgt)]): (n, c.witness)
@@ -478,7 +476,7 @@ class TestSearchAgainstReference:
 class TestSearchCrossChecks:
     def test_only_accepted_squares_are_cross_checked(self, monkeypatch):
         # the cross-check runs once per square of each returned witness, and only there
-        sig, family, interp = demo_family(((1,), (0,)))
+        _, family, interp = demo_family(((1,), (0,)))
         checked = []
 
         def recording(dom, lhs, rhs, interp):
@@ -486,27 +484,27 @@ class TestSearchCrossChecks:
             return first_disagreement(dom, lhs, rhs, interp)
 
         monkeypatch.setattr(twocell, "first_disagreement", recording)
-        sample = search_cells(family, sig, 3, interp)
+        sample = search_cells(family, interp)
         want = [(c, side) for c in sample.cells for side in ("forward", "backward")]
         assert sample.cells and len(checked) == len(want)
         for (dom, lhs, rhs), (c, side) in zip(checked, want):
             assert dom == (c.src.forward if side == "forward" else c.src.backward).dom
             # the checked sides are that square of that cell's witness, and they commute
             table = UniqueTable(len(dom))
-            sides = twocell.Squares(c.src, c.tgt).sides(side, c.witness)
+            sides = twocell._square_sides(c.src, c.tgt, side, c.witness)
             want_refs = [run_side(table.inputs, table.apply) for run_side in sides]
             assert [run_side(table.inputs, table.apply) for run_side in (lhs, rhs)] == want_refs
             assert want_refs[0] == want_refs[1]
 
-    def test_a_wrong_match_is_caught_by_the_squares(self, monkeypatch, sig, A, interp):
+    def test_a_wrong_match_is_caught_by_the_squares(self, monkeypatch, A, interp):
         # a matcher that binds nothing takes the first forward solution, wire 0
         monkeypatch.setattr(twocell._Passes, "match", lambda self, i, j: {})
         with pytest.raises(AssertionError, match=r"matched witness fails the backward square"):
-            search_cells(list(twin_residuals(A, reads_residual=True)), sig, 0, interp)
+            search_cells(list(twin_residuals(A, reads_residual=True)), interp)
 
-    def test_normalizer_disagreement_in_search(self, monkeypatch, sig, A, interp):
+    def test_normalizer_disagreement_in_search(self, monkeypatch, A, interp):
         # an always-accepting normalizer must not let the search return a bogus cell
         monkeypatch.setattr(twocell._Passes, "match", lambda self, i, j: {})
-        monkeypatch.setattr(twocell.Squares, "commutes", lambda self, side, witness: True)
+        monkeypatch.setattr(twocell, "_rejected_side", lambda *args: None)
         with pytest.raises(NormalizerDisagreement, match=r"backward square: normalizer accepted but input"):
-            search_cells(list(twin_residuals(A, reads_residual=True)), sig, 0, interp)
+            search_cells(list(twin_residuals(A, reads_residual=True)), interp)

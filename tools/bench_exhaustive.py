@@ -8,9 +8,10 @@ Four cases, each run in its own interpreter:
   `build_chain(64, "finite", seed=0)` that start at 0, 8, ..., 56; one shot
   checks all eight windows, and the output is every law's checked count and
   verdict;
-- `pi0`: `search_cells` at depth 3 and `pi0_classes` on the optic family of
-  `demos/05_connected_components.py`, once for each of the four tables of f;
-- `pi0-1000`: `search_cells` at depth 2 with no interpretation and
+- `pi0`: `search_cells` and `pi0_classes` on the optic family of
+  `demos/05_connected_components.py`, once for each of the four tables of f
+  (a revision whose search still takes a depth is given 3);
+- `pi0-1000`: `search_cells` with no interpretation (depth 2 where taken) and
   `pi0_classes` on four packagings of `build_chain(1000, "finite", seed=0)`:
   reify of the left- and of the right-associated lens composite, the optic
   chain, and the optic of two reified half chains.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import statistics
@@ -82,11 +84,17 @@ def coherence_shot():
 
 
 def timed_search(search_s: list[float], family, sig, depth, interp):
-    """`search_cells`, adding its seconds to the last entry of search_s."""
+    """`search_cells`, adding its seconds to the last entry of search_s.
+
+    A tree whose `search_cells` still takes the signature and a depth gets them.
+    """
     from cartoptics import search_cells
 
+    args = (family, interp)
+    if "depth" in inspect.signature(search_cells).parameters:
+        args = (family, sig, depth, interp)
     start = time.perf_counter()
-    sample = search_cells(family, sig, depth, interp)
+    sample = search_cells(*args)
     search_s[-1] += time.perf_counter() - start
     return sample
 
