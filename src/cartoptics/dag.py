@@ -11,7 +11,7 @@ which never exceeds the number of generator occurrences in the form.
 from __future__ import annotations
 
 from .interp import CostReport, Interp, check_values
-from .normal import CanonicalForm, Ref, normalize
+from .normal import CanonicalForm, normalize, run_form
 from .term import Term
 
 
@@ -25,13 +25,8 @@ def evaluate_dag(dag: CanonicalForm, values: tuple, interp: Interp, report: Cost
     if report is None:
         report = CostReport()
     check_values(dag.dom, values, interp)
-    values = tuple(values)
-    results: list[tuple] = []
-
-    def deref(r: Ref):
-        return values[r] if isinstance(r, int) else results[r[0]][r[1]]
-
-    for gen, args in dag.nodes:
-        report.generator_counts[gen.name] += 1
-        results.append(interp.apply(gen, tuple(map(deref, args))))
-    return tuple(map(deref, dag.outputs))
+    out = run_form(dag, values, interp.apply)
+    counts = report.generator_counts
+    for gen, _ in dag.nodes:
+        counts[gen.name] += 1
+    return out

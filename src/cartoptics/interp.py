@@ -198,17 +198,6 @@ def check_identity_env(cod_pair: tuple[Obj, Obj]) -> None:
         )
 
 
-def _env_response(
-    env: Callable[[tuple], tuple] | None, b: tuple, cod_pair: tuple[Obj, Obj], interp: Interp
-) -> tuple:
-    """The environment's answer to b (b itself if env is None), checked against B'."""
-    if env is None:
-        check_identity_env(cod_pair)
-    b_resp = b if env is None else tuple(env(b))
-    check_values(cod_pair[1], b_resp, interp, what="env response")
-    return b_resp
-
-
 def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
     """Run a term on a value tuple, counting generator applications and copies."""
     if report is None:

@@ -3,17 +3,20 @@
 A lens between boundary pairs (A, A') -> (B, B') is a pair of terms
 get: A -> B and put: A x B' -> A'.  No laws relate get and put.  Composition
 feeds the backward pass of the second lens with a recomputation of the first
-forward pass (the graph of get1), so a chain of n lenses evaluates get maps
-quadratically often while holding only the original input between passes.
+forward pass (the graph of get1), so a chain of n lenses composed to the left
+evaluates get maps quadratically often (n(n+1)/2; 2n-1 composed to the right)
+while holding only the original input between passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
-from .interp import CostReport, Interp, _env_response, evaluate
+from .interp import CostReport, Interp
 from .normal import normal_eq
+from .optic import _run_passes
 from .signature import Obj
 from .term import Id, Proj2, Ten, Term, TermTypeError, graph
 
@@ -37,6 +40,11 @@ class Lens:
         b_back = self.put.dom[len(a) :]
         object.__setattr__(self, "dom_pair", (a, self.put.cod))
         object.__setattr__(self, "cod_pair", (self.get.cod, b_back))
+
+    @cached_property
+    def forward(self) -> Term:
+        """graph(get): A -> A x B, the forward pass of `reify(self)`, built once."""
+        return graph(self.get)
 
 
 def lens_id(pair: tuple[Obj, Obj]) -> Lens:
@@ -87,15 +95,8 @@ def lens_exec(
 ) -> tuple[tuple, tuple, CostReport]:
     """Run forward, hand the output to env, run backward on (input, response).
 
-    Returns (b, a', report).  The input is held across the two passes; that
-    counts as one copy per wire of A, and the held slots are the peak residual.
+    Returns (b, a', report), as `optic_exec(reify(lens), ...)` does, without
+    building the optic: the input is the residual held between the passes.
     """
     a_obj, _ = lens.dom_pair
-    report = CostReport()
-    b = evaluate(lens.get, a, interp, report)
-    b_resp = _env_response(env, b, lens.cod_pair, interp)
-    a_prime = evaluate(lens.put, tuple(a) + b_resp, interp, report)
-    report.copies += len(a_obj)
-    report.peak_residual_slots = len(a_obj)
-    report.peak_residual_bytes = interp.obj_bytes(a_obj)
-    return b, a_prime, report
+    return _run_passes(a_obj, lens.forward, lens.put, lens.cod_pair, a, interp, env)

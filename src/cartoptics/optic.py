@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
-from .interp import CostReport, Interp, _env_response, check_identity_env, evaluate
+from .interp import CostReport, Interp, check_identity_env, check_values, evaluate
 from .normal import normal_eq
 from .signature import Obj, UNIT
 from .term import Copy, Id, Seq, Swap, Ten, Term, TermTypeError
@@ -151,12 +151,21 @@ def optic_exec(
     env: Callable[[tuple], tuple] | None = None,
 ) -> tuple[tuple, tuple, CostReport]:
     """Run forward, hold the residual, run backward on (residual, response)."""
-    m = optic.residual
+    return _run_passes(optic.residual, optic.forward, optic.backward, optic.cod_pair, a, interp, env)
+
+
+def _run_passes(
+    m: Obj, forward: Term, backward: Term, cod_pair: tuple[Obj, Obj], a: tuple, interp: Interp, env
+) -> tuple[tuple, tuple, CostReport]:
+    """`optic_exec` on the parts of an optic; env's answer (b if env is None) is checked against B'."""
     report = CostReport()
-    out = evaluate(optic.forward, a, interp, report)
+    out = evaluate(forward, a, interp, report)
     m_vals, b = out[: len(m)], out[len(m) :]
-    b_resp = _env_response(env, b, optic.cod_pair, interp)
-    a_prime = evaluate(optic.backward, m_vals + b_resp, interp, report)
+    if env is None:
+        check_identity_env(cod_pair)
+    b_resp = b if env is None else tuple(env(b))
+    check_values(cod_pair[1], b_resp, interp, what="env response")
+    a_prime = evaluate(backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
     report.peak_residual_bytes = interp.obj_bytes(m)
     return b, a_prime, report

@@ -17,6 +17,7 @@ from cartoptics import (
     check_adjunction,
     check_oplax_coherence,
     coherence_suite,
+    compose_chain,
     counit,
     erase,
     graph,
@@ -100,6 +101,21 @@ class TestExecutors:
                 *optic_vals, optic_cost = optic_exec(reify(l), a, interp, env)
                 assert lens_vals == optic_vals
                 assert json.dumps(lens_cost.to_json()) == json.dumps(optic_cost.to_json())
+
+    @pytest.mark.parametrize("assoc", ["left", "right"])
+    def test_chain_lens_exec_agrees_with_reified_optic_exec(self, assoc):
+        """The same on composite lenses of random finite chains, in either association."""
+        rng = random.Random(58)
+        for _ in range(10):
+            n, size = rng.randint(1, 12), rng.randint(2, 4)
+            chain = build_chain(n, "finite", carrier_size=size, seed=rng.randrange(10**6))
+            interp = Interp.from_signature(chain.signature)
+            l = compose_chain(list(chain.lenses), assoc)
+            a = random_values(rng, interp, l.get.dom)
+            *lens_vals, lens_cost = lens_exec(l, a, interp)
+            *optic_vals, optic_cost = optic_exec(reify(l), a, interp)
+            assert lens_vals == optic_vals
+            assert json.dumps(lens_cost.to_json()) == json.dumps(optic_cost.to_json())
 
 
 class TestCounit:

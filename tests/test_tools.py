@@ -1,0 +1,53 @@
+"""`tools/bench.py`: its child measurement runs against this `src/`, and its summary gates exact agreement.
+
+The measurement runs in-process here, so a change to the package's API
+breaks a test rather than the next before/after run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "case, counts",
+    [
+        ("chain 16", {"dag_nodes": 32, "gen_occurrences": 168}),
+        ("copy 12", {"dag_nodes": 12, "gen_occurrences": 4095}),
+        ("optic 64", {"dag_nodes": 128, "gen_occurrences": 2208}),
+        ("coherence", {}),
+        ("pi0", {"n_cells": [14, 14, 14, 14]}),
+    ],
+)
+def test_measure_gives_exact_counts_and_digests(bench, case, counts):
+    row = bench.measure(case)
+    assert row["counts"] == counts
+    assert row["digests"] and all(len(d) == 64 for d in row["digests"].values())
+    assert row["seconds"] and all(s > 0 for s in row["seconds"].values())
+
+
+def test_summary_fails_on_any_difference_or_failed_run(bench):
+    def row(nodes, seconds=1.0):
+        return {"status": "ok", "seconds": {"op": seconds}, "counts": {"n": nodes}, "digests": {"out": "d"}}
+
+    same = bench.summarize({"before": [row(3), row(3)], "after": [row(3, 0.5), row(3, 2.0)]})
+    assert same["ok"] and same["identical"] and same["counts"] == {"n": 3}
+    assert same["after_over_before"]["op"] == {"median": 1.25, "wins": 1}
+    # one count differs in one run of one side
+    differs = bench.summarize({"before": [row(3), row(3)], "after": [row(3), row(4)]})
+    assert differs["ok"] and not differs["identical"]
+    assert differs["distinct"]["after"] == [{"counts": {"n": 3}, "digests": {"out": "d"}},
+                                            {"counts": {"n": 4}, "digests": {"out": "d"}}]
+    failed = bench.summarize({"after": [row(3), {"status": "not run: did not finish within 1 s"}]})
+    assert not failed["ok"]
