@@ -26,7 +26,7 @@ from .lens import Lens, lens_compose, lens_id, lens_normal_eq
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
-from .term import Delete, Id, Proj1, Proj2, Ten, Term, graph, pairing, select_wire
+from .term import Delete, Id, Proj1, Proj2, Ten, Term, pairing, select_wire
 from .twocell import (
     TwoCell,
     TwoCellError,
@@ -41,7 +41,7 @@ from .twocell import (
 def reify(l: Lens) -> Optic:
     """Run a lens as an optic: residual = input object, forward = graph(get)."""
     a, _ = l.dom_pair
-    return Optic(a, graph(l.get), l.put)
+    return Optic(a, l.forward, l.put)
 
 
 def erase(o: Optic) -> Lens:
@@ -65,7 +65,7 @@ def oplaxator(l1: Lens, l2: Lens, interp: Interp | None = None) -> TwoCell:
     return mk_two_cell(
         reify(lens_compose(l1, l2)),
         optic_compose(reify(l1), reify(l2)),
-        graph(l1.get),
+        l1.forward,
         interp,
     )
 

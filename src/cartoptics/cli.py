@@ -37,7 +37,7 @@ from .lens import Lens, lens_exec
 from .normal import CanonicalForm, normalize, read_back
 from .optic import Optic, optic_exec
 from .sampling import random_signature
-from .signature import SIGNATURE_FORMAT_VERSION, Obj, SignatureError, load_signature
+from .signature import SIGNATURE_FORMAT_VERSION, Obj, SignatureError, load_signature, read_json
 from .term import TermTypeError
 from .twocell import TwoCellError, mk_two_cell, pi0_classes, search_cells
 
@@ -60,9 +60,12 @@ def _json_safe(x):
     return x
 
 
-def _load_json(path: str):
-    with open(path) as f:
-        return json.load(f)
+def _at(where: str, make, *args):
+    """make(*args), with an input error in it prefixed by where (a file and field, or a flag)."""
+    try:
+        return make(*args)
+    except (TermTypeError, ValueError) as e:  # the package's input errors
+        raise ValueError(f"{where}: {e}") from None
 
 
 def _fields(path: str, data, where: str, **kinds: type) -> list:
@@ -77,17 +80,21 @@ def _fields(path: str, data, where: str, **kinds: type) -> list:
 
 
 def _load_lens(path: str, sig) -> Lens:
-    get, put = _fields(path, _load_json(path), "", get=str, put=str)
-    return Lens(parse_term(get, sig), parse_term(put, sig))
+    get, put = _fields(path, read_json(path), "", get=str, put=str)
+    get, put = _at(f"{path}: get", parse_term, get, sig), _at(f"{path}: put", parse_term, put, sig)
+    return _at(path, Lens, get, put)
 
 
 def _load_optic(path: str, sig, data=None, where: str = "") -> Optic:
     """An optic file, or the optic object at `where` in the JSON data of `path`."""
-    data = _load_json(path) if data is None else data
+    data = read_json(path) if data is None else data
     res, fw, bw = _fields(path, data, where, residual=list, forward=str, backward=str)
     if not all(isinstance(n, str) for n in res):
         raise ValueError(f"{path}: {where}residual: expected a list of sort names")
-    return Optic(Obj(tuple(map(sig.sort, res))), parse_term(fw, sig), parse_term(bw, sig))
+    at = f"{path}: {where}"
+    residual = Obj(tuple(_at(f"{at}residual[{j}]", sig.sort, n) for j, n in enumerate(res)))
+    fw, bw = _at(f"{at}forward", parse_term, fw, sig), _at(f"{at}backward", parse_term, bw, sig)
+    return _at(f"{path}: {where[:-1]}" if where else path, Optic, residual, fw, bw)
 
 
 def _parse_values(src: str) -> tuple:
@@ -168,12 +175,12 @@ def cmd_bench(args) -> int:
 def cmd_run(args) -> int:
     sig = load_signature(args.signature)
     interp = Interp.from_signature(sig)
-    values = _parse_values(args.input)
+    values = _at("--input", _parse_values, args.input)
     env = None
     if args.env != "id":
         if not args.env.startswith("const:"):
-            raise ValueError(f"unknown env {args.env!r}; use 'id' or 'const:<json>'")
-        resp = _parse_values(args.env[len("const:") :])
+            raise ValueError(f"--env: unknown env {args.env!r}; use 'id' or 'const:<json>'")
+        resp = _at("--env", _parse_values, args.env[len("const:") :])
         env = lambda _b: resp  # noqa: E731
     if args.lens:
         l = _load_lens(args.lens, sig)
@@ -191,14 +198,14 @@ def cmd_run(args) -> int:
 
 def cmd_normalize(args) -> int:
     sig = load_signature(args.signature)
-    cf = normalize(parse_term(args.expr, sig))
+    cf = normalize(_at("--expr", parse_term, args.expr, sig))
     print(_json_line({**_form_json(cf), "read_back": str(read_back(cf))}))
     return 0
 
 
 def cmd_optimize(args) -> int:
     sig = load_signature(args.signature)
-    dag = share(parse_term(args.expr, sig))
+    dag = share(_at("--expr", parse_term, args.expr, sig))
     print(_json_line({**_form_json(dag), "node_count": dag.gen_node_count()}))
     return 0
 
@@ -207,7 +214,7 @@ def cmd_check_cell(args) -> int:
     sig = load_signature(args.signature)
     src = _load_optic(args.src, sig)
     tgt = _load_optic(args.tgt, sig)
-    witness = parse_term(args.witness, sig)
+    witness = _at("--witness", parse_term, args.witness, sig)
     interp = _table_interp(sig)
     try:
         mk_two_cell(src, tgt, witness, interp)
@@ -231,7 +238,7 @@ def cmd_check_cell(args) -> int:
 
 def cmd_pi0(args) -> int:
     sig = load_signature(args.signature)
-    data = _load_json(args.homcat)
+    data = read_json(args.homcat)
     (entries,) = _fields(args.homcat, data, "", optics=list)
     optics = [_load_optic(args.homcat, sig, e, f"optics[{i}].") for i, e in enumerate(entries)]
     from_file = args.search_depth is None

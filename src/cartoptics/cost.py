@@ -15,7 +15,7 @@ chain are compared on identical inputs:
     prefix, a subterm the composite shares, into the unique table once.
 
 `run_tradeoff` verifies the three strategies agree pointwise, asserts the
-closed-form counts for left association, and returns one row per prefix
+closed-form counts for either association, and returns one row per prefix
 length.  `build_chain` makes either a finite chain (random tables) or a real
 one (seeded affine+tanh stages whose puts are the matching vector-Jacobian
 products, validated against finite differences).
@@ -233,20 +233,17 @@ def run_tradeoff(
             optic_wall_s=optic_wall,
             shared_wall_s=shared_wall,
         )
-        if assoc == "left":
-            expect = {
-                "lens_get_evals": n * (n + 1) // 2,
-                "optic_get_evals": n,
-                "lens_copies_of_A": n,
-                "lens_residual_slots": 1,
-                "optic_residual_slots": n,
-                "shared_dag_get_nodes": n,
-            }
-            for field_name, want in expect.items():
-                got = getattr(row, field_name)
-                if got != want:
-                    raise AssertionError(
-                        f"{field_name} at n={n}: measured {got}, closed form {want}"
-                    )
+        expect = {
+            "lens_get_evals": n * (n + 1) // 2 if assoc == "left" else 2 * n - 1,
+            "optic_get_evals": n,
+            "lens_copies_of_A": n,
+            "lens_residual_slots": 1,
+            "optic_residual_slots": n,
+            "shared_dag_get_nodes": n,
+        }
+        for field_name, want in expect.items():
+            got = getattr(row, field_name)
+            if got != want:
+                raise AssertionError(f"{field_name} at n={n} ({assoc}): measured {got}, closed form {want}")
         rows.append(row)
     return rows

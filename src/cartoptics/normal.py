@@ -17,8 +17,8 @@ the dataclass `==` and `hash` decide sameness.
 
 Normalizing is evaluation in the syntactic model: `normalize` pushes refs
 through the term with `term.run`, the walker `evaluate` uses, and each
-generator looks its row up in a unique table, appending it when new; one
-renumbering pass then keeps the live rows in walk order.  A term enters a
+generator looks its row up in a unique table, appending it when new;
+`UniqueTable.form` then keeps the live rows in walk order.  A term enters a
 table only through `UniqueTable.push`, whose walk keeps the output of a
 subterm it meets again (the same node, on the same input refs), so each
 shared subterm is pushed once: the get pass that a lens composite's put
@@ -26,9 +26,11 @@ recomputes at every stage costs one walk, and normalizing takes time linear
 in the term's distinct subterms rather than in its tree.  `normal_eq` pushes
 both terms through one table and compares their output refs; `twocell`
 decides both squares of a cell in one `UniqueTable` in the same way.
-`read_back` rebuilds a term (with explicit copies and projections) from a
-canonical form; normalizing it gives it back.  `run_form` pushes values
-through a canonical form row by row, each row once.
+`run_form` pushes values through a canonical form row by row, each row
+once; `read_back` is `run_form` applying rows as terms, and normalizing its
+term gives the form back.  `UniqueTable.pull` applies the rows of a table
+that refs use again, through any `apply`: `form` renumbers them, and
+`twocell` moves refs across tables with it.
 """
 
 from __future__ import annotations
@@ -111,32 +113,51 @@ class UniqueTable:
             return run_form(t, xs, self.apply)
         return run(t, xs, self.apply, memo={})[0]
 
-    def form(self, dom: Obj, cod: Obj, outputs: tuple[Ref, ...]) -> CanonicalForm:
-        """The rows the outputs use, renumbered in left-to-right walk order.
+    def pull(self, refs, apply, leaf=None) -> tuple:
+        """The new value of each ref when the rows it uses are applied again.
 
-        A row is numbered once all its arguments are; the walk keeps its own
-        stack, so deep forms cannot exhaust the interpreter's.
+        A row's new outputs are `apply(gen, its arguments' new values)`, and
+        an input is its own new value unless `leaf(ref)`, when given, gives a
+        ref its value outright (None for no value): the walk does not go past
+        such a ref.  Rows are visited left to right, arguments first, each
+        applied once, on the walk's own stack.
         """
-        rows, new, nodes = self.rows, {}, []
+        rows, vals = self.rows, {}
 
-        def ref(r: Ref) -> Ref:
-            return r if isinstance(r, int) else (new[r[0]], r[1])
+        def value(r: Ref):
+            if leaf is not None and (v := leaf(r)) is not None:
+                return v
+            return r if isinstance(r, int) else vals[r[0]][r[1]]
 
-        todo = [r[0] for r in reversed(outputs) if not isinstance(r, int)]
+        def unmet(args: tuple[Ref, ...]) -> list[int]:  # the rows still to apply, rightmost first
+            return [
+                a[0] for a in reversed(args)
+                if not isinstance(a, int) and a[0] not in vals and (leaf is None or leaf(a) is None)
+            ]
+
+        todo = unmet(refs)
         while todo:
             i = todo[-1]
-            if i in new:
-                todo.pop()
-                continue
-            gen, args = rows[i]
-            pending = [a[0] for a in reversed(args) if not isinstance(a, int) and a[0] not in new]
-            if pending:
-                todo += pending
-                continue
+            if i not in vals:
+                gen, args = rows[i]
+                todo += unmet(args)
+                if todo[-1] != i:
+                    continue
+                vals[i] = apply(gen, tuple(map(value, args)))
             todo.pop()
-            new[i] = len(nodes)
-            nodes.append((gen, tuple(map(ref, args))))
-        return CanonicalForm(dom, cod, tuple(nodes), tuple(map(ref, outputs)))
+        return tuple(map(value, refs))
+
+    def form(self, dom: Obj, cod: Obj, outputs: tuple[Ref, ...]) -> CanonicalForm:
+        """The rows the outputs use, renumbered in left-to-right walk order."""
+        nodes: list[Node] = []
+
+        def append(gen: Generator, args: tuple[Ref, ...]) -> tuple[Ref, ...]:
+            n, k = len(nodes), len(gen.cod.sorts)
+            nodes.append((gen, args))
+            return ((n, 0),) if k == 1 else tuple([(n, j) for j in range(k)])
+
+        outputs = self.pull(outputs, append)
+        return CanonicalForm(dom, cod, tuple(nodes), outputs)
 
 
 def normalize(t: Term) -> CanonicalForm:
@@ -158,18 +179,14 @@ def normal_eq(f: Term, g: Term) -> bool:
 
 def read_back(cf: CanonicalForm) -> Term:
     """A term denoting the canonical form; each row's term is built once."""
-    dom, rows = cf.dom, []
+    dom = cf.dom
 
-    def term(r: Ref) -> Term:
-        if isinstance(r, int):
-            return select_wire(dom, r)
-        node, out = r
-        cod = cf.nodes[node][0].cod
-        return rows[node] if len(cod) == 1 else rows[node] >> select_wire(cod, out)
+    def row(gen: Generator, args: tuple[Term, ...]) -> tuple[Term, ...]:
+        t, cod = pairing(list(args), dom) >> Gen(gen), gen.cod
+        return (t,) if len(cod) == 1 else tuple([t >> select_wire(cod, j) for j in range(len(cod))])
 
-    for gen, args in cf.nodes:
-        rows.append(pairing([term(a) for a in args], dom) >> Gen(gen))
-    return pairing([term(r) for r in cf.outputs], dom)
+    wires = tuple([select_wire(dom, i) for i in range(len(dom))])
+    return pairing(list(run_form(cf, wires, row)), dom)
 
 
 def run_form(cf: CanonicalForm, xs: tuple, apply) -> tuple:

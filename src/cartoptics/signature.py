@@ -261,14 +261,18 @@ def parse_signature(data: dict) -> Signature:
     return Signature(tuple(sorts), tuple(gens))
 
 
-def load_signature(path: str) -> Signature:
+def read_json(path: str):
+    """The JSON data in a file; a syntax error names the file, line and column."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            data = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as e:
-            raise SignatureError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+            raise ValueError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+
+
+def load_signature(path: str) -> Signature:
     try:
-        return parse_signature(data)
+        return parse_signature(read_json(path))
     except SignatureError as e:
         raise SignatureError(f"{path}: {e}") from None
 

@@ -26,7 +26,9 @@ pass.  The wires bw2 does not read meet the forward square only, and one
 pass over the table's rows counts their solutions.  So each pair gets its
 exact number of cells (witnesses distinct up to normal form) and its first
 witness, whose squares are checked in that same table (pushing only the
-witness and bw2) and cross-checked by exhaustive evaluation.
+witness and bw2) and cross-checked by exhaustive evaluation.  Moving refs
+into the forward pass and building the witness are both
+`UniqueTable.pull`, stopping at residual wires.
 
 `enumerate_wire_terms` and `enumerate_morphisms`, the bounded enumeration the
 search replaced, stay: `perfbench/run.py` patches them by name, `bridge`
@@ -290,33 +292,6 @@ def enumerate_morphisms(sig: Signature, dom: Obj, cod: Obj, depth: int) -> Itera
 # --- deciding the cells by matching ---------------------------------------------
 
 
-def _rebuild(rows: list, refs: list, leaf, apply) -> list:
-    """Refs of a table rebuilt in another table, or in the same one.
-
-    `leaf(ref)` gives a ref its new ref outright, or None; every other ref
-    is a row, rebuilt from its rebuilt arguments by `apply(gen, args)`.  The
-    walk keeps its own stack.
-    """
-    new: dict = {}
-    todo = list(refs)
-    while todo:
-        r = todo[-1]
-        if r in new:
-            todo.pop()
-            continue
-        hit = leaf(r)
-        if hit is None:
-            gen, args = rows[r[0]]
-            pending = [a for a in args if a not in new]
-            if pending:
-                todo += pending
-                continue
-            hit = apply(gen, tuple(new[a] for a in args))[r[1]]
-        todo.pop()
-        new[r] = hit
-    return [new[r] for r in refs]
-
-
 class _Passes:
     """The passes of a family of optics with one boundary, each pushed once.
 
@@ -426,14 +401,10 @@ class _Passes:
         bound = self.match(i, j)
         if bound is None:
             return 0, None
-        rows, lo = self.table.rows, self.starts[i]
+        lo, refs = self.starts[i], list(bound.values())
         # the bound wires must also close the forward square
-        read = list(bound)
-        landed = _rebuild(
-            rows, [bound[w] for w in read], lambda r: m1[r - lo] if isinstance(r, int) else None,
-            self.table.apply,
-        )
-        if any(ref != m2[w] for w, ref in zip(read, landed)):
+        landed = self.table.pull(refs, self.table.apply, lambda r: m1[r - lo] if isinstance(r, int) else None)
+        if landed != tuple(m2[w] for w in bound):
             return 0, None
         # the wires bw_j does not read are constrained by the forward square only
         wires, solutions = self.solutions(i)
@@ -443,13 +414,9 @@ class _Passes:
             return 0, None
         # the first witness, as a listing over optic i's residual
         table = UniqueTable(k1)
-        outs = dict(zip(read, _rebuild(
-            rows, [bound[w] for w in read], lambda r: r - lo if isinstance(r, int) else None,
-            table.apply,
-        )))
-        outs.update(zip(free, _rebuild(
-            rows, [m2[w] for w in free], lambda r: wires[r][0] if r in wires else None,
-            table.apply,
+        outs = dict(zip(bound, self.table.pull(refs, table.apply, lambda r: r - lo if isinstance(r, int) else None)))
+        outs.update(zip(free, self.table.pull(
+            [m2[w] for w in free], table.apply, lambda r: wires[r][0] if r in wires else None
         )))
         src, tgt = self.optics[i].residual, self.optics[j].residual
         return count, table.form(src, tgt, tuple(outs[w] for w in range(k2)))

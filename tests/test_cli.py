@@ -90,7 +90,7 @@ class TestNormalize:
             capsys, "normalize", "--signature", sig_path, "--expr", "f ;;"
         )
         assert rc == 2
-        assert err.startswith("error: at position")
+        assert err.startswith("error: --expr: at position")
 
     def test_missing_signature_file(self, capsys, work):
         rc, _, err = run_cli(
@@ -274,6 +274,48 @@ class TestInputFiles:
             f"error: {path}: generators[1].table[1][0]: "
             "expected an integer in the carrier of sort A, got 2\n"
         )
+
+
+def _optic(forward="id[A]", residual=()):
+    return {"residual": list(residual), "forward": forward, "backward": "id[A]"}
+
+
+# (argv, text of FILE or None, stderr): SIG, LENS, OPTIC and FILE stand for paths
+MALFORMED = [
+    (["pi0", "--homcat", "FILE"], '{"optics": [}', "FILE:1:13: Expecting value"),
+    (["run", "--lens", "FILE", "--input", "[0]"], '{"get": "f", }',
+     "FILE:1:14: Expecting property name enclosed in double quotes"),
+    (["run", "--optic", "FILE", "--input", "[0]"], "[", "FILE:1:2: Expecting value"),
+    (["pi0", "--homcat", "FILE"], json.dumps({"optics": [_optic(), _optic(residual=["Z"])]}),
+     "FILE: optics[1].residual[0]: unknown sort Z"),
+    (["pi0", "--homcat", "FILE"], json.dumps({"optics": [_optic("id[A] ; ")]}),
+     "FILE: optics[0].forward: at position 8: unexpected end of expression"),
+    (["run", "--optic", "FILE", "--input", "[0]"], json.dumps(_optic("f ; f")),
+     "FILE: forward: cannot compose: left codomain B != right domain A"),
+    (["run", "--lens", "FILE", "--input", "[0]"], json.dumps({"get": "f", "put": "pi1[A,B] ; q"}),
+     "FILE: put: at position 11: unknown generator 'q'"),
+    (["run", "--lens", "LENS", "--input", '[[1,"a"]]'], None,
+     "--input: could not convert string to float: 'a'"),
+    (["run", "--lens", "LENS", "--input", "[0]", "--env", "const:[0"], None,
+     "--env: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    (["normalize", "--expr", "f ; f"], None, "--expr: cannot compose: left codomain B != right domain A"),
+    (["check-cell", "--src", "OPTIC", "--tgt", "OPTIC", "--witness", "e ;"], None,
+     "--witness: at position 3: unexpected end of expression"),
+]
+
+
+@pytest.mark.parametrize("argv, text, want", MALFORMED)
+def test_malformed_input_names_its_file_and_field(
+    capsys, sig_path, lens_path, optic_path, work, argv, text, want
+):
+    path = work / "malformed.json"
+    if text is not None:
+        path.write_text(text)
+    paths = {"FILE": str(path), "LENS": lens_path, "OPTIC": optic_path}
+    argv = [argv[0], "--signature", sig_path] + [paths.get(a, a) for a in argv[1:]]
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {want.replace('FILE', str(path))}\n"
 
 
 class TestInternalErrors:

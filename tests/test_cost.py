@@ -1,6 +1,7 @@
 """Update-chain benchmarks: closed-form counts, CSV output, real gradients."""
 
 import re
+from dataclasses import astuple
 
 import pytest
 
@@ -65,9 +66,17 @@ class TestClosedForms:
             assert r.shared_dag_get_nodes == r.n
 
     def test_right_association_is_cheaper(self):
-        rows = run_tradeoff(3, "finite", seed=0, assoc="right")
-        assert rows[2].lens_get_evals == 5  # 2n - 1
-        assert rows[2].optic_get_evals == 3
+        for kind in ("finite", "real"):
+            left = run_tradeoff(16, kind, seed=0, dim=3)
+            right = run_tradeoff(16, kind, seed=0, assoc="right", dim=3)
+            assert [r.n for r in right] == list(range(1, 17))
+            for lr, rr in zip(left, right):
+                n = rr.n
+                assert rr.lens_get_evals == 2 * n - 1 <= lr.lens_get_evals == n * (n + 1) // 2
+                assert (rr.optic_get_evals, rr.lens_copies_of_A, rr.shared_dag_get_nodes) == (n, n, n)
+                assert (rr.lens_residual_slots, rr.optic_residual_slots) == (1, n)
+                # only the lens's get evaluations depend on the association
+                assert astuple(rr)[2:7] == astuple(lr)[2:7]
 
     def test_normal_form_counts_recomputation(self):
         chain = build_chain(5, "finite", seed=2)

@@ -51,3 +51,10 @@ def test_summary_fails_on_any_difference_or_failed_run(bench):
                                             {"counts": {"n": 4}, "digests": {"out": "d"}}]
     failed = bench.summarize({"after": [row(3), {"status": "not run: did not finish within 1 s"}]})
     assert not failed["ok"]
+
+
+def test_shots_time_fast_calls_in_bulk(bench):
+    calls = []
+    seconds, last = bench.shots(lambda: calls.append(None) or len(calls), repeat=3)
+    assert last == len(calls) > 3  # many calls per shot, and the last call's result
+    assert 0 < seconds < bench.MIN_SHOT_S / 100  # seconds per call, not per shot

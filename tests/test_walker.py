@@ -8,7 +8,9 @@ forms on random terms.  The exhaustive check, which runs the walker once over
 columns of inputs, is compared with a per-point loop over the oracle.  A
 recursive evaluator of canonical forms, from the outputs down and each row
 once, is the oracle for `evaluate_dag`.  The recursive printer is kept the
-same way as the oracle for `term_to_expr`.  The deep-chain tests run terms
+same way as the oracle for `term_to_expr`, and the table walk and the
+read-back that `UniqueTable.pull` and `run_form` replaced are the oracles for
+`UniqueTable.form` and `read_back`.  The deep-chain tests run terms
 nested several times deeper than the interpreter's default recursion limit.
 Pushes into a unique table remember the outputs of shared subterms; they are
 checked against the same term reparsed from its text, which shares nothing.
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 
 from cartoptics import (
     UNIT,
+    CanonicalForm,
     Copy,
     CostReport,
     Delete,
@@ -54,6 +57,7 @@ from cartoptics import (
     normal_eq,
     normalize,
     optic_exec,
+    pairing,
     parse_term,
     read_back,
     reify,
@@ -141,9 +145,49 @@ def oracle_print(t):
     return f"{name}[{' '.join(s.name for s in t.first)},{' '.join(s.name for s in t.second)}]"
 
 
+def oracle_form(table, dom, cod, outputs):
+    """The rows the outputs use, numbered once all their arguments are, leftmost first."""
+    rows, new, nodes = table.rows, {}, []
+
+    def ref(r):
+        return r if isinstance(r, int) else (new[r[0]], r[1])
+
+    todo = [r[0] for r in reversed(outputs) if not isinstance(r, int)]
+    while todo:
+        i = todo[-1]
+        if i in new:
+            todo.pop()
+            continue
+        gen, args = rows[i]
+        pending = [a[0] for a in reversed(args) if not isinstance(a, int) and a[0] not in new]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        new[i] = len(nodes)
+        nodes.append((gen, tuple(map(ref, args))))
+    return CanonicalForm(dom, cod, tuple(nodes), tuple(map(ref, outputs)))
+
+
+def oracle_read_back(cf):
+    """A term for the canonical form, each projection spelled out where it is used."""
+    dom, rows = cf.dom, []
+
+    def term(r):
+        if isinstance(r, int):
+            return select_wire(dom, r)
+        node, out = r
+        cod = cf.nodes[node][0].cod
+        return rows[node] if len(cod) == 1 else rows[node] >> select_wire(cod, out)
+
+    for gen, args in cf.nodes:
+        rows.append(pairing([term(a) for a in args], dom) >> Gen(gen))
+    return pairing([term(r) for r in cf.outputs], dom)
+
+
 def oracle_normalize(t):
     table = UniqueTable(len(t.dom))
-    return table.form(t.dom, t.cod, oracle_push(t, table.inputs, table))
+    return oracle_form(table, t.dom, t.cod, oracle_push(t, table.inputs, table))
 
 
 def oracle_normal_eq(f, g):
@@ -254,6 +298,38 @@ def test_normalize_matches_oracle():
         assert cf == want
         assert gen_occurrences(cf) == oracle_gen_occurrences(want)
         assert share(t).to_json() == want.to_json()
+
+
+def _with_two_outputs(rng, sig):
+    """sig and a generator with two outputs, so rows are used through either output."""
+    dom, cod = random_obj(rng, sig, 1, 2), random_obj(rng, sig, 2, 2)
+    m = Generator("m", dom, cod, table=random_table(rng, dom, cod))
+    return Signature(sig.sorts, (*sig.generators, m))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.randoms(use_true_random=False))
+def test_form_and_read_back_match_oracle(rng):
+    # two terms in one table: each form keeps only the rows its own outputs use
+    sig = _with_two_outputs(rng, random_signature(rng))
+    dom = random_obj(rng, sig, 1, 3)
+    table = UniqueTable(len(dom))
+    for _ in range(2):
+        try:
+            t = random_morphism(rng, sig, dom, random_obj(rng, sig, 1, 3), budget=rng.randint(1, 4))
+        except ValueError:
+            continue
+        outs = table.push(t, table.inputs)
+        cf = table.form(dom, t.cod, outs)
+        assert cf == oracle_form(table, dom, t.cod, outs)
+        assert str(read_back(cf)) == str(oracle_read_back(cf))
+        assert table.pull(outs, table.apply) == outs
 
 
 @settings(
@@ -515,6 +591,26 @@ def test_a_shared_subterm_runs_once_per_distinct_input():
     assert memo[id(s)] == {(0,): ((1, 0),), ((1, 0),): ((3, 0),)}
     assert outs == ((3, 0), (3, 0))
     assert table.form(A, A @ A, outs) == oracle_normalize(t)
+
+
+def test_pull_applies_each_row_once_and_stops_at_leaves():
+    A = Obj((A2,))
+    k = Generator("k", A, A, table=((1,), (0,)))
+    m = Generator("m", A, A @ A, table=((0, 1), (1, 0)))
+    h = Generator("h", A @ A, A, table=((0,), (1,), (1,), (0,)))
+    table = UniqueTable(1)
+    (x,) = table.apply(k, (0,))
+    y, z = table.apply(m, (x,))
+    (u,) = table.apply(h, (y, z))
+    (v,) = table.apply(h, (u, z))
+    # the leaf gives the row k its value, as the search gives a forward ref a residual wire
+    fresh, calls = _counting_table(A)
+    got = table.pull((v, y), fresh.apply, lambda r: 0 if r == x else None)
+    assert calls == ["m", "h", "h"]  # m once, though v reads both its outputs; k never
+    assert got == ((2, 0), (0, 0))
+    assert fresh.rows == [(m, (0,)), (h, ((0, 0), (0, 1))), (h, ((1, 0), (0, 1)))]
+    # with no leaves, pulling a table's refs through its own rows gives them back
+    assert table.pull((v, y, 0), table.apply) == (v, y, 0)
 
 
 def test_a_term_sharing_nothing_keeps_no_values():

@@ -24,9 +24,12 @@ Every case runs in a fresh interpreter:
   right-associated lens composite, the optic chain, and the optic of two
   reified half chains.
 
-The child prints one JSON object: the median of REPEAT single `timeit` shots
-of each timed operation (one shot for `check-laws` and `pi0-1000`), the
-exact counts, and the SHA-256 of each output.  A term case times
+The child prints one JSON object: the seconds per call of each timed
+operation, the exact counts, and the SHA-256 of each output.  An operation
+is timed in REPEAT `timeit` shots (one for `check-laws` and `pi0-1000`) of
+the fewest calls, doubling from one, that take MIN_SHOT_S, and the median
+shot is divided by its calls, so operations of microseconds are timed over
+enough calls to rise above the clock's and the machine's noise.  A term case times
 `normalize`, `share`, `normal_eq`, `eq` (`==` between a fresh `normalize(t)`
 and a form normalized earlier) `hash` (of a fresh form) and
 `gen_occurrences`; it counts `len(share(t).nodes)` and
@@ -78,16 +81,28 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECK_LAWS = ["check-laws", "--random-signatures", "3", "--seed", "0"]
 REPEAT = 5
 ROUNDS = 10
+MIN_SHOT_S = 0.01
 TIMEOUT_S = 300.0
 # run in a fresh interpreter with the side's src/ on PYTHONPATH: argv is (tools/, case)
 CHILD = "import json, sys; sys.path.insert(0, sys.argv[1]); import bench; print(json.dumps(bench.measure(sys.argv[2])))"
 
 
 def shots(fn, repeat: int = REPEAT) -> tuple[float, object]:
-    """The median seconds of `repeat` single shots of fn, and the last shot's result."""
-    results = []
-    seconds = timeit.repeat(lambda: results.append(fn()), number=1, repeat=repeat)
-    return statistics.median(seconds), results[-1]
+    """Seconds per call of fn, the median over `repeat` shots, and the last call's result.
+
+    A shot is the fewest calls, doubling from one, that take MIN_SHOT_S; the
+    shot that finds that number is the first of the `repeat`.
+    """
+    last = [None]
+
+    def call() -> None:
+        last[0] = fn()
+
+    timer, number = timeit.Timer(call), 1
+    while (first := timer.timeit(number)) < MIN_SHOT_S:
+        number *= 2
+    seconds = [first, *timer.repeat(repeat - 1, number)]
+    return statistics.median(seconds) / number, last[0]
 
 
 def build_term(kind: str, size: int):
@@ -193,7 +208,7 @@ def chain_packagings(n: int) -> list[tuple[list, object]]:
 def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
     from cartoptics import pi0_classes, search_cells
 
-    search_s: list[float] = []  # seconds in `search_cells`, one entry per shot
+    search_s: list[float] = []  # seconds in `search_cells`, one entry per call
 
     def shot() -> list[dict]:
         search_s.append(0.0)
@@ -347,8 +362,9 @@ def main() -> int:
 
     report: dict = {
         "what": (
-            f"each side: median and quartiles over rounds of the median of {REPEAT} single timeit "
-            "shots per operation (one shot for check-laws and pi0-1000); counts are exact"
+            f"each side: median and quartiles over rounds of the seconds per call of each operation, "
+            f"the median of {REPEAT} timeit shots (one for check-laws and pi0-1000) of the fewest calls, "
+            f"doubling from one, that take {MIN_SHOT_S:g} s; counts are exact"
         ),
         "command": "cartoptics " + " ".join(CHECK_LAWS),
         "repeat": REPEAT,
