@@ -116,10 +116,14 @@ def _table_interp(sig) -> Interp | None:
     return None
 
 
-def cmd_check_laws(args) -> int:
-    for flag in ("--random-signatures", "--samples", "--triples"):
+def _at_least_one(args, *flags: str) -> None:
+    for flag in flags:
         if getattr(args, flag[2:].replace("-", "_")) < 1:
             raise ValueError(f"{flag}: expected an int of at least 1")
+
+
+def cmd_check_laws(args) -> int:
+    _at_least_one(args, "--random-signatures", "--samples", "--triples")
     rng = random.Random(args.seed)
     jobs = []
     if args.signature:
@@ -155,6 +159,7 @@ def cmd_check_laws(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _at_least_one(args, "--max-n", "--dim", "--carrier-size")
     rows = run_tradeoff(
         args.max_n,
         kind=args.interp,

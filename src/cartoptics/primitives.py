@@ -8,6 +8,11 @@ by (tag, m, n), which a forward primitive and its `_vjp` share: loading a
 signature draws nothing.  Each forward primitive has a matching
 `*_vjp` transpose-derivative: given the primal input and an output cotangent
 it returns the input cotangent, which is what backward passes are built from.
+
+Every builtin acts on the last axis of its arguments, and any leading axes
+are a batch: a (K, m) input gives a (K, n) output, row k the image of row k.
+On one vector the matrix products give bitwise the results of `w @ x + b`
+and `w.T @ c`.
 """
 
 from __future__ import annotations
@@ -74,8 +79,8 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
         def fn(args):
             x, c = args
             w, b = _affine_weights(*key)
-            y = np.tanh(w @ x + b)
-            return (w.T @ (c * (1.0 - y * y)),)
+            y = np.tanh(x @ w.T + b)
+            return ((c * (1.0 - y * y)) @ w,)
 
     elif m := re.fullmatch(r"affine_tanh_(\w+)", name):
         if len(ddims) != 1 or len(cdims) != 1:
@@ -84,7 +89,7 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
 
         def fn(args):
             w, b = _affine_weights(*key)
-            return (np.tanh(w @ args[0] + b),)
+            return (np.tanh(args[0] @ w.T + b),)
 
     elif m := re.fullmatch(r"affine_vjp_(\w+)", name):
         if len(ddims) != 2 or len(cdims) != 1 or cdims[0] != ddims[0]:
@@ -92,7 +97,7 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
         key = (m.group(1), ddims[0], ddims[1])
 
         def fn(args):
-            return (_affine_weights(*key)[0].T @ args[1],)
+            return (args[1] @ _affine_weights(*key)[0],)
 
     elif m := re.fullmatch(r"affine_(\w+)", name):
         if len(ddims) != 1 or len(cdims) != 1:
@@ -101,7 +106,7 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
 
         def fn(args):
             w, b = _affine_weights(*key)
-            return (w @ args[0] + b,)
+            return (args[0] @ w.T + b,)
 
     else:
         raise SignatureError(f"unknown builtin primitive {name!r}")

@@ -88,7 +88,9 @@ class Generator:
     Exactly one of `table` and `fn` gives the default semantics.  A table has
     one row per input tuple, enumerated in row-major order over the declared
     finite carriers (last coordinate fastest); each row lists one value per
-    output sort.  `fn` takes a tuple of float64 arrays and returns one.
+    output sort.  `fn` takes a tuple of float64 arrays, one per input sort, and
+    returns a tuple, one per output sort.  The builtins (`primitives`) also take
+    arrays with leading batch axes and map each vector along the last axis.
     """
 
     name: str

@@ -536,3 +536,22 @@ class TestBench:
         assert rc1 == 0 and rc2 == 0
         assert stable_part(out1) == stable_part(out2)
         assert len(out1.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--max-n", "0"], "--max-n"),
+            (["--max-n", "-2", "--interp", "real"], "--max-n"),
+            (["--dim", "0", "--interp", "real"], "--dim"),
+            (["--carrier-size", "0"], "--carrier-size"),
+            # the size of the carrier the chain does not use is checked too
+            (["--dim", "0"], "--dim"),
+            (["--carrier-size", "-1", "--interp", "real"], "--carrier-size"),
+        ],
+    )
+    def test_sizes_below_one_name_their_flag(self, capsys, work, argv, flag):
+        out = work / "b.csv"
+        rc, stdout, err = run_cli(capsys, "bench", *argv, "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == f"error: {flag}: expected an int of at least 1\n"
+        assert not out.exists()

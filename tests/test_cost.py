@@ -18,7 +18,7 @@ from cartoptics import (
     share,
     validate_chain_vjps,
 )
-from cartoptics.cost import CSV_COLUMNS, FD_REL_TOL
+from cartoptics.cost import _FD_BLOCK, CSV_COLUMNS, FD_REL_TOL
 from sampling_helpers import loop_term
 
 import numpy as np
@@ -119,6 +119,41 @@ class TestRealChains:
         interp = Interp.from_signature(chain.signature)
         worst = validate_chain_vjps(chain, interp, seed=0)
         assert worst <= FD_REL_TOL
+
+    # a width that is no multiple of the block, so the last block is short
+    FD_DIM = 37
+
+    @pytest.mark.parametrize("k", [0, _FD_BLOCK - 1, _FD_BLOCK, FD_DIM - 1])
+    def test_a_put_wrong_in_one_coordinate_is_caught(self, k):
+        assert self.FD_DIM % _FD_BLOCK
+        chain = build_chain(3, "real", dim=self.FD_DIM, seed=0)
+        interp = Interp.from_signature(chain.signature)
+        assert validate_chain_vjps(chain, interp, seed=0) <= FD_REL_TOL
+        put = interp.fns["put2"]
+
+        def wrong_at_k(args):
+            (dx,) = put(args)
+            return (dx + 1e-2 * (np.arange(self.FD_DIM) == k),)
+
+        interp.fns["put2"] = wrong_at_k
+        with pytest.raises(AssertionError, match="^put2 disagrees with finite differences of get2"):
+            validate_chain_vjps(chain, interp, seed=0)
+
+    def test_gets_are_applied_in_blocks_of_rows(self):
+        chain = build_chain(3, "real", dim=self.FD_DIM, seed=0)
+        interp = Interp.from_signature(chain.signature)
+        rows: dict[str, list[int]] = {name: [] for name in chain.get_names}
+        for name in chain.get_names:
+            def counting(args, fn=interp.fns[name], seen=rows[name]):
+                seen.append(len(args[0]))
+                return fn(args)
+
+            interp.fns[name] = counting
+        validate_chain_vjps(chain, interp, seed=0)
+        blocks = -(-self.FD_DIM // _FD_BLOCK)
+        for seen in rows.values():
+            assert len(seen) == 2 * blocks
+            assert sum(seen) == 2 * self.FD_DIM
 
     def test_validation_needs_real_chain(self):
         chain = build_chain(2, "finite", seed=0)

@@ -55,6 +55,26 @@ class TestAffineWeights:
             (got,) = primitives.resolve(name, dom, cod)(args)
             assert np.array_equal(got, out), name
 
+    @pytest.mark.parametrize(
+        "name, dom, cod",
+        [
+            ("tanh", X, X),
+            ("tanh_vjp", X @ X, X),
+            ("affine_s1", X, Y),
+            ("affine_vjp_s1", X @ Y, X),
+            ("affine_tanh_s1", X, Y),
+            ("affine_tanh_vjp_s1", X @ Y, X),
+        ],
+    )
+    def test_leading_axes_are_a_batch(self, name, dom, cod):
+        rng = np.random.default_rng(0)
+        batch = tuple(rng.standard_normal((7, s.carrier.dimension)) for s in dom)
+        fn = primitives.resolve(name, dom, cod)
+        (got,) = fn(batch)
+        assert got.shape == (7, cod[0].carrier.dimension)
+        rows = [fn(tuple(arg[k] for arg in batch))[0] for k in range(7)]
+        assert np.allclose(got, np.stack(rows), rtol=1e-12, atol=0.0)
+
     def test_a_forward_and_its_vjp_draw_once_on_first_use(self, draws):
         fwd = primitives.resolve("affine_tanh_s2", X, Y)
         vjp = primitives.resolve("affine_tanh_vjp_s2", X @ Y, X)

@@ -28,6 +28,7 @@ def bench():
         ("optic 64", {"dag_nodes": 128, "gen_occurrences": 2208}),
         ("coherence", {}),
         ("pi0", {"n_cells": [14, 14, 14, 14]}),
+        ("real", {"rows": [[n, n * (n + 1) // 2, n, n, 1, n, n] for n in range(1, 17)]}),
     ],
 )
 def test_measure_gives_exact_counts_and_digests(bench, case, counts):

@@ -23,6 +23,9 @@ Every case runs in a fresh interpreter:
   `build_chain(1000, "finite", seed=0)`: reify of the left- and of the
   right-associated lens composite, the optic chain, and the optic of two
   reified half chains.
+- `real`: `validate_chain_vjps` on `build_chain(16, "real", dim=256,
+  seed=0)`, and `run_tradeoff(16, "real", dim=256)`, which builds, checks
+  and runs that chain.
 
 The child prints one JSON object: the seconds per call of each timed
 operation, the exact counts, and the SHA-256 of each output.  An operation
@@ -41,7 +44,11 @@ takes longer than finding them; it counts the cells per family, and its
 output is, per family, the classes, the number of cells and every cell as
 (source index, target index, witness text, count).  Its classes also get a
 digest of their own, since a search that finds more cells changes the rest
-of the output but must not change the classes.
+of the output but must not change the classes.  The `real` case counts
+every exact column of the tradeoff rows; its outputs are the bytes of the
+lens, optic and shared round trips of the whole chain on `chain_input`,
+and the finite-difference verdict (not the worst error, whose low digits
+depend on how the matrix products round).
 
     python tools/bench.py                            # every case on this checkout's src/
     python tools/bench.py --case chain --case pi0    # a kind stands for all its sizes
@@ -75,6 +82,7 @@ import tempfile
 import time
 import timeit
 from contextlib import redirect_stdout
+from dataclasses import astuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +241,32 @@ def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
     }
 
 
+def real_case() -> dict:
+    import cartoptics as C
+    from cartoptics.cost import FD_REL_TOL
+
+    chain = C.build_chain(16, "real", dim=256, seed=0)
+    interp = C.Interp.from_signature(chain.signature)
+    a = C.chain_input(chain, 0)
+    lens = C.compose_chain(chain.lenses)
+    optic = C.compose_optic_chain([C.reify(l) for l in chain.lenses])
+    round_trips = {  # each the flat tuple (b..., a'...)
+        "lens": sum(C.lens_exec(lens, a, interp)[:2], ()),
+        "optic": sum(C.optic_exec(optic, a, interp)[:2], ()),
+        "shared": C.evaluate_dag(C.share(C.round_trip_term(C.reify(lens))), a, interp, C.CostReport()),
+    }
+    validate_s, worst = shots(lambda: C.validate_chain_vjps(chain, interp, 0))
+    tradeoff_s, rows = shots(lambda: C.run_tradeoff(16, "real", dim=256))
+    return {
+        "seconds": {"validate_chain_vjps": validate_s, "run_tradeoff": tradeoff_s},
+        "counts": {"rows": [[v for v in astuple(r) if not isinstance(v, float)] for r in rows]},
+        "outputs": {
+            "round_trips": {k: [v.tobytes().hex() for v in out] for k, out in round_trips.items()},
+            "fd_passed": worst <= FD_REL_TOL,
+        },
+    }
+
+
 CASES = {
     **{f"chain {n}": lambda n=n: term_case("chain", n) for n in (16, 64, 128, 200, 1000)},
     **{f"copy {k}": lambda k=k: term_case("copy", k) for k in (12, 16, 20, 64)},
@@ -241,6 +275,7 @@ CASES = {
     "coherence": coherence_case,
     "pi0": lambda: pi0_case(demo_families(), REPEAT),
     "pi0-1000": lambda: pi0_case(chain_packagings(1000), 1),
+    "real": real_case,
 }
 
 
