@@ -51,7 +51,7 @@ print()
 
 sample = search_cells(family, interp)
 classes = pi0_classes(sample)
-print(f"The exact search found {sum(sample.counts)} cells, over {len(sample.cells)} ordered")
+print(f"The exact search found {sum(n for _, _, n in sample.edges)} cells, over {len(sample.edges)} ordered")
 print(f"pairs of optics, giving {len(classes)} connected components:")
 print()
 

@@ -39,7 +39,7 @@ from .optic import Optic, optic_exec
 from .sampling import random_signature
 from .signature import SIGNATURE_FORMAT_VERSION, Obj, SignatureError, load_signature, read_json
 from .term import TermTypeError
-from .twocell import TwoCellError, mk_two_cell, pi0_classes, search_cells
+from .twocell import TwoCellError, check_boundaries, mk_two_cell, pi0_classes, search_cells
 
 VERSION = "0.1.0"
 
@@ -220,6 +220,8 @@ def cmd_check_cell(args) -> int:
     src = _load_optic(args.src, sig)
     tgt = _load_optic(args.tgt, sig)
     witness = _at("--witness", parse_term, args.witness, sig)
+    _at("--tgt", check_boundaries, src, tgt)
+    _at("--witness", check_boundaries, src, tgt, witness)
     interp = _table_interp(sig)
     try:
         mk_two_cell(src, tgt, witness, interp)
@@ -253,14 +255,12 @@ def cmd_pi0(args) -> int:
         raise ValueError(f"{where}: expected a non-negative int")
     interp = _table_interp(sig)
     sample = search_cells(optics, interp)
-    index = {id(o): i for i, o in enumerate(optics)}
-    edges = [[index[id(c.src)], index[id(c.tgt)], n] for c, n in zip(sample.cells, sample.counts)]
     print(
         _json_line(
             {
                 "classes": pi0_classes(sample),
-                "edges": edges,
-                "n_cells": sum(sample.counts),
+                "edges": sample.edges,
+                "n_cells": sum(n for _, _, n in sample.edges),
                 "n_optics": len(optics),
                 "search_depth": depth,
             }

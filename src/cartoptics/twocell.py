@@ -28,15 +28,15 @@ exact number of cells (witnesses distinct up to normal form) and its first
 witness, whose squares are checked in that same table (pushing only the
 witness and bw2) and cross-checked by exhaustive evaluation.  Moving refs
 into the forward pass and building the witness are both
-`UniqueTable.pull`, stopping at residual wires.
+`UniqueTable.pull`, stopping at residual wires.  The cell keeps that form
+as its witness; pasting reads it back to a term.
 
 `enumerate_wire_terms` and `enumerate_morphisms`, the bounded enumeration the
 search replaced, stay: `perfbench/run.py` patches them by name, `bridge`
 uses the first and tests use the second as an oracle.
 
-`pi0_classes` computes connected components of a sample, treating cells as
-undirected edges and identifying optics whose residuals and canonical forms
-are equal.
+`pi0_classes` computes connected components of a sample from the search's
+edges alone, each an undirected (source index, target index) pair.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .interp import Interp, Runner, first_disagreement
-from .normal import CanonicalForm, Ref, UniqueTable, normalize, read_back, run_form
+from .normal import CanonicalForm, Ref, UniqueTable, read_back, run_form
 from .optic import Optic, optic_compose
 from .signature import Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
@@ -70,14 +70,23 @@ class NormalizerDisagreement(AssertionError):
 class TwoCell:
     src: Optic
     tgt: Optic
-    witness: Term
+    witness: Term | CanonicalForm
 
 
-def _check_boundaries(src: Optic, tgt: Optic) -> None:
+def _boundary(o: Optic) -> str:
+    return f"{o.dom_pair[0]} / {o.dom_pair[1]} -> {o.cod_pair[0]} / {o.cod_pair[1]}"
+
+
+def check_boundaries(src: Optic, tgt: Optic, witness: Term | CanonicalForm | None = None) -> None:
+    """Raise TermTypeError unless the endpoints, and the witness if given, fit one cell."""
     if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
+        raise TermTypeError(f"cell endpoints have different boundaries: {_boundary(src)} vs {_boundary(tgt)}")
+    if witness is not None and (witness.dom != src.residual or witness.cod != tgt.residual):
         raise TermTypeError(
-            f"cell endpoints have different boundaries: "
-            f"{src.dom_pair}->{src.cod_pair} vs {tgt.dom_pair}->{tgt.cod_pair}"
+            f"witness boundary {witness.dom} -> {witness.cod} does not match "
+            f"residuals {src.residual} -> {tgt.residual}",
+            expected=src.residual,
+            actual=witness.dom,
         )
 
 
@@ -144,21 +153,15 @@ def _cross_check(
     return None
 
 
-def mk_two_cell(src: Optic, tgt: Optic, witness: Term, interp: Interp | None = None) -> TwoCell:
+def mk_two_cell(src: Optic, tgt: Optic, witness: Term | CanonicalForm, interp: Interp | None = None) -> TwoCell:
     """Validate both squares and build the cell; raises TwoCellError if invalid.
 
-    Both squares are decided in one unique table over A, M1 and B'.  The
-    error names the failing square and, under a finite interpretation, an
-    input that separates its sides.
+    The witness is a term, or a canonical form, which runs row by row.  Both
+    squares are decided in one unique table over A, M1 and B'.  The error
+    names the failing square and, under a finite interpretation, an input
+    that separates its sides.
     """
-    _check_boundaries(src, tgt)
-    if witness.dom != src.residual or witness.cod != tgt.residual:
-        raise TermTypeError(
-            f"witness boundary {witness.dom} -> {witness.cod} does not match "
-            f"residuals {src.residual} -> {tgt.residual}",
-            expected=src.residual,
-            actual=witness.dom,
-        )
+    check_boundaries(src, tgt, witness)
     na = len(src.forward.dom)
     table = UniqueTable(na + len(src.backward.dom))
     a, ins = table.inputs[:na], table.inputs[na:]
@@ -179,74 +182,63 @@ def identity_cell(o: Optic, interp: Interp | None = None) -> TwoCell:
     return mk_two_cell(o, o, Id(o.residual), interp)
 
 
+def _term(witness: Term | CanonicalForm) -> Term:
+    """A witness as a term: a searched cell holds its canonical form, read back here."""
+    return read_back(witness) if isinstance(witness, CanonicalForm) else witness
+
+
 def vcompose(c1: TwoCell, c2: TwoCell, interp: Interp | None = None) -> TwoCell:
     """Compose along a shared middle optic (same representative required)."""
     if c1.tgt != c2.src:
         raise TermTypeError("vertical composition needs c1.tgt and c2.src to be the same representative")
-    return mk_two_cell(c1.src, c2.tgt, c1.witness >> c2.witness, interp)
+    return mk_two_cell(c1.src, c2.tgt, _term(c1.witness) >> _term(c2.witness), interp)
 
 
 def hcompose(c1: TwoCell, c2: TwoCell, interp: Interp | None = None) -> TwoCell:
     """Compose side by side; the witness is the tensor of the witnesses."""
     src = optic_compose(c1.src, c2.src)
     tgt = optic_compose(c1.tgt, c2.tgt)
-    return mk_two_cell(src, tgt, Ten(c1.witness, c2.witness), interp)
+    return mk_two_cell(src, tgt, Ten(_term(c1.witness), _term(c2.witness)), interp)
 
 
 @dataclass(frozen=True)
 class HomCatSample:
     """A finite sample of a hom-category: optics plus validated cells.
 
-    A search also fills `counts`: counts[k] is the number of cells between
-    the endpoints of cells[k], witnesses distinct up to normal form, and
+    edges[k] = (i, j, count) belongs to cells[k]: there are `count` cells
+    from optics[i] to optics[j], witnesses distinct up to normal form, and
     cells[k] is the first of them.
     """
 
     optics: tuple[Optic, ...]
     cells: tuple[TwoCell, ...] = ()
-    counts: tuple[int, ...] = ()
+    edges: tuple[tuple[int, int, int], ...] = ()
 
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        self.parent[self.find(i)] = self.find(j)
+    def __post_init__(self) -> None:
+        if len(self.edges) != len(self.cells):
+            raise ValueError(f"{len(self.cells)} cells but {len(self.edges)} edges: each cell needs its edge")
 
 
 def pi0_classes(sample: HomCatSample) -> list[list[int]]:
     """Connected components of the sample, as sorted lists of optic indices.
 
-    Cells are undirected edges; optics with equal residuals and canonical
-    forms are identified, as the identity witness joins them.
+    Edges are undirected.  Optics with equal residuals and canonical forms
+    need no identifying of their own: the identity is a cell between them
+    both ways, so the search gives them an edge each way.
     """
-    def key(o: Optic) -> tuple:
-        return o.residual, normalize(o.forward), normalize(o.backward)
+    parent = list(range(len(sample.optics)))
 
-    uf = UnionFind(len(sample.optics))
-    seen: dict[tuple, int] = {}
-    for i, o in enumerate(sample.optics):
-        uf.union(i, seen.setdefault(key(o), i))
-    by_id = {id(o): i for i, o in enumerate(sample.optics)}
-
-    def index_of(o: Optic) -> int:
-        i = by_id[id(o)] if id(o) in by_id else seen.get(key(o))
-        if i is None:
-            raise ValueError("cell endpoint is not among the sampled optics")
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
         return i
 
-    for c in sample.cells:
-        uf.union(index_of(c.src), index_of(c.tgt))
+    for i, j, _ in sample.edges:
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(len(sample.optics)):
-        groups.setdefault(uf.find(i), []).append(i)
+    for i in range(len(parent)):
+        groups.setdefault(find(i), []).append(i)
     return sorted(groups.values())
 
 
@@ -426,7 +418,7 @@ def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple
     """The number of cells from optic i to optic j, and the first, with its squares checked.
 
     The check pushes only the witness's canonical form and bw2 into the
-    passes' table; the cell holds the term `read_back` builds from the form.
+    passes' table; the cell holds that form as its witness.
     """
     count, form = passes.decide(i, j)
     if not count:
@@ -440,7 +432,7 @@ def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple
     _cross_check(src, tgt, form, side, interp)
     if side is not None:
         raise AssertionError(f"the matched witness fails the {side} square")
-    return count, TwoCell(src, tgt, read_back(form))
+    return count, TwoCell(src, tgt, form)
 
 
 def search_cells(optics: list[Optic], interp: Interp | None = None) -> HomCatSample:
@@ -448,7 +440,7 @@ def search_cells(optics: list[Optic], interp: Interp | None = None) -> HomCatSam
 
     Cells preserve erasure, so only ordered pairs with one boundary and one
     erasure are decided.  For each pair with cells the sample holds the first
-    cell and the number of cells.
+    cell, its witness a canonical form, and the edge (i, j, number of cells).
     """
     groups: dict[tuple, list[int]] = {}
     for i, o in enumerate(optics):
@@ -458,12 +450,12 @@ def search_cells(optics: list[Optic], interp: Interp | None = None) -> HomCatSam
         passes = _Passes([optics[i] for i in members])
         place.update((i, (passes, n)) for n, i in enumerate(members))
     cells: list[TwoCell] = []
-    counts: list[int] = []
+    edges: list[tuple[int, int, int]] = []
     for i, j in itertools.permutations(range(len(optics)), 2):
         (p, a), (q, b) = place[i], place[j]
         if p is q and p.fibre[a] == p.fibre[b]:
             count, cell = _first_cell(p, a, b, interp)
             if count:
                 cells.append(cell)
-                counts.append(count)
-    return HomCatSample(tuple(optics), tuple(cells), tuple(counts))
+                edges.append((i, j, count))
+    return HomCatSample(tuple(optics), tuple(cells), tuple(edges))

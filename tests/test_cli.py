@@ -385,6 +385,24 @@ class TestCheckCell:
         assert data["side"] == "forward"
         assert data["counterexample"] == [0]
 
+    def test_endpoints_with_different_boundaries_name_the_flag(self, capsys, sig_path, optic_path, work):
+        tgt = work / "tgt3.json"
+        tgt.write_text(json.dumps({"residual": [], "forward": "id[A]", "backward": "id[A]"}))
+        rc, out, err = run_cli(
+            capsys, "check-cell", "--signature", sig_path,
+            "--src", optic_path, "--tgt", str(tgt), "--witness", "del[A]",
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: --tgt: cell endpoints have different boundaries: A / A -> B / B vs A / A -> A / A\n"
+
+    def test_witness_with_the_wrong_boundary_names_the_flag(self, capsys, sig_path, optic_path):
+        rc, out, err = run_cli(
+            capsys, "check-cell", "--signature", sig_path,
+            "--src", optic_path, "--tgt", optic_path, "--witness", "del[A]",
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: --witness: witness boundary A -> 1 does not match residuals A -> A\n"
+
 
 class TestPi0:
     def test_two_presentations_of_identity(self, capsys, sig_path, work):

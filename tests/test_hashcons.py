@@ -110,7 +110,10 @@ class TestSharedSubtermsPushedOnce:
         ]
         sample = search_cells(family)
         searched = len(applications)
+        # the classes come from the search's edges: no pass is pushed again
+        applications.clear()
         assert len(sample.cells) == 7 and pi0_classes(sample) == [[0, 1, 2, 3]]
+        assert applications == []
         # about 52 per stage; squares in tables of their own took about 84, and
         # walking the puts as trees about 1300
         assert searched <= 60 * n

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cartoptics import (
     UNIT,
+    CanonicalForm,
     Copy,
     Delete,
     FiniteCarrier,
@@ -39,6 +40,7 @@ from cartoptics import (
     optic_compose,
     optic_id,
     pi0_classes,
+    read_back,
     reify,
     search_cells,
     vcompose,
@@ -48,7 +50,7 @@ from cartoptics.cost import build_chain
 from cartoptics.interp import first_disagreement
 from cartoptics.normal import UniqueTable
 from cartoptics.term import gen_wire, pairing, run, select_wire
-from cartoptics.sampling import random_obj, random_optic, random_signature, random_valid_cell
+from cartoptics.sampling import canon, random_obj, random_optic, random_signature, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
 from sampling_helpers import random_cell_chain, random_composable_cells
 
@@ -162,19 +164,26 @@ class TestComponents:
         connected = [optic_id((A, A)), reify(lens_id((A, A)))]
         lone = Optic(A, graph(f), h)
         cell = mk_two_cell(connected[1], connected[0], Delete(A), interp)
-        sample = HomCatSample((*connected, lone), (cell,))
+        sample = HomCatSample((*connected, lone), (cell,), ((1, 0, 1),))
         assert pi0_classes(sample) == [[0, 1], [2]]
+        assert pi0_classes(search_cells([*connected, lone], interp)) == [[0, 1], [2]]
+        # a cell without its edge would join nothing
+        with pytest.raises(ValueError, match="each cell needs its edge"):
+            HomCatSample((*connected, lone), (cell,))
 
     def test_structurally_equal_optics_are_identified(self, f, h, A):
         o = Optic(A, graph(f), h)
-        sample = HomCatSample((o, Optic(A, graph(f), h)))
+        sample = search_cells([o, Optic(A, graph(f), h)])
         assert pi0_classes(sample) == [[0, 1]]
+        # the identity witness, both ways
+        assert sample.edges == ((0, 1, 1), (1, 0, 1))
+        assert all(normal_eq(c.witness, Id(A)) for c in sample.cells)
 
-    def test_unsampled_endpoint_is_an_error(self, rewired, e, A, interp):
-        src, tgt = rewired
-        cell = mk_two_cell(src, tgt, e, interp)
-        with pytest.raises(ValueError, match="not among"):
-            pi0_classes(HomCatSample((src,), (cell,)))
+    def test_one_optic_listed_twice_has_its_own_indices(self, f, h, A):
+        o = Optic(A, graph(f), h)
+        sample = search_cells([o, o])
+        assert sample.edges == ((0, 1, 1), (1, 0, 1))
+        assert pi0_classes(sample) == [[0, 1]]
 
 
 class TestDeepComponents:
@@ -183,8 +192,8 @@ class TestDeepComponents:
         chain = build_chain(1500, "finite", seed=3)
         optics = [compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2)]
         start = time.perf_counter()
-        assert pi0_classes(HomCatSample(optics[:1])) == [[0]]
-        assert pi0_classes(HomCatSample(tuple(optics))) == [[0, 1]]
+        assert pi0_classes(search_cells(optics[:1])) == [[0]]
+        assert pi0_classes(search_cells(optics)) == [[0, 1]]
         assert time.perf_counter() - start < 5.0
 
 
@@ -200,10 +209,8 @@ class TestDeepComponents:
             compose_optic_chain(halves),
         ]
         sample = search_cells(family)
-        index = {id(o): i for i, o in enumerate(family)}
-        edges = [(index[id(c.src)], index[id(c.tgt)], n) for c, n in zip(sample.cells, sample.counts)]
         # cells run from recompute to store, and the optic chain has none going out
-        assert edges == [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 0, 1), (1, 2, 1), (1, 3, 1), (3, 2, 1)]
+        assert sample.edges == ((0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 0, 1), (1, 2, 1), (1, 3, 1), (3, 2, 1))
         assert pi0_classes(sample) == [[0, 1, 2, 3]]
 
     def test_a_witness_sharing_its_rows_is_checked_row_by_row(self):
@@ -222,7 +229,7 @@ class TestDeepComponents:
         assert time.perf_counter() - start < 5.0
         # the witness recomputes t; nothing gets the input back from t
         assert [(c.src, c.tgt) for c in sample.cells] == [(holds_input, holds_output)]
-        assert sample.counts == (1,) and len(found) == 1
+        assert sample.edges == ((0, 1, 1),) and len(found) == 1
 
 
 @pytest.fixture(scope="module")
@@ -266,14 +273,14 @@ class TestWitnessSearch:
     def test_the_backward_square_binds_what_it_reads(self, A, interp):
         src, tgt = twin_residuals(A, reads_residual=True)
         sample = search_cells([src, tgt], interp)
-        assert sample.counts == (1, 1)
+        assert sample.edges == ((0, 1, 1), (1, 0, 1))
         assert normal_eq(sample.cells[0].witness, Proj2(A, A))
         assert normal_eq(sample.cells[1].witness, Copy(A))
 
     def test_wires_read_by_nothing_count_every_forward_solution(self, A, interp):
         src, tgt = twin_residuals(A, reads_residual=False)
         sample = search_cells([src, tgt], interp)
-        assert sample.counts == (2, 1)
+        assert sample.edges == ((0, 1, 2), (1, 0, 1))
         # the first witness takes the lowest residual wire
         assert normal_eq(sample.cells[0].witness, Proj1(A, A))
         assert search_cells([src, tgt], interp).cells[0].witness == sample.cells[0].witness
@@ -324,14 +331,18 @@ def window_packagings(lenses):
 
 
 def reference_search(optics, sig, depth, interp):
-    """The bounded oracle: every candidate of every ordered pair through mk_two_cell."""
+    """The bounded oracle: every candidate of every ordered pair through mk_two_cell.
+
+    Returns (source index, target index, cell) triples.
+    """
     cells = []
-    for src, tgt in itertools.permutations(optics, 2):
+    for i, j in itertools.permutations(range(len(optics)), 2):
+        src, tgt = optics[i], optics[j]
         if src.dom_pair != tgt.dom_pair or src.cod_pair != tgt.cod_pair:
             continue
         for r in enumerate_morphisms(sig, src.residual, tgt.residual, depth):
             try:
-                cells.append(mk_two_cell(src, tgt, r, interp))
+                cells.append((i, j, mk_two_cell(src, tgt, r, interp)))
             except TwoCellError:
                 pass
     return cells
@@ -406,15 +417,11 @@ def generator_depth(t):
 def assert_search_matches_reference(optics, sig, depth, interp):
     """The exact search against the bounded oracle and an enumeration of both squares."""
     sample = search_cells(optics, interp)
-    index = {id(o): i for i, o in enumerate(optics)}
-    decided = {
-        (index[id(c.src)], index[id(c.tgt)]): (n, c.witness)
-        for c, n in zip(sample.cells, sample.counts)
-    }
-    assert len(decided) == len(sample.cells) == len(sample.counts)
+    decided = {(i, j): (n, c.witness) for c, (i, j, n) in zip(sample.cells, sample.edges)}
+    assert len(decided) == len(sample.cells) == len(sample.edges)
     oracle: dict = {}
-    for c in reference_search(optics, sig, depth, interp):
-        oracle.setdefault((index[id(c.src)], index[id(c.tgt)]), []).append(c.witness)
+    for i, j, c in reference_search(optics, sig, depth, interp):
+        oracle.setdefault((i, j), []).append(c.witness)
     for (i, j), witnesses in oracle.items():
         # the oracle finds no cell between different fibres of erase
         assert fibre(optics[i]) == fibre(optics[j])
@@ -424,6 +431,8 @@ def assert_search_matches_reference(optics, sig, depth, interp):
         assert normal_eq(witnesses[0], first)
     for (i, j), (count, witness) in decided.items():
         assert count >= 1
+        # the witness is the canonical form the search checked, and it validates as given
+        assert isinstance(witness, CanonicalForm) and normalize(witness) == witness
         mk_two_cell(optics[i], optics[j], witness, interp)
         if generator_depth(witness) <= depth:
             assert (i, j) in oracle
@@ -508,3 +517,91 @@ class TestSearchCrossChecks:
         monkeypatch.setattr(twocell, "_rejected_side", lambda *args: None)
         with pytest.raises(NormalizerDisagreement, match=r"backward square: normalizer accepted but input"):
             search_cells(list(twin_residuals(A, reads_residual=True)), interp)
+
+
+class TestSearchedWitnessesPaste:
+    """A searched cell holds a canonical form; pasting reads it back to a term."""
+
+    def test_vertical_composition(self):
+        chain = build_chain(8, "finite")
+        interp = Interp.from_signature(chain.signature)
+        sample = search_cells(window_packagings(chain.lenses[:3]), interp)
+        composable = [(c1, c2) for c1, c2 in itertools.product(sample.cells, repeat=2) if c1.tgt is c2.src]
+        assert composable
+        for c1, c2 in composable:
+            c = vcompose(c1, c2, interp)
+            assert normal_eq(c.witness, read_back(c1.witness) >> read_back(c2.witness))
+
+    def test_horizontal_composition(self):
+        chain = build_chain(8, "finite")
+        interp = Interp.from_signature(chain.signature)
+        left = search_cells(window_packagings(chain.lenses[:3]), interp).cells
+        right = search_cells(window_packagings(chain.lenses[3:6]), interp).cells
+        assert left and right
+        for c1, c2 in itertools.product(left[:3], right[:3]):
+            c = hcompose(c1, c2, interp)
+            assert normal_eq(c.witness, read_back(c1.witness) @ read_back(c2.witness))
+
+
+def normal_key(o):
+    return o.residual, normalize(o.forward), normalize(o.backward)
+
+
+def oracle_pi0_classes(sample):
+    """The classes as found by identifying optics by their normal forms, then joining cells.
+
+    Optics with equal residuals and canonical forms are merged first; each
+    cell then joins its endpoints, found by object identity or else by that
+    key.
+    """
+    classes = [{i} for i in range(len(sample.optics))]
+
+    def join(i, j):
+        a, b = (next(c for c in classes if x in c) for x in (i, j))
+        if a is not b:
+            a |= b
+            classes.remove(b)
+
+    seen = {}
+    for i, o in enumerate(sample.optics):
+        join(i, seen.setdefault(normal_key(o), i))
+    by_id = {id(o): i for i, o in enumerate(sample.optics)}
+    for c in sample.cells:
+        join(*(by_id[id(o)] if id(o) in by_id else seen[normal_key(o)] for o in (c.src, c.tgt)))
+    return sorted(sorted(c) for c in classes)
+
+
+class TestClassesFromEdges:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.randoms(use_true_random=False))
+    def test_normal_equal_optics_are_joined_by_the_search(self, rng):
+        # random optics, copies with re-canonicalized passes, one object twice, a lens's hub
+        sig = random_signature(rng)
+        interp = Interp.from_signature(sig)
+        dom_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        cod_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        optics = [random_optic(rng, sig, dom_pair, cod_pair) for _ in range(3)]
+        family = optics + [Optic(o.residual, canon(o.forward), canon(o.backward)) for o in optics]
+        family += [optics[0], reify(erase(optics[1]))]
+        rng.shuffle(family)
+        sample = search_cells(family, interp)
+        witnesses = {(i, j): c.witness for c, (i, j, _) in zip(sample.cells, sample.edges)}
+        for i, j in itertools.permutations(range(len(family)), 2):
+            src, tgt = family[i], family[j]
+            if normal_key(src) != normal_key(tgt):
+                continue
+            # the identity is a cell, so the search finds an edge each way
+            m = src.residual
+            mk_two_cell(src, tgt, Id(m), interp)
+            assert (i, j) in witnesses
+            # the first witness takes the lowest residual wire carrying each forward value
+            refs = normalize(src.forward).outputs[: len(m)]
+            if len(set(refs)) == len(refs):
+                assert normal_eq(witnesses[i, j], Id(m))
+        assert pi0_classes(sample) == oracle_pi0_classes(sample)

@@ -39,10 +39,11 @@ and a form normalized earlier) `hash` (of a fresh form) and
 `sum(gen_occurrences(normalize(t)).values())`, and its output is the
 canonical form.  The output of `check-laws` is its stdout, and that of
 `coherence` every law's checked count and verdict.  A `pi0` case also times
-`search_cells` alone (`search`), since printing the witnesses of `pi0-1000`
-takes longer than finding them; it counts the cells per family, and its
+`search_cells` alone (`search`); it counts the cells per family, and its
 output is, per family, the classes, the number of cells and every cell as
-(source index, target index, witness text, count).  Its classes also get a
+(source index, target index, witness, count), the witness as the JSON of its
+canonical form with its dom and cod: a term witness and the form it
+normalizes to give the same.  Its classes also get a
 digest of their own, since a search that finds more cells changes the rest
 of the output but must not change the classes.  The `real` case counts
 every exact column of the tradeoff rows; its outputs are the bytes of the
@@ -213,6 +214,13 @@ def chain_packagings(n: int) -> list[tuple[list, object]]:
     return [(family, None)]
 
 
+def witness_json(witness) -> dict:
+    """A witness term or form as the JSON of its canonical form, with its dom and cod."""
+    from cartoptics import normalize
+
+    return {**normalize(witness).to_json(), "dom": str(witness.dom), "cod": str(witness.cod)}
+
+
 def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
     from cartoptics import pi0_classes, search_cells
 
@@ -225,12 +233,12 @@ def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
             start = time.perf_counter()
             sample = search_cells(family, interp)
             search_s[-1] += time.perf_counter() - start
-            index = {id(o): i for i, o in enumerate(family)}
-            cells = [
-                (index[id(c.src)], index[id(c.tgt)], str(c.witness), n)
-                for c, n in zip(sample.cells, sample.counts)
-            ]
-            out.append({"classes": pi0_classes(sample), "n_cells": sum(sample.counts), "cells": cells})
+            edges = getattr(sample, "edges", None)
+            if edges is None:  # a revision before `HomCatSample.edges`: endpoints by identity
+                index = {id(o): i for i, o in enumerate(family)}
+                edges = [(index[id(c.src)], index[id(c.tgt)], n) for c, n in zip(sample.cells, sample.counts)]
+            cells = [(i, j, witness_json(c.witness), n) for c, (i, j, n) in zip(sample.cells, edges)]
+            out.append({"classes": pi0_classes(sample), "n_cells": sum(n for _, _, n in edges), "cells": cells})
         return out
 
     seconds, result = shots(shot, repeat)
