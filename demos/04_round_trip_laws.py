@@ -38,7 +38,7 @@ print()
 
 print("Law suite over random samples (checked / failed). The last law below")
 print("doctors each canonical witness and requires the squares to reject it:")
-report = check_adjunction(sig, interp, random.Random(1), n_lenses=60, n_optics=60)
+report = check_adjunction(sig, interp, random.Random(1), n_samples=60)
 for name, law in report.laws.items():
     print(f"  {name:<22} {law.checked:>4} / {len(law.failures)}")
 print(f"  all passed: {report.passed}")

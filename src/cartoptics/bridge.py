@@ -182,15 +182,19 @@ def _corrupted_counit_witness(o: Optic, sig) -> Term | None:
     return None
 
 
-def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: int = 100) -> AdjunctionReport:
-    """Sample-based law suite for the reify/erase round trip and the counit."""
+def check_adjunction(sig, interp: Interp, rng, n_samples: int = 100) -> AdjunctionReport:
+    """Sample-based law suite for the reify/erase round trip and the counit.
+
+    Each law draws n_samples lenses or optics; naturality draws half as many
+    cells, and mutation sensitivity stops after a quarter as many rejections.
+    """
     report = AdjunctionReport()
 
     def lenses():
-        return (sampling.random_lens(rng, sig) for _ in range(n_lenses))
+        return (sampling.random_lens(rng, sig) for _ in range(n_samples))
 
     def optics():
-        return (sampling.random_optic(rng, sig) for _ in range(n_optics))
+        return (sampling.random_optic(rng, sig) for _ in range(n_samples))
 
     def re_identity(l: Lens) -> dict | None:
         return None if lens_normal_eq(erase(reify(l)), l) else {"get": str(l.get), "put": str(l.put)}
@@ -223,15 +227,15 @@ def check_adjunction(sig, interp: Interp, rng, n_lenses: int = 100, n_optics: in
 
     _run_law(report, "RE_identity", lenses(), re_identity)
     _run_law(report, "counit_validity", optics(), counit_valid)
-    cells = (sampling.random_valid_cell(rng, sig, interp) for _ in range(max(1, n_optics // 2)))
+    cells = (sampling.random_valid_cell(rng, sig, interp) for _ in range(max(1, n_samples // 2)))
     _run_law(report, "counit_naturality", cells, counit_natural)
     _run_law(report, "triangle_R", lenses(), triangle_r)
     _run_law(report, "triangle_E", optics(), triangle_e)
 
     # a rejection is this law's success, and it stops after `want` of them
     law = report.law("mutation_sensitivity")
-    want = max(1, n_optics // 4)
-    for i in range(n_optics * 4):
+    want = max(1, n_samples // 4)
+    for i in range(n_samples * 4):
         if law.checked >= want:
             break
         o = sampling.random_optic(rng, sig)

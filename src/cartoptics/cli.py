@@ -10,8 +10,7 @@ Subcommands:
   optimize     print the hash-consed dag of an expression
   check-cell   validate a structure map between two optic files
   pi0          the cells between a family of optics, decided exactly, and
-               their connected components; `search_depth` is accepted for
-               old files and bounds nothing
+               their connected components
 
 Exit codes: 0 success, 1 a check failed, 2 usage or input error, 3 internal
 error (a fault in this package, not in the input).  All output except
@@ -139,7 +138,7 @@ def cmd_check_laws(args) -> int:
             raise SignatureError(
                 f"{label}: law checking needs table semantics for every generator"
             )
-        adj = check_adjunction(sig, interp, rng, n_lenses=args.samples, n_optics=args.samples)
+        adj = check_adjunction(sig, interp, rng, n_samples=args.samples)
         coh = coherence_suite(sig, interp, rng, n_pairs=args.samples, n_triples=args.triples)
         passed = adj.passed and coh.passed
         all_passed = all_passed and passed
@@ -248,11 +247,6 @@ def cmd_pi0(args) -> int:
     data = read_json(args.homcat)
     (entries,) = _fields(args.homcat, data, "", optics=list)
     optics = [_load_optic(args.homcat, sig, e, f"optics[{i}].") for i, e in enumerate(entries)]
-    from_file = args.search_depth is None
-    depth = data.get("search_depth", 2) if from_file else args.search_depth
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        where = f"{args.homcat}: search_depth" if from_file else "--search-depth"
-        raise ValueError(f"{where}: expected a non-negative int")
     interp = _table_interp(sig)
     sample = search_cells(optics, interp)
     print(
@@ -262,7 +256,6 @@ def cmd_pi0(args) -> int:
                 "edges": sample.edges,
                 "n_cells": sum(n for _, _, n in sample.edges),
                 "n_optics": len(optics),
-                "search_depth": depth,
             }
         )
     )
@@ -329,12 +322,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--signature", required=True)
     q.add_argument("--homcat", required=True, help="JSON file listing optics")
-    q.add_argument(
-        "--search-depth",
-        type=int,
-        default=None,
-        help="accepted and echoed for old files; it bounds nothing (the search is exact)",
-    )
     return p
 
 

@@ -24,7 +24,7 @@ def evaluate_dag(dag: CanonicalForm, values: tuple, interp: Interp, report: Cost
     """Evaluate every row exactly once, in order."""
     if report is None:
         report = CostReport()
-    check_values(dag.dom, values, interp)
+    check_values(dag.dom, values)
     out = run_form(dag, values, interp.apply)
     counts = report.generator_counts
     for gen, _ in dag.nodes:

@@ -1,9 +1,9 @@
 """Interpretations, instrumented evaluation, and extensional equality.
 
-An interpretation assigns a carrier to every sort and a total semantics to
-every generator.  The default interpretation of a signature reads both off the
-declarations; law suites also sample random finite interpretations over the
-same syntax.
+An interpretation assigns a total semantics to every generator, over the
+carriers its sorts declare.  The default interpretation of a signature reads
+it off the declarations; a table given in its place is checked as a declared
+one is, at the generator's first application.
 
 `evaluate` runs a term on a concrete input tuple and counts work: one counter
 bump per generator application, one copy per duplicated wire.  Identities,
@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .signature import Carrier, FiniteCarrier, Generator, Obj, Signature, Sort
+from .signature import Carrier, FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
 from .term import Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
@@ -74,19 +74,19 @@ def carrier_bytes(c: Carrier) -> int:
 
 
 class Interp:
-    """Carrier and semantics assignment, possibly overriding declarations.
+    """Semantics for generators, by name: a lookup table in `tables` or a function in `fns`.
 
-    A generator's table and carriers are read once, at its first application;
-    its function, if it has no table, is looked up in `fns` at every call.
+    Carriers are the ones the sorts declare.  A generator's table is checked
+    with `signature.check_table`, as a declared table is, and indexed once, at
+    the generator's first application; its function, if it has no table, is
+    looked up in `fns` at every call.
     """
 
     def __init__(
         self,
-        carriers: dict[str, Carrier] | None = None,
         tables: dict[str, tuple[tuple[int, ...], ...]] | None = None,
         fns: dict[str, Callable[[tuple], tuple]] | None = None,
     ):
-        self.carriers = dict(carriers or {})
         self.tables = dict(tables or {})
         self.fns = dict(fns or {})
         self._row_index: dict[str, tuple] = {}  # see _build_index
@@ -95,54 +95,43 @@ class Interp:
     def from_signature(sig: Signature) -> "Interp":
         tables = {g.name: g.table for g in sig.generators if g.table is not None}
         fns = {g.name: g.fn for g in sig.generators if g.fn is not None}
-        return Interp(carriers={}, tables=tables, fns=fns)
-
-    def carrier_of(self, sort: Sort) -> Carrier:
-        return self.carriers.get(sort.name, sort.carrier)
-
-    def size_of(self, sort: Sort) -> int:
-        c = self.carrier_of(sort)
-        if not isinstance(c, FiniteCarrier):
-            raise UnsupportedInterpretation(f"sort {sort.name} is not finite here")
-        return c.size
-
-    def is_finite(self, obj: Obj) -> bool:
-        return all(isinstance(self.carrier_of(s), FiniteCarrier) for s in obj)
+        return Interp(tables, fns)
 
     def _build_index(self, gen: Generator) -> tuple | None:
-        """(table, strides, width, columns): a table generator's row index, kept by name.
+        """(table, strides, columns): a table generator's checked row index, kept by name.
 
-        The row of args is `sum(v * stride)`.  `columns` is the table
-        transposed to one tuple per output, or None if some row has the wrong
-        width.  None for a generator without a table, whose function is looked
-        up at each call.  Keyed by name: hashing a Generator hashes its table.
+        The row of args is `sum(v * stride)`; `columns` is the table
+        transposed to one tuple per output.  None for a generator without a
+        table, whose function is looked up at each call.  A table that fails
+        `check_table` raises SignatureError and is not kept.  Keyed by name:
+        hashing a Generator hashes its table.
         """
         table = self.tables.get(gen.name)
         if table is None:
             return None
+        try:
+            check_table(gen.dom, gen.cod, table)
+        except SignatureError as e:
+            raise SignatureError(f"generator {gen.name}: {e}") from None
         strides, n = [], 1
         for s in reversed(gen.dom.sorts):
             strides.insert(0, n)
-            n *= self.size_of(s)
+            n *= s.carrier.size
         table = tuple(map(tuple, table))
-        width = len(gen.cod)
-        columns = tuple(zip(*table)) if all(len(r) == width for r in table) else None
-        index = self._row_index[gen.name] = (table, tuple(strides), width, columns)
+        index = self._row_index[gen.name] = (table, tuple(strides), tuple(zip(*table)))
         return index
 
     def apply(self, gen: Generator, args: tuple) -> tuple:
         index = self._row_index.get(gen.name) or self._build_index(gen)
         if index is not None:
-            table, strides, width, _ = index
-            out = table[sum(map(mul, args, strides))]
-        else:
-            fn = self.fns.get(gen.name)
-            if fn is None:
-                raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
-            out, width = tuple(fn(args)), len(gen.cod)
-        if len(out) != width:
+            return index[0][sum(map(mul, args, index[1]))]
+        fn = self.fns.get(gen.name)
+        if fn is None:
+            raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
+        out = tuple(fn(args))
+        if len(out) != len(gen.cod):
             raise CarrierMismatch(
-                f"generator {gen.name} returned {len(out)} values, expected {width}"
+                f"generator {gen.name} returned {len(out)} values, expected {len(gen.cod)}"
             )
         return out
 
@@ -151,11 +140,11 @@ class Interp:
 
         def apply(gen: Generator, cols: tuple) -> tuple:
             index = self._row_index.get(gen.name) or self._build_index(gen)
-            if index is None or index[3] is None:
-                # a function, or a table with a bad row: point by point, with apply's checks
+            if index is None:
+                # a function: point by point, with apply's checks
                 points = zip(*cols) if cols else itertools.repeat((), count)
                 return tuple(map(list, zip(*[self.apply(gen, p) for p in points])))
-            _, strides, _, columns = index
+            _, strides, columns = index
             if len(cols) == 1:
                 idx = cols[0]
             elif cols:
@@ -167,15 +156,15 @@ class Interp:
         return apply
 
     def obj_bytes(self, obj: Obj) -> int:
-        return sum(carrier_bytes(self.carrier_of(s)) for s in obj)
+        return sum(carrier_bytes(s.carrier) for s in obj)
 
 
-def check_values(obj: Obj, values: tuple, interp: Interp, what: str = "input") -> None:
+def check_values(obj: Obj, values: tuple, what: str = "input") -> None:
     """Validate a value tuple against an object's carriers."""
     if len(values) != len(obj):
         raise CarrierMismatch(f"{what}: expected {len(obj)} values for {obj}, got {len(values)}")
     for v, s in zip(values, obj):
-        c = interp.carrier_of(s)
+        c = s.carrier
         if isinstance(c, FiniteCarrier):
             if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < c.size):
                 raise CarrierMismatch(f"{what}: value {v!r} not in finite carrier of {s.name}")
@@ -202,20 +191,19 @@ def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None =
     """Run a term on a value tuple, counting generator applications and copies."""
     if report is None:
         report = CostReport()
-    check_values(t.dom, values, interp)
+    check_values(t.dom, values)
     out, copied = run(t, tuple(values), interp.apply, report.generator_counts)
     report.copies += copied
     return out
 
 
-def enumerate_inputs(obj: Obj, interp: Interp, cap: int = TUPLE_CAP) -> Iterator[tuple]:
+def enumerate_inputs(obj: Obj, cap: int = TUPLE_CAP) -> Iterator[tuple]:
     """All value tuples of a finite object, row-major, capped."""
     sizes = []
     for s in obj:
-        c = interp.carrier_of(s)
-        if not isinstance(c, FiniteCarrier):
-            raise UnsupportedInterpretation(f"sort {s.name} is not finite here")
-        sizes.append(c.size)
+        if not isinstance(s.carrier, FiniteCarrier):
+            raise UnsupportedInterpretation(f"sort {s.name} is not finite")
+        sizes.append(s.carrier.size)
     count = math.prod(sizes)
     if count > cap:
         raise EnumerationCapError(f"{count} input tuples for {obj} exceeds the cap of {cap}")
@@ -244,7 +232,7 @@ def first_disagreement(dom: Obj, f: Runner, g: Runner, interp: Interp) -> tuple 
     A runner pushes a tuple of input columns through a morphism with a
     column apply, as `term.run` does, and returns the output columns.
     """
-    inputs = enumerate_inputs(dom, interp)
+    inputs = enumerate_inputs(dom)
     while block := list(itertools.islice(inputs, _BLOCK)):
         cols = tuple(map(list, zip(*block)))
         apply = interp.column_apply(len(block))

@@ -164,7 +164,7 @@ def _run_passes(
     if env is None:
         check_identity_env(cod_pair)
     b_resp = b if env is None else tuple(env(b))
-    check_values(cod_pair[1], b_resp, interp, what="env response")
+    check_values(cod_pair[1], b_resp, what="env response")
     a_prime = evaluate(backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
     report.peak_residual_bytes = interp.obj_bytes(m)

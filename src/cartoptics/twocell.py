@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 from .interp import Interp, Runner, first_disagreement
 from .normal import CanonicalForm, Ref, UniqueTable, read_back, run_form
 from .optic import Optic, optic_compose
-from .signature import Obj, Signature, Sort
+from .signature import FiniteCarrier, Obj, Signature, Sort
 from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
 
 
@@ -136,7 +136,7 @@ def _rejected_side(
 def _cross_check(
     src: Optic, tgt: Optic, witness: Term | CanonicalForm, rejected: str | None, interp: Interp | None
 ) -> tuple | None:
-    """Evaluate the squares up to the rejected one on every input, where interp is finite.
+    """Evaluate the squares up to the rejected one on every input, where their domain is finite.
 
     An input that separates an accepted square is a normalizer bug.  Returns
     the first input that separates the rejected square, if any.
@@ -144,7 +144,7 @@ def _cross_check(
     for side in ("forward", "backward"):
         dom = (src.forward if side == "forward" else src.backward).dom
         example = None
-        if interp is not None and interp.is_finite(dom):
+        if interp is not None and all(isinstance(s.carrier, FiniteCarrier) for s in dom):
             example = first_disagreement(dom, *_square_sides(src, tgt, side, witness), interp)
         if side == rejected:
             return example

@@ -35,7 +35,7 @@ def random_interp(rng: random.Random, sig: Signature) -> Interp:
         if g.table is not None
     }
     fns = {g.name: g.fn for g in sig.generators if g.fn is not None}
-    return Interp(carriers={}, tables=tables, fns=fns)
+    return Interp(tables, fns)
 
 
 def padded_variants(rng: random.Random, t: Term, count: int = 4) -> list[Term]:
@@ -99,11 +99,11 @@ def random_composable_cells(
     return c1, c2
 
 
-def random_values(rng: random.Random, interp: Interp, obj: Obj) -> tuple:
+def random_values(rng: random.Random, obj: Obj) -> tuple:
     """One random point of an object's carrier product."""
     vals = []
     for s in obj:
-        c = interp.carrier_of(s)
+        c = s.carrier
         if isinstance(c, FiniteCarrier):
             vals.append(rng.randrange(c.size))
         else:

@@ -247,7 +247,7 @@ def test_criterion_7_three_paths_agree(capsys):
             lens = compose_chain(list(chain.lenses))
             optic = compose_optic_chain([reify(l) for l in chain.lenses])
             dag = share(round_trip_term(optic))
-            for a in enumerate_inputs(lens.dom_pair[0], interp):
+            for a in enumerate_inputs(lens.dom_pair[0]):
                 lb, la, _ = lens_exec(lens, a, interp)
                 ob, oa, _ = optic_exec(optic, a, interp)
                 assert (lb, la) == (ob, oa)

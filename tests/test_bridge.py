@@ -94,8 +94,8 @@ class TestExecutors:
                 interp = Interp.from_signature(sig)
             c = random_obj(rng, sig)
             l = random_lens(rng, sig, cod_pair=(c, c))
-            a = random_values(rng, interp, l.get.dom)
-            resp = random_values(rng, interp, c)
+            a = random_values(rng, l.get.dom)
+            resp = random_values(rng, c)
             for env in (None, lambda _b: resp):
                 *lens_vals, lens_cost = lens_exec(l, a, interp, env)
                 *optic_vals, optic_cost = optic_exec(reify(l), a, interp, env)
@@ -111,7 +111,7 @@ class TestExecutors:
             chain = build_chain(n, "finite", carrier_size=size, seed=rng.randrange(10**6))
             interp = Interp.from_signature(chain.signature)
             l = compose_chain(list(chain.lenses), assoc)
-            a = random_values(rng, interp, l.get.dom)
+            a = random_values(rng, l.get.dom)
             *lens_vals, lens_cost = lens_exec(l, a, interp)
             *optic_vals, optic_cost = optic_exec(reify(l), a, interp)
             assert lens_vals == optic_vals
@@ -201,7 +201,7 @@ class TestOplaxStructure:
 class TestSuites:
     def test_adjunction_suite(self, sig, interp):
         rng = random.Random(97)
-        report = check_adjunction(sig, interp, rng, n_lenses=30, n_optics=30)
+        report = check_adjunction(sig, interp, rng, n_samples=30)
         assert report.passed, report.to_json()
         assert set(report.laws) == ADJUNCTION_LAWS
         for name, law in report.laws.items():
@@ -250,7 +250,7 @@ class TestFailureRecords:
     def test_rejected_counit_records_index_side_and_counterexample(self, sig, interp, monkeypatch):
         # counit runs once per sample of counit_validity, triangle_R and triangle_E, in that order
         monkeypatch.setattr(bridge, "counit", rejecting(bridge.counit, {2, 4, 9}))
-        report = check_adjunction(sig, interp, random.Random(97), n_lenses=3, n_optics=3)
+        report = check_adjunction(sig, interp, random.Random(97), n_samples=3)
         laws = report.to_json()["laws"]
         assert laws["counit_validity"]["failures"] == [
             {"index": 1, "side": "forward", "counterexample": (2,)}

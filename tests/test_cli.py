@@ -241,22 +241,23 @@ class TestInputFiles:
         assert err == f"error: {path}: optics[0]: expected an object\n"
 
     @pytest.mark.parametrize("depth", ["x", True, -1, 1.5])
-    def test_pi0_search_depth_must_be_a_non_negative_int(self, capsys, sig_path, work, depth):
+    def test_pi0_search_depth_in_a_file_is_ignored(self, capsys, sig_path, work, depth):
+        # older homcat files carry a search depth; the search is exact and reads none
         path = work / "hc-depth.json"
         optic = {"residual": [], "forward": "id[A]", "backward": "id[A]"}
         path.write_text(json.dumps({"optics": [optic], "search_depth": depth}))
         rc, out, err = run_cli(capsys, "pi0", "--signature", sig_path, "--homcat", str(path))
-        assert (rc, out) == (2, "")
-        assert err == f"error: {path}: search_depth: expected a non-negative int\n"
+        assert (rc, err) == (0, "")
+        assert json.loads(out) == {"classes": [[0]], "edges": [], "n_cells": 0, "n_optics": 1}
 
-    def test_pi0_search_depth_flag_must_be_non_negative(self, capsys, sig_path, work):
+    def test_pi0_search_depth_flag_is_a_usage_error(self, capsys, sig_path, work):
         path = work / "hc-flag.json"
         path.write_text(json.dumps({"optics": []}))
         rc, out, err = run_cli(
-            capsys, "pi0", "--signature", sig_path, "--homcat", str(path), "--search-depth", "-1"
+            capsys, "pi0", "--signature", sig_path, "--homcat", str(path), "--search-depth", "1"
         )
         assert (rc, out) == (2, "")
-        assert err == "error: --search-depth: expected a non-negative int\n"
+        assert "unrecognized arguments: --search-depth 1" in err
 
     def test_signature_error_names_the_file(self, capsys, work):
         path = work / "bad-table-sig.json"
@@ -414,7 +415,6 @@ class TestPi0:
                         {"residual": [], "forward": "id[A]", "backward": "id[A]"},
                         {"residual": ["A"], "forward": "copy[A]", "backward": "pi2[A,A]"},
                     ],
-                    "search_depth": 2,
                 }
             )
         )
@@ -427,26 +427,6 @@ class TestPi0:
         assert data["n_cells"] == 1  # deleting the residual; no map back
         assert data["edges"] == [[1, 0, 1]]
         assert data["n_optics"] == 2
-        assert data["search_depth"] == 2
-
-    def test_depth_override(self, capsys, sig_path, work):
-        homcat = work / "homcat1.json"
-        homcat.write_text(
-            json.dumps(
-                {
-                    "optics": [
-                        {"residual": [], "forward": "id[A]", "backward": "id[A]"},
-                        {"residual": ["A"], "forward": "copy[A]", "backward": "pi2[A,A]"},
-                    ]
-                }
-            )
-        )
-        rc, out, _ = run_cli(
-            capsys, "pi0", "--signature", sig_path, "--homcat", str(homcat),
-            "--search-depth", "1",
-        )
-        assert rc == 0
-        assert json.loads(out)["search_depth"] == 1
 
     def test_counts_are_exact_at_any_depth(self, capsys, sig_path, work):
         # the residual holds the input twice and the backward pass reads neither copy
@@ -469,25 +449,17 @@ class TestPi0:
         assert data["edges"] == [[0, 1, 2], [1, 0, 1]]
         assert data["n_cells"] == 3 and data["classes"] == [[0, 1]]
 
-    def test_no_state_leaks_between_calls(self, capsys, sig_path, work):
-        # one parser serves every call in a process
-        homcat = work / "homcat3.json"
-        homcat.write_text(
-            json.dumps(
-                {
-                    "optics": [{"residual": [], "forward": "id[A]", "backward": "id[A]"}],
-                    "search_depth": 3,
-                }
-            )
-        )
-        argv = ("pi0", "--signature", sig_path, "--homcat", str(homcat))
-        rc, out, _ = run_cli(capsys, *argv, "--search-depth", "1")
-        assert rc == 0 and json.loads(out)["search_depth"] == 1
-        rc, out, _ = run_cli(capsys, *argv)
-        assert rc == 0 and json.loads(out)["search_depth"] == 3
+    def test_no_state_leaks_between_calls(self, capsys, sig_path, optic_path):
+        # one parser serves every call in a process: an optional flag given
+        # once must not stay set for the next call
+        argv = ("run", "--optic", optic_path, "--signature", sig_path, "--input", "[0]")
         for _ in range(2):
+            rc, out, _ = run_cli(capsys, *argv, "--env", "const:[0]")
+            assert rc == 0 and json.loads(out)["updated"] == [0]
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0 and json.loads(out)["updated"] == [1]  # the identity env answers b = f(0) = 1
             rc, out, _ = run_cli(capsys, "pi0", "--help")
-            assert rc == 0 and "bounds nothing" in out
+            assert rc == 0 and "n_cells" in out
             rc, _, err = run_cli(capsys, "pi0", "--signature", sig_path)
             assert rc == 2 and "--homcat" in err
         assert cli._parser() is cli._parser()

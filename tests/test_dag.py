@@ -65,7 +65,7 @@ class TestDagEvaluation:
             cod = random_obj(rng, sig)
             t = random_morphism(rng, sig, dom, cod, budget=3)
             dag = share(t)
-            for xs in enumerate_inputs(dom, interp):
+            for xs in enumerate_inputs(dom):
                 term_report = CostReport()
                 dag_report = CostReport()
                 want = evaluate(t, xs, interp, term_report)

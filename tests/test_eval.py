@@ -10,6 +10,7 @@ from cartoptics import (
     FiniteCarrier,
     Gen,
     Generator,
+    Id,
     Interp,
     Obj,
     Proj1,
@@ -18,15 +19,18 @@ from cartoptics import (
     SignatureError,
     Sort,
     Swap,
+    Ten,
     TermTypeError,
     UnsupportedInterpretation,
     dump_signature,
     enumerate_inputs,
     eq_extensional,
     evaluate,
+    evaluate_dag,
     extensional_counterexample,
     graph,
     load_signature,
+    share,
     signature_to_json,
 )
 from cartoptics.interp import CostReport
@@ -110,17 +114,17 @@ class TestValueChecking:
 
 
 class TestEnumeration:
-    def test_row_major_order(self, A, B, interp):
-        assert list(enumerate_inputs(A @ B, interp)) == [
+    def test_row_major_order(self, A, B):
+        assert list(enumerate_inputs(A @ B)) == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
         ]
 
-    def test_cap(self, A, B, interp):
+    def test_cap(self, A, B):
         with pytest.raises(EnumerationCapError):
-            enumerate_inputs(A @ B @ B, interp, cap=10)
+            enumerate_inputs(A @ B @ B, cap=10)
 
-    def test_unit_object_has_one_point(self, sig, interp):
-        assert list(enumerate_inputs(Obj(), interp)) == [()]
+    def test_unit_object_has_one_point(self):
+        assert list(enumerate_inputs(Obj())) == [()]
 
 
 class TestExtensionalComparison:
@@ -144,7 +148,7 @@ class TestExtensionalComparison:
         )
         assert extensional_counterexample(f >> g, e, other) == (0,)
 
-    def test_carrier_override(self, interp):
+    def test_unit_object_has_no_bytes(self, interp):
         assert interp.obj_bytes(Obj()) == 0
 
 
@@ -167,9 +171,9 @@ class TestExtensionalErrors:
     def test_table_row_of_wrong_width(self, sig, f, g, e):
         tables = {"f": sig.generator("f").table, "g": sig.generator("g").table}
         wide = Interp(tables={**tables, "e": ((1,), (0, 1))})
-        got = self.message(CarrierMismatch, lambda: extensional_counterexample(f >> g, e, wide))
-        want = self.message(CarrierMismatch, lambda: evaluate(e, (1,), wide))
-        assert got == want == "generator e returned 2 values, expected 1"
+        got = self.message(SignatureError, lambda: extensional_counterexample(f >> g, e, wide))
+        want = self.message(SignatureError, lambda: evaluate(e, (0,), wide))
+        assert got == want == "generator e: table[1]: 2 entries, expected 1"
 
     def test_over_cap_domain_runs_no_generator(self, A, e):
         calls = []
@@ -188,6 +192,28 @@ class TestExtensionalErrors:
         interp.fns = {**fns, "e": lambda args: second.append(args) or args}
         assert extensional_counterexample(f >> g, e, interp) == (0,)
         assert first == second == [(0,), (1,)]
+
+
+class TestOverrideTables:
+    """A table given in place of a declared one is checked as the declared one was."""
+
+    def test_entry_outside_its_carrier_is_rejected_on_every_path(self):
+        a = Sort("A", FiniteCarrier(2))
+        x = Obj((a,))
+        u = Generator("u", x, x, table=((0,), (1,)))
+        g = Generator("g", x @ x, x, table=((0,), (0,), (1,), (1,)))  # g(x, y) = x
+        t = Ten(Id(x), Gen(u)) >> Gen(g)
+        want = "generator u: table[1][0]: expected an integer in the carrier of sort A, got 2"
+        for path in (
+            lambda ip: evaluate(t, (0, 1), ip),
+            lambda ip: evaluate_dag(share(t), (0, 1), ip),
+            lambda ip: extensional_counterexample(t, t, ip),
+        ):
+            bad = Interp(tables={"u": ((0,), (2,)), "g": g.table})
+            for _ in range(2):  # a table that fails its check is not kept
+                with pytest.raises(SignatureError) as info:
+                    path(bad)
+                assert str(info.value) == want
 
 
 @pytest.fixture(scope="module")

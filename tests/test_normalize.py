@@ -194,31 +194,33 @@ def _power(t, n, obj):
     return out
 
 
+def _powers_of_an_endo(size: int) -> list:
+    """u^0 .. u^3 for an endo-map u of a sort with `size` elements."""
+    a = Sort("A", FiniteCarrier(size))
+    obj = Obj((a,))
+    sig = Signature((a,), (Generator("u", obj, obj, table=tuple((x,) for x in range(size))),))
+    return [_power(Gen(sig.generator("u")), n, obj) for n in range(4)]
+
+
 @pytest.fixture(scope="module")
 def setup():
-    a = Sort("A", FiniteCarrier(2))
-    obj = Obj((a,))
-    sig = Signature((a,), (Generator("u", obj, obj, table=((0,), (1,))),))
-    u = Gen(sig.generator("u"))
-    powers = [_power(u, n, obj) for n in range(4)]
+    powers = _powers_of_an_endo(2)
     tables = [((x,), (y,)) for x in range(2) for y in range(2)]
-    interps = [
-        Interp(carriers={"A": FiniteCarrier(2)}, tables={"u": t}) for t in tables
-    ]
-    return obj, powers, interps
+    interps = [Interp(tables={"u": t}) for t in tables]
+    return powers, interps
 
 
 class TestSmallCarrierCollapse:
     """u^3 = u holds for every endo-map of a 2-element set."""
 
     def test_all_powers_have_distinct_normal_forms(self, setup):
-        _, powers, _ = setup
+        powers, _ = setup
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not normal_eq(powers[i], powers[j])
 
     def test_only_collapse_is_u_vs_u_cubed(self, setup):
-        _, powers, interps = setup
+        powers, interps = setup
         collapsed = set()
         for i in range(4):
             for j in range(i + 1, 4):
@@ -226,10 +228,8 @@ class TestSmallCarrierCollapse:
                     collapsed.add((i, j))
         assert collapsed == {(1, 3)}
 
-    def test_three_element_carrier_separates(self, setup):
-        _, powers, _ = setup
+    def test_three_element_carrier_separates(self):
+        powers = _powers_of_an_endo(3)
         # a 3-cycle: u(x) = x + 1 mod 3, so u^3 is the identity but u is not
-        cyc = Interp(
-            carriers={"A": FiniteCarrier(3)}, tables={"u": ((1,), (2,), (0,))}
-        )
+        cyc = Interp(tables={"u": ((1,), (2,), (0,))})
         assert not eq_extensional(powers[1], powers[3], cyc)

@@ -191,7 +191,7 @@ class TestCompositionSemantics:
         for _ in range(30):
             o1, o2 = _composable_pair(rng, sig, identity_env=True)
             comp = optic_compose(o1, o2)
-            a = random_values(rng, interp, comp.forward.dom)
+            a = random_values(rng, comp.forward.dom)
             n1, n2 = len(o1.residual), len(o2.residual)
             out1 = evaluate(o1.forward, a, interp)
             m1, b = out1[:n1], out1[n1:]
@@ -256,7 +256,7 @@ class TestDerivedTerms:
         for _ in range(30):
             c = random_obj(rng, sig)
             o = random_optic(rng, sig, cod_pair=(c, c))
-            a = random_values(rng, interp, o.forward.dom)
+            a = random_values(rng, o.forward.dom)
             b, a_prime, _ = optic_exec(o, a, interp)
             assert evaluate(round_trip_term(o), a, interp) == b + a_prime
 
@@ -265,7 +265,7 @@ class TestDerivedTerms:
         for _ in range(30):
             o = random_optic(rng, sig)
             _, b_back = o.cod_pair
-            a = random_values(rng, interp, o.forward.dom)
-            resp = random_values(rng, interp, b_back)
+            a = random_values(rng, o.forward.dom)
+            resp = random_values(rng, b_back)
             b, a_prime, _ = optic_exec(o, a, interp, env=lambda _b: resp)
             assert evaluate(response_term(o), a + resp, interp) == b + a_prime

@@ -217,7 +217,7 @@ def oracle_eval_dag(cf, xs, interp, report):
 
 def oracle_counterexample(f, g, interp):
     """The per-point loop: the first input tuple, row-major, where f and g differ."""
-    for xs in enumerate_inputs(f.dom, interp):
+    for xs in enumerate_inputs(f.dom):
         throwaway = CostReport()
         if oracle_eval(f, xs, interp, throwaway) != oracle_eval(g, xs, interp, throwaway):
             return xs
@@ -285,7 +285,7 @@ def random_terms(seed, count):
 
 def test_evaluate_matches_oracle():
     for interp, t in random_terms(1, 300):
-        for xs in list(enumerate_inputs(t.dom, interp))[:8]:
+        for xs in list(enumerate_inputs(t.dom))[:8]:
             got, want = CostReport(), CostReport()
             assert evaluate(t, xs, interp, got) == oracle_eval(t, xs, interp, want)
             assert got.generator_counts == want.generator_counts
@@ -344,7 +344,7 @@ def test_evaluate_dag_matches_oracle(rng):
     for interp, t in random_terms(rng.randrange(2**32), 4):
         cf = share(t)
         assert normalize(read_back(cf)) == cf
-        for xs in list(enumerate_inputs(t.dom, interp))[:8]:
+        for xs in list(enumerate_inputs(t.dom))[:8]:
             got, want, tree = CostReport(), CostReport(), CostReport()
             out = evaluate_dag(cf, xs, interp, got)
             assert out == oracle_eval_dag(cf, xs, interp, want) == oracle_eval(t, xs, interp, tree)

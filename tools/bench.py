@@ -19,7 +19,7 @@ Every case runs in a fresh interpreter:
   eight in one shot;
 - `pi0`: `search_cells` and `pi0_classes` on the optic family of
   `demos/05_connected_components.py`, once for each of the four tables of f;
-- `pi0-1000`: the same with no interpretation on four packagings of
+- `pi0 1000`: the same with no interpretation on four packagings of
   `build_chain(1000, "finite", seed=0)`: reify of the left- and of the
   right-associated lens composite, the optic chain, and the optic of two
   reified half chains.
@@ -29,7 +29,7 @@ Every case runs in a fresh interpreter:
 
 The child prints one JSON object: the seconds per call of each timed
 operation, the exact counts, and the SHA-256 of each output.  An operation
-is timed in REPEAT `timeit` shots (one for `check-laws` and `pi0-1000`) of
+is timed in REPEAT `timeit` shots (one for `check-laws` and `pi0 1000`) of
 the fewest calls, doubling from one, that take MIN_SHOT_S, and the median
 shot is divided by its calls, so operations of microseconds are timed over
 enough calls to rise above the clock's and the machine's noise.  A term case times
@@ -233,10 +233,7 @@ def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
             start = time.perf_counter()
             sample = search_cells(family, interp)
             search_s[-1] += time.perf_counter() - start
-            edges = getattr(sample, "edges", None)
-            if edges is None:  # a revision before `HomCatSample.edges`: endpoints by identity
-                index = {id(o): i for i, o in enumerate(family)}
-                edges = [(index[id(c.src)], index[id(c.tgt)], n) for c, n in zip(sample.cells, sample.counts)]
+            edges = sample.edges
             cells = [(i, j, witness_json(c.witness), n) for c, (i, j, n) in zip(sample.cells, edges)]
             out.append({"classes": pi0_classes(sample), "n_cells": sum(n for _, _, n in edges), "cells": cells})
         return out
@@ -282,7 +279,7 @@ CASES = {
     "check-laws": check_laws_case,
     "coherence": coherence_case,
     "pi0": lambda: pi0_case(demo_families(), REPEAT),
-    "pi0-1000": lambda: pi0_case(chain_packagings(1000), 1),
+    "pi0 1000": lambda: pi0_case(chain_packagings(1000), 1),
     "real": real_case,
 }
 
@@ -406,7 +403,7 @@ def main() -> int:
     report: dict = {
         "what": (
             f"each side: median and quartiles over rounds of the seconds per call of each operation, "
-            f"the median of {REPEAT} timeit shots (one for check-laws and pi0-1000) of the fewest calls, "
+            f"the median of {REPEAT} timeit shots (one for check-laws and pi0 1000) of the fewest calls, "
             f"doubling from one, that take {MIN_SHOT_S:g} s; counts are exact"
         ),
         "command": "cartoptics " + " ".join(CHECK_LAWS),
