@@ -26,7 +26,7 @@ from .lens import Lens, lens_compose, lens_id, lens_normal_eq
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
-from .term import Delete, Id, Proj1, Proj2, Ten, Term, pairing, select_wire
+from .term import Delete, Id, Proj1, Proj2, Ten, Term, TermTypeError, pairing, select_wire
 from .twocell import (
     TwoCell,
     TwoCellError,
@@ -145,10 +145,14 @@ def _not_identity(c: TwoCell, a: Obj) -> dict | None:
 
 
 def _pasting(paste: Callable[[], dict | None]) -> dict | None:
-    """Check a pasting law; a cell that fails to compose or validate is an error."""
+    """Check a pasting law; a cell that fails to compose or validate is an error.
+
+    Cells that do not compose (mismatched representatives) raise
+    TermTypeError; any other exception is a fault and propagates.
+    """
     try:
         return paste()
-    except (TwoCellError, TypeError) as e:
+    except (TwoCellError, TermTypeError) as e:
         return {"error": str(e)}
 
 

@@ -43,20 +43,15 @@ from .twocell import TwoCellError, check_boundaries, mk_two_cell, pi0_classes, s
 VERSION = "0.1.0"
 
 
+def _numpy_json(x):
+    """`json.dumps` default: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def _json_safe(x):
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x]
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (np.integer, np.floating)):
-        return x.item()
-    return x
+    return json.dumps(obj, sort_keys=True, default=_numpy_json)
 
 
 def _at(where: str, make, *args):
@@ -144,14 +139,12 @@ def cmd_check_laws(args) -> int:
         all_passed = all_passed and passed
         print(
             _json_line(
-                _json_safe(
-                    {
-                        "signature": label,
-                        "passed": passed,
-                        "adjunction": adj.to_json(),
-                        "coherence": coh.to_json(),
-                    }
-                )
+                {
+                    "signature": label,
+                    "passed": passed,
+                    "adjunction": adj.to_json(),
+                    "coherence": coh.to_json(),
+                }
             )
         )
     return 0 if all_passed else 1
@@ -192,11 +185,7 @@ def cmd_run(args) -> int:
     else:
         o = _load_optic(args.optic, sig)
         b, a_prime, report = optic_exec(o, values, interp, env)
-    print(
-        _json_line(
-            _json_safe({"output": b, "updated": a_prime, "cost": report.to_json()})
-        )
-    )
+    print(_json_line({"output": b, "updated": a_prime, "cost": report.to_json()}))
     return 0
 
 
@@ -210,7 +199,7 @@ def cmd_normalize(args) -> int:
 def cmd_optimize(args) -> int:
     sig = load_signature(args.signature)
     dag = share(_at("--expr", parse_term, args.expr, sig))
-    print(_json_line({**_form_json(dag), "node_count": dag.gen_node_count()}))
+    print(_json_line({**_form_json(dag), "node_count": len(dag.nodes)}))
     return 0
 
 
@@ -227,14 +216,12 @@ def cmd_check_cell(args) -> int:
     except TwoCellError as e:
         print(
             _json_line(
-                _json_safe(
-                    {
-                        "valid": False,
-                        "side": e.side,
-                        "message": str(e),
-                        "counterexample": e.counterexample,
-                    }
-                )
+                {
+                    "valid": False,
+                    "side": e.side,
+                    "message": str(e),
+                    "counterexample": e.counterexample,
+                }
             )
         )
         return 1

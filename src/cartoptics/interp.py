@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .signature import Carrier, FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
+from .signature import FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
 from .term import Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
@@ -53,9 +53,7 @@ class CostReport:
     peak_residual_slots: int = 0
     peak_residual_bytes: int = 0
 
-    def total_evals(self, names=None) -> int:
-        if names is None:
-            return sum(self.generator_counts.values())
+    def total_evals(self, names) -> int:
         return sum(v for k, v in self.generator_counts.items() if k in names)
 
     def to_json(self) -> dict:
@@ -67,10 +65,9 @@ class CostReport:
         }
 
 
-def carrier_bytes(c: Carrier) -> int:
-    if isinstance(c, FiniteCarrier):
-        return 1
-    return 8 * c.dimension
+def obj_bytes(obj: Obj) -> int:
+    """Bytes a value of obj holds: one per finite wire, eight per real coordinate."""
+    return sum(1 if isinstance(s.carrier, FiniteCarrier) else 8 * s.carrier.dimension for s in obj)
 
 
 class Interp:
@@ -155,9 +152,6 @@ class Interp:
 
         return apply
 
-    def obj_bytes(self, obj: Obj) -> int:
-        return sum(carrier_bytes(s.carrier) for s in obj)
-
 
 def check_values(obj: Obj, values: tuple, what: str = "input") -> None:
     """Validate a value tuple against an object's carriers."""
@@ -197,7 +191,7 @@ def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None =
     return out
 
 
-def enumerate_inputs(obj: Obj, cap: int = TUPLE_CAP) -> Iterator[tuple]:
+def enumerate_inputs(obj: Obj) -> Iterator[tuple]:
     """All value tuples of a finite object, row-major, capped."""
     sizes = []
     for s in obj:
@@ -205,8 +199,8 @@ def enumerate_inputs(obj: Obj, cap: int = TUPLE_CAP) -> Iterator[tuple]:
             raise UnsupportedInterpretation(f"sort {s.name} is not finite")
         sizes.append(s.carrier.size)
     count = math.prod(sizes)
-    if count > cap:
-        raise EnumerationCapError(f"{count} input tuples for {obj} exceeds the cap of {cap}")
+    if count > TUPLE_CAP:
+        raise EnumerationCapError(f"{count} input tuples for {obj} exceeds the cap of {TUPLE_CAP}")
     return itertools.product(*[range(n) for n in sizes])
 
 

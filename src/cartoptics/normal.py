@@ -54,9 +54,7 @@ class CanonicalForm:
     nodes: tuple[Node, ...]
     outputs: tuple[Ref, ...]
 
-    def gen_node_count(self, names=None) -> int:
-        if names is None:
-            return len(self.nodes)
+    def gen_node_count(self, names) -> int:
         return sum(1 for gen, _ in self.nodes if gen.name in names)
 
     def to_json(self) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
-from .interp import CostReport, Interp, check_identity_env, check_values, evaluate
+from .interp import CostReport, Interp, check_identity_env, check_values, evaluate, obj_bytes
 from .normal import normal_eq
 from .signature import Obj, UNIT
 from .term import Copy, Id, Seq, Swap, Ten, Term, TermTypeError
@@ -167,7 +167,7 @@ def _run_passes(
     check_values(cod_pair[1], b_resp, what="env response")
     a_prime = evaluate(backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
-    report.peak_residual_bytes = interp.obj_bytes(m)
+    report.peak_residual_bytes = obj_bytes(m)
     return b, a_prime, report
 
 

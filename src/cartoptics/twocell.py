@@ -384,12 +384,11 @@ class _Passes:
         Witnesses are counted distinct up to normal form.  The first is the
         one a bounded enumeration would list first: on each wire a residual
         wire before a generator, the lowest wire first.  It comes as its
-        canonical form.
+        canonical form.  Optics i and j must lie in one fibre of erasure,
+        the only pairs `search_cells` decides, so their B refs are the same.
         """
         k1, k2 = self.sizes[i], self.sizes[j]
         m1, m2 = self.fw[i][:k1], self.fw[j][:k2]
-        if self.fw[i][k1:] != self.fw[j][k2:]:
-            return 0, None
         bound = self.match(i, j)
         if bound is None:
             return 0, None

@@ -13,6 +13,7 @@ from cartoptics import (
     Id,
     Lens,
     Optic,
+    TermTypeError,
     TwoCellError,
     check_adjunction,
     check_oplax_coherence,
@@ -266,7 +267,9 @@ class TestFailureRecords:
         assert all(laws[name]["passed"] for name in ("RE_identity", "counit_naturality"))
         assert not report.passed
 
-    @pytest.mark.parametrize("error", [TwoCellError("backward", "pasting refused"), TypeError("pasting refused")])
+    @pytest.mark.parametrize(
+        "error", [TwoCellError("backward", "pasting refused"), TermTypeError("pasting refused")]
+    )
     def test_pasting_failure_records_error(self, sig, interp, monkeypatch, error):
         def refuse(*args):
             raise error
@@ -277,6 +280,16 @@ class TestFailureRecords:
         for name in ("lax_associativity", "lax_left_unity", "lax_right_unity"):
             assert laws[name] == {"passed": False, "checked": 1, "failures": [{"error": "pasting refused"}]}
         assert laws["oplaxator_validity"]["passed"] and laws["opunitor_validity"]["passed"]
+
+    def test_fault_in_a_pasting_propagates(self, sig, interp, monkeypatch):
+        # a TypeError that is not a TermTypeError is a bug, not a law failure
+        def broken(*args):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(bridge, "vcompose", broken)
+        l1, l2, l3 = random_composable_lenses(random.Random(96), sig, 3)
+        with pytest.raises(TypeError, match="a bug"):
+            check_oplax_coherence(l1, l2, l3, interp)
 
     def test_rejected_oplaxator_stops_the_triple(self, sig, interp, monkeypatch):
         monkeypatch.setattr(bridge, "oplaxator", rejecting(bridge.oplaxator, {1}))

@@ -41,9 +41,8 @@ canonical form.  The output of `check-laws` is its stdout, and that of
 `coherence` every law's checked count and verdict.  A `pi0` case also times
 `search_cells` alone (`search`); it counts the cells per family, and its
 output is, per family, the classes, the number of cells and every cell as
-(source index, target index, witness, count), the witness as the JSON of its
-canonical form with its dom and cod: a term witness and the form it
-normalizes to give the same.  Its classes also get a
+(source index, target index, witness, count), the witness, a canonical form,
+as its JSON with its dom and cod.  Its classes also get a
 digest of their own, since a search that finds more cells changes the rest
 of the output but must not change the classes.  The `real` case counts
 every exact column of the tradeoff rows; its outputs are the bytes of the
@@ -214,13 +213,6 @@ def chain_packagings(n: int) -> list[tuple[list, object]]:
     return [(family, None)]
 
 
-def witness_json(witness) -> dict:
-    """A witness term or form as the JSON of its canonical form, with its dom and cod."""
-    from cartoptics import normalize
-
-    return {**normalize(witness).to_json(), "dom": str(witness.dom), "cod": str(witness.cod)}
-
-
 def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
     from cartoptics import pi0_classes, search_cells
 
@@ -234,7 +226,10 @@ def pi0_case(families: list[tuple[list, object]], repeat: int) -> dict:
             sample = search_cells(family, interp)
             search_s[-1] += time.perf_counter() - start
             edges = sample.edges
-            cells = [(i, j, witness_json(c.witness), n) for c, (i, j, n) in zip(sample.cells, edges)]
+            cells = [
+                (i, j, {**c.witness.to_json(), "dom": str(c.witness.dom), "cod": str(c.witness.cod)}, n)
+                for c, (i, j, n) in zip(sample.cells, edges)
+            ]
             out.append({"classes": pi0_classes(sample), "n_cells": sum(n for _, _, n in edges), "cells": cells})
         return out
 
