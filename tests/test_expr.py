@@ -1,9 +1,13 @@
 """Expression parsing and printing: exact round trips, located errors."""
 
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cartoptics import (
     Copy,
@@ -14,6 +18,7 @@ from cartoptics import (
     Obj,
     Proj1,
     Seq,
+    Signature,
     SignatureError,
     Sort,
     Swap,
@@ -21,14 +26,16 @@ from cartoptics import (
     UNIT,
     build_chain,
     compose_optic_chain,
+    dump_signature,
     graph,
+    load_signature,
     normal_eq,
     parse_signature,
     parse_term,
     reify,
     term_to_expr,
 )
-from cartoptics.sampling import random_morphism, random_obj
+from cartoptics.sampling import random_morphism, random_obj, random_signature
 from sampling_helpers import padded_variants
 
 
@@ -130,7 +137,50 @@ class TestSignatureInput:
         assert str(info.value) == message
 
 
+# (source, pos, message): every kind of ExprError, over the conftest signature
+ERRORS = [
+    ("f $ g", 2, "unexpected character '$'"),
+    ("f ) $", 4, "unexpected character '$'"),  # a bad character is reported before a parse error
+    ("2f", 0, "unexpected character '2'"),
+    ("", 0, "unexpected end of expression"),
+    ("  ", 2, "unexpected end of expression"),
+    ("f ;", 3, "unexpected end of expression"),
+    ("(f ; g", 6, "unexpected end of expression"),
+    ("graph(f", 7, "unexpected end of expression"),
+    ("graph", 5, "unexpected end of expression"),
+    ("copy", 4, "unexpected end of expression"),
+    ("copy[A", 6, "unexpected end of expression"),
+    ("copy[A B,", 9, "unexpected end of expression"),
+    ("graph f", 6, "expected '(', found 'f'"),
+    ("copy A", 5, "expected '[', found 'A'"),
+    ("swap ;", 5, "expected '[', found ';'"),
+    ("(f ; g e", 7, "expected ')', found 'e'"),
+    ("graph(f ]", 8, "expected ')', found ']'"),
+    ("f )", 2, "unexpected ')'"),
+    ("; f", 0, "unexpected ';'"),
+    ("f ; *", 4, "unexpected '*'"),
+    ("f[A]", 1, "unexpected '['"),
+    ("copy[A,B]", 0, "copy takes one object"),
+    ("del[A,]", 0, "del takes one object"),
+    ("swap[A]", 0, "swap takes two comma-separated objects"),
+    ("pi1[A]", 0, "pi1 takes two comma-separated objects"),
+    ("pi2[A,B,A]", 0, "pi2 takes two comma-separated objects"),
+    ("f ; zz", 4, "unknown generator 'zz'"),
+    ("copy[Q]", 5, "unknown sort 'Q'"),
+    ("swap[A,Q B]", 7, "unknown sort 'Q'"),
+    ("copy[A ; B]", 7, "expected a sort name, found ';'"),
+    ("copy[A [B]]", 7, "expected a sort name, found '['"),
+    ("copy[(]", 5, "expected a sort name, found '('"),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("src, pos, message", ERRORS)
+    def test_message_and_position(self, sig, src, pos, message):
+        with pytest.raises(ExprError) as info:
+            parse_term(src, sig)
+        assert (str(info.value), info.value.pos) == (f"at position {pos}: {message}", pos)
+
     def test_unknown_generator_position(self, sig):
         with pytest.raises(ExprError, match="unknown generator 'zz'") as info:
             parse_term("f ; zz", sig)
@@ -210,3 +260,44 @@ class TestRoundTrip:
 
     def test_str_is_the_printer(self, f, g):
         assert str(f >> g) == term_to_expr(f >> g)
+
+
+RESERVED = ("copy", "del", "id", "swap", "pi1", "pi2", "graph")
+NAMES = st.from_regex(r"[A-Za-z_]\w*", fullmatch=True)
+
+
+@st.composite
+def named_signatures(draw) -> Signature:
+    """A `random_signature` whose sorts and generators get names drawn by hypothesis.
+
+    Sort names may be reserved words, since only sort names appear in brackets.
+    """
+    base = random_signature(random.Random(draw(st.integers(0, 2**32))))
+    n_sorts, n_gens = len(base.sorts), len(base.generators)
+    sort_names = draw(st.lists(NAMES | st.sampled_from(RESERVED), min_size=n_sorts, max_size=n_sorts, unique=True))
+    gen_names = draw(st.lists(NAMES.filter(lambda n: n not in RESERVED), min_size=n_gens, max_size=n_gens, unique=True))
+    sorts = {s: Sort(name, s.carrier) for s, name in zip(base.sorts, sort_names)}
+
+    def rename(obj: Obj) -> Obj:
+        return Obj(tuple(sorts[s] for s in obj))
+
+    gens = (Generator(name, rename(g.dom), rename(g.cod), table=g.table) for g, name in zip(base.generators, gen_names))
+    return Signature(tuple(sorts.values()), tuple(gens))
+
+
+class TestRoundTripOverDrawnNames:
+    @settings(max_examples=60, deadline=None)
+    @given(named_signatures(), st.integers(0, 2**32))
+    def test_parse_of_str_is_exact(self, sig, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            t = random_morphism(rng, sig, random_obj(rng, sig), random_obj(rng, sig))
+            assert parse_term(str(t), sig) == t
+
+    @settings(max_examples=30, deadline=None)
+    @given(named_signatures())
+    def test_load_of_dump_is_exact(self, sig):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "sig.json")
+            dump_signature(sig, path)
+            assert load_signature(path) == sig
