@@ -92,12 +92,15 @@ def _load_optic(path: str, sig, data=None, where: str = "") -> Optic:
 
 
 def _parse_values(src: str) -> tuple:
+    """One value per wire; a real vector is a list of finite numbers, not booleans."""
     data = json.loads(src)
     if not isinstance(data, list):
         raise ValueError("input must be a JSON list, one entry per wire")
-    return tuple(
-        np.asarray(v, dtype=float) if isinstance(v, list) else v for v in data
-    )
+    for i, v in enumerate(data):
+        for j, x in enumerate(v if isinstance(v, list) else ()):
+            if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+                raise ValueError(f"[{i}][{j}]: expected a finite number, got {json.dumps(x)}")
+    return tuple(np.asarray(v, dtype=float) if isinstance(v, list) else v for v in data)
 
 
 def _form_json(cf: CanonicalForm) -> dict:

@@ -10,6 +10,7 @@ Grammar (`;` composes left to right and binds looser than `*`):
             | NAME
             | '(' expr ')'
     obj    := NAME+            -- whitespace-separated sort names
+    NAME   := [A-Za-z_]\\w*      -- for a generator, none of copy del id swap pi1 pi2 graph
 
 A bare NAME is a generator of the signature.  Empty brackets denote the unit
 object.
@@ -18,12 +19,18 @@ object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .signature import Obj, Signature, UNIT
-from .term import Copy, Delete, Gen, Id, Proj1, Proj2, Swap, Term, graph
+from .signature import NAME, Obj, Signature, SignatureError
+from .term import WORDS, Copy, Delete, Gen, Id, Term, graph
 
-_TOKEN = re.compile(r"\s*([A-Za-z_]\w*|[;*()\[\],])")
+# One token per match, as (text, position, kind): a name; the '[' of a whole
+# bracket of sort names and commas, which the match skips to its ']'; a mark;
+# or any other character, which is an error.
+_N = NAME.pattern
+_SCAN = re.compile(rf"\s*(?:({_N})|(\[)[\s,]*(?:{_N}(?:[\s,]+{_N})*[\s,]*)?\]|([;*()\[\],])|(\S))")
+_WORD, _OBJS, _MARK, _BAD, _END = 1, 2, 3, 4, 5
+# The structure maps by word, with how many objects each takes in brackets.
+_MAPS = {word: (make, 1 if make in (Copy, Delete, Id) else 2) for make, word in WORDS.items()}
 
 
 class ExprError(ValueError):
@@ -34,128 +41,98 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-@dataclass
-class _Tok:
-    text: str
-    pos: int
+def _tokens(src: str, start: int = 0):
+    return ((m[k := m.lastindex], m.start(k), k) for m in _SCAN.finditer(src, start))
 
 
-def _tokenize(src: str) -> list[_Tok]:
-    out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip():
-                bad = len(src) - len(src[pos:].lstrip())
-                raise ExprError(f"unexpected character {src[bad]!r}", bad)
-            break
-        out.append(_Tok(m.group(1), m.start(1)))
-        pos = m.end()
-    return out
+def _scan(src: str) -> list[tuple[str, int, int]]:
+    """The tokens of src, ending with an end token at len(src)."""
+    toks = list(_tokens(src))
+    for text, pos, kind in toks:
+        if kind == _BAD:
+            raise ExprError(f"unexpected character {text!r}", pos)
+    toks.append(("", len(src), _END))
+    return toks
 
 
-class _Parser:
-    def __init__(self, src: str, sig: Signature):
-        self.toks = _tokenize(src)
-        self.sig = sig
-        self.sort_names = {s.name for s in sig.sorts}
-        self.i = 0
-        self.end = len(src)
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ExprError("unexpected end of expression", self.end)
-        self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.take()
-        if t.text != text:
-            raise ExprError(f"expected {text!r}, found {t.text!r}", t.pos)
-        return t
-
-    def parse(self) -> Term:
-        """The whole expression; open '(' and 'graph(' groups go on a stack.
-
-        Each group remembers its head token and the enclosing expression's
-        composite and product so far, so nesting is not bounded by the
-        interpreter's recursion limit.
-        """
-        groups: list[tuple[_Tok, Term | None, Term | None]] = []
-        seq: Term | None = None  # the ';'-composite of the current group so far
-        ten: Term | None = None  # the '*'-product of the current ten so far
-        while True:
-            t = self.take()
-            if t.text in ("(", "graph"):
-                if t.text == "graph":
-                    self.expect("(")
-                groups.append((t, seq, ten))
-                seq = ten = None
-                continue
-            atom = self.leaf(t)
-            while True:  # fold the atom in; a closing ')' makes its group the next atom
-                ten = atom if ten is None else ten @ atom
-                nxt = self.peek()
-                op = None if nxt is None else nxt.text
-                if op == "*":
-                    break
-                seq = ten if seq is None else seq >> ten
-                ten = None
-                if op == ";":
-                    break
-                if not groups:
-                    if nxt is not None:
-                        raise ExprError(f"unexpected {op!r}", nxt.pos)
-                    return seq
-                self.expect(")")
-                head, outer_seq, ten = groups.pop()
-                atom = graph(seq) if head.text == "graph" else seq
-                seq = outer_seq
-            self.take()  # the '*' or ';'
-
-    def leaf(self, t: _Tok) -> Term:
-        """An atom other than a group, starting at token t."""
-        if t.text in ("copy", "del", "id"):
-            objs = self.bracket_objs(t)
-            if len(objs) != 1:
-                raise ExprError(f"{t.text} takes one object", t.pos)
-            return {"copy": Copy, "del": Delete, "id": Id}[t.text](objs[0])
-        if t.text in ("swap", "pi1", "pi2"):
-            objs = self.bracket_objs(t)
-            if len(objs) != 2:
-                raise ExprError(f"{t.text} takes two comma-separated objects", t.pos)
-            return {"swap": Swap, "pi1": Proj1, "pi2": Proj2}[t.text](objs[0], objs[1])
-        if re.fullmatch(r"[A-Za-z_]\w*", t.text):
-            if not self.sig.has_generator(t.text):
-                raise ExprError(f"unknown generator {t.text!r}", t.pos)
-            return Gen(self.sig.generator(t.text))
-        raise ExprError(f"unexpected {t.text!r}", t.pos)
-
-    def bracket_objs(self, head: _Tok) -> list[Obj]:
-        self.expect("[")
-        groups: list[list[str]] = [[]]
-        while True:
-            t = self.take()
-            if t.text == "]":
-                break
-            if t.text == ",":
-                groups.append([])
-                continue
-            if not re.fullmatch(r"[A-Za-z_]\w*", t.text):
-                raise ExprError(f"expected a sort name, found {t.text!r}", t.pos)
-            if t.text not in self.sort_names:
-                raise ExprError(f"unknown sort {t.text!r}", t.pos)
-            groups[-1].append(t.text)
-        if groups == [[]]:
-            return [UNIT]
-        return [self.sig.obj(*names) for names in groups]
+def _check(tok: tuple[str, int, int], want: str | None = None) -> tuple[str, int, int]:
+    """tok, which must not be the end, and must be `want` if given."""
+    text, pos, kind = tok
+    if kind == _END:
+        raise ExprError("unexpected end of expression", pos)
+    if want is not None and text != want:
+        raise ExprError(f"expected {want!r}, found {text!r}", pos)
+    return tok
 
 
 def parse_term(src: str, sig: Signature) -> Term:
-    """Parse an expression into a well-typed term over the signature."""
-    return _Parser(src, sig).parse()
+    """Parse an expression into a well-typed term over the signature.
+
+    Open '(' and 'graph(' groups go on a stack, so nesting is not bounded by
+    the interpreter's recursion limit.
+    """
+    next_tok = iter(_scan(src)).__next__
+
+    def objs() -> list[Obj]:
+        """The objects in the brackets after a structure map's word."""
+        _, start, kind = _check(next_tok(), "[")
+        if kind == _OBJS:
+            try:
+                return [sig.obj(*names.split()) for names in src[start + 1 : src.index("]", start)].split(",")]
+            except SignatureError:
+                pass  # an unknown sort
+        # report the first token after '[' that is not a known sort name or a comma
+        known = {s.name for s in sig.sorts}
+        for text, pos, kind in _tokens(src, start + 1):
+            if kind == _WORD and text not in known:
+                raise ExprError(f"unknown sort {text!r}", pos)
+            if kind != _WORD and text != ",":
+                raise ExprError(f"expected a sort name, found {text!r}", pos)
+        raise ExprError("unexpected end of expression", len(src))
+
+    def atom(text: str, pos: int, kind: int) -> Term:
+        """An atom other than a group."""
+        if text in _MAPS:
+            make, arity = _MAPS[text]
+            args = objs()
+            if len(args) != arity:
+                takes = "one object" if arity == 1 else "two comma-separated objects"
+                raise ExprError(f"{text} takes {takes}", pos)
+            return make(*args)
+        if kind != _WORD:
+            raise ExprError(f"unexpected {text!r}", pos)
+        try:
+            return Gen(sig.generator(text))
+        except SignatureError:
+            raise ExprError(f"unknown generator {text!r}", pos) from None
+
+    # each open group: whether it is a graph, and the enclosing composite and product so far
+    groups: list[tuple[bool, Term | None, Term | None]] = []
+    seq: Term | None = None  # the ';'-composite of the current group so far
+    ten: Term | None = None  # the '*'-product of the current ten so far
+    while True:
+        text, pos, kind = _check(next_tok())
+        if text == "(" or text == "graph":
+            if text == "graph":
+                _check(next_tok(), "(")
+            groups.append((text == "graph", seq, ten))
+            seq = ten = None
+            continue
+        t = atom(text, pos, kind)
+        while True:  # fold the atom in; a closing ')' makes its group the next atom
+            ten = t if ten is None else ten @ t
+            op, pos, kind = tok = next_tok()
+            if op == "*":
+                break
+            seq = ten if seq is None else seq >> ten
+            ten = None
+            if op == ";":
+                break
+            if not groups:
+                if kind != _END:
+                    raise ExprError(f"unexpected {op!r}", pos)
+                return seq
+            _check(tok, ")")
+            is_graph, outer_seq, ten = groups.pop()
+            t = graph(seq) if is_graph else seq
+            seq = outer_seq

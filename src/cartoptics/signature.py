@@ -11,14 +11,28 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
 SIGNATURE_FORMAT_VERSION = "1"
 
+# A sort or generator name, as the term syntax (`expr`) spells it, and the
+# syntax's words, which name no generator: the structure maps, paired with
+# their classes in this order by `term.WORDS`, and graph.
+NAME = re.compile(r"[A-Za-z_]\w*")
+RESERVED = ("copy", "del", "id", "swap", "pi1", "pi2", "graph")
+
 
 class SignatureError(ValueError):
     """Raised for malformed signatures or signature files."""
+
+
+def _check_name(name: str, reserved: tuple[str, ...] = ()) -> None:
+    if not (isinstance(name, str) and NAME.fullmatch(name)):
+        raise SignatureError(f"name: expected an identifier, got {name!r}")
+    if name in reserved:
+        raise SignatureError(f"name: {name!r} is a reserved word")
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,9 @@ Carrier = FiniteCarrier | RealVector
 class Sort:
     name: str
     carrier: Carrier
+
+    def __post_init__(self) -> None:
+        _check_name(self.name)
 
 
 @dataclass(frozen=True)
@@ -100,6 +117,7 @@ class Generator:
     fn: Callable[[tuple], tuple] | None = None
 
     def __post_init__(self) -> None:
+        _check_name(self.name, RESERVED)
         if len(self.cod) == 0:
             raise SignatureError("cod: must be non-empty")
         if (self.table is None) == (self.fn is None):
@@ -160,9 +178,6 @@ class Signature:
             return self._gens_by_name[name]  # type: ignore[attr-defined]
         except KeyError:
             raise SignatureError(f"unknown generator {name}") from None
-
-    def has_generator(self, name: str) -> bool:
-        return name in self._gens_by_name  # type: ignore[attr-defined]
 
     def obj(self, *names: str) -> Obj:
         return Obj(tuple(self.sort(n) for n in names))
@@ -225,7 +240,11 @@ def parse_signature(data: dict) -> Signature:
         where = f"sorts[{i}]"
         if not isinstance(raw, dict) or "carrier" not in raw:
             raise SignatureError(f"{where}: expected {{name, carrier}}")
-        sorts.append(Sort(_string(raw, "name", where), _parse_carrier(raw["carrier"], f"{where}.carrier")))
+        name, carrier = _string(raw, "name", where), _parse_carrier(raw["carrier"], f"{where}.carrier")
+        try:
+            sorts.append(Sort(name, carrier))
+        except SignatureError as e:
+            raise SignatureError(f"{where}.{e}") from None
     by_name = {s.name: s for s in sorts}
 
     def lookup_obj(raw: dict, key: str, where: str) -> Obj:

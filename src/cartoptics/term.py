@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .signature import Generator, Obj, UNIT
+from .signature import RESERVED, Generator, Obj, UNIT
 
 
 class TermTypeError(TypeError):
@@ -310,6 +310,9 @@ def run(
 
 # --- printing ---------------------------------------------------------------
 
+# The word of each structure map in the term syntax (`expr`), in the order of RESERVED.
+WORDS = dict(zip((Copy, Delete, Id, Swap, Proj1, Proj2), RESERVED))
+
 
 def _obj_expr(obj: Obj) -> str:
     return " ".join(s.name for s in obj)
@@ -328,18 +331,10 @@ def term_to_expr(t: Term) -> str:
             out.append(t)
         elif isinstance(t, Gen):
             out.append(t.gen.name)
-        elif isinstance(t, Id):
-            out.append(f"id[{_obj_expr(t.obj)}]")
-        elif isinstance(t, Copy):
-            out.append(f"copy[{_obj_expr(t.obj)}]")
-        elif isinstance(t, Delete):
-            out.append(f"del[{_obj_expr(t.obj)}]")
-        elif isinstance(t, Swap):
-            out.append(f"swap[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
-        elif isinstance(t, Proj1):
-            out.append(f"pi1[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
-        elif isinstance(t, Proj2):
-            out.append(f"pi2[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
+        elif isinstance(t, (Copy, Delete, Id)):
+            out.append(f"{WORDS[type(t)]}[{_obj_expr(t.obj)}]")
+        elif isinstance(t, (Swap, Proj1, Proj2)):
+            out.append(f"{WORDS[type(t)]}[{_obj_expr(t.first)},{_obj_expr(t.second)}]")
         elif isinstance(t, (Seq, Ten)):
             out.append("(")
             todo += (")", t.right, " ; " if isinstance(t, Seq) else " * ", t.left)

@@ -187,6 +187,45 @@ class TestRun:
         assert err.startswith("error:")
 
 
+class TestRealInput:
+    """Real-vector entries of --input and --env const: are finite JSON numbers, never coerced."""
+
+    @pytest.fixture(scope="class")
+    def real_paths(self, work):
+        sig = work / "real_sig.json"
+        sig.write_text(json.dumps({
+            "sorts": [{"name": "R", "carrier": {"real": 2}}],
+            "generators": [{"name": "t", "dom": ["R"], "cod": ["R"], "builtin": "tanh"}],
+        }))
+        lens = work / "real_lens.json"
+        lens.write_text(json.dumps({"get": "t", "put": "pi2[R,R]"}))
+        return ["--signature", str(sig), "--lens", str(lens)]
+
+    def test_finite_numbers_run(self, capsys, real_paths):
+        rc, out, err = run_cli(capsys, "run", *real_paths, "--input", "[[0, 0.5]]")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["output"] == [[0.0, pytest.approx(0.46211715726)]]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--input", "[[true, false]]", "--input: [0][0]: expected a finite number, got true"),
+            ("--input", '[["1", "2"]]', '--input: [0][0]: expected a finite number, got "1"'),
+            ("--input", "[[1, null]]", "--input: [0][1]: expected a finite number, got null"),
+            ("--input", "[[NaN, 2]]", "--input: [0][0]: expected a finite number, got NaN"),
+            ("--input", "[[1, -Infinity]]", "--input: [0][1]: expected a finite number, got -Infinity"),
+            ("--input", "[[1e999, 2]]", "--input: [0][0]: expected a finite number, got Infinity"),
+            ("--input", "[[1, [2]]]", "--input: [0][1]: expected a finite number, got [2]"),
+            ("--env", "const:[[1, null]]", "--env: [0][1]: expected a finite number, got null"),
+        ],
+        ids=["bools", "strings", "null", "nan", "infinity", "overflow", "nested", "env-null"],
+    )
+    def test_rejected_with_location(self, capsys, real_paths, flag, value, message):
+        argv = ["--input", "[[0, 0.5]]", "--env", value] if flag == "--env" else [flag, value]
+        rc, out, err = run_cli(capsys, "run", *real_paths, *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestInputFiles:
     """Malformed lens, optic and homcat files are input errors (exit 2) with a location."""
 
@@ -296,7 +335,7 @@ MALFORMED = [
     (["run", "--lens", "FILE", "--input", "[0]"], json.dumps({"get": "f", "put": "pi1[A,B] ; q"}),
      "FILE: put: at position 11: unknown generator 'q'"),
     (["run", "--lens", "LENS", "--input", '[[1,"a"]]'], None,
-     "--input: could not convert string to float: 'a'"),
+     '--input: [0][1]: expected a finite number, got "a"'),
     (["run", "--lens", "LENS", "--input", "[0]", "--env", "const:[0"], None,
      "--env: Expecting ',' delimiter: line 1 column 3 (char 2)"),
     (["normalize", "--expr", "f ; f"], None, "--expr: cannot compose: left codomain B != right domain A"),

@@ -120,10 +120,18 @@ class TestSignatureInput:
             (("generators", 0, "table"), [[1]], "generators[0].table: 1 rows, expected 2"),
             (("generators", 1), {"name": "v", "dom": ["A"], "cod": ["A"], "builtin": 7},
              "generators[1].builtin: expected a string, got 7"),
+            (("sorts", 0, "name"), "A B", "sorts[0].name: expected an identifier, got 'A B'"),
+            (("generators", 0, "name"), "f-g", "generators[0].name: expected an identifier, got 'f-g'"),
+            (("generators", 1, "name"), "2f", "generators[1].name: expected an identifier, got '2f'"),
+            (("generators", 0, "name"), "", "generators[0].name: expected an identifier, got ''"),
+            (("generators", 1, "name"), "copy", "generators[1].name: 'copy' is a reserved word"),
+            (("generators", 0, "name"), "graph", "generators[0].name: 'graph' is a reserved word"),
         ],
         ids=[
             "sort-name", "finite-bool", "real-bool", "finite-zero", "sorts-object", "generator-name",
             "dom-entry", "cod-empty", "row-not-list", "row-count", "builtin-name",
+            "sort-spaced", "generator-dash", "generator-digit", "generator-empty", "generator-copy",
+            "generator-graph",
         ],
     )
     def test_rejected_with_location(self, path, value, message):
@@ -172,6 +180,33 @@ ERRORS = [
     ("copy[A [B]]", 7, "expected a sort name, found '['"),
     ("copy[(]", 5, "expected a sort name, found '('"),
 ]
+
+
+class TestNames:
+    """Every name a signature accepts is one the term syntax can spell."""
+
+    A = FiniteCarrier(2)
+
+    @pytest.mark.parametrize("name", ["A B", "f-g", "2f", "", "a\n", 5])
+    def test_sort_and_generator_need_an_identifier(self, name):
+        with pytest.raises(SignatureError, match=r"^name: expected an identifier, got "):
+            Sort(name, self.A)
+        a = Obj((Sort("A", self.A),))
+        with pytest.raises(SignatureError, match=r"^name: expected an identifier, got "):
+            Generator(name, a, a, table=((0,), (1,)))
+
+    @pytest.mark.parametrize("word", ["copy", "del", "id", "swap", "pi1", "pi2", "graph"])
+    def test_generator_may_not_be_a_reserved_word(self, word):
+        a = Obj((Sort("A", self.A),))
+        with pytest.raises(SignatureError, match=rf"^name: '{word}' is a reserved word$"):
+            Generator(word, a, a, table=((0,), (1,)))
+
+    @pytest.mark.parametrize("word", ["copy", "del", "id", "swap", "pi1", "pi2", "graph"])
+    def test_sort_may_be_a_reserved_word(self, word):
+        s = Sort(word, self.A)
+        sig = Signature((s,), (Generator("f", Obj((s,)), Obj((s,)), table=((1,), (0,))),))
+        t = Copy(sig.obj(word)) >> Swap(sig.obj(word), sig.obj(word)) >> Proj1(sig.obj(word), sig.obj(word))
+        assert parse_term(str(t), sig) == t
 
 
 class TestErrors:

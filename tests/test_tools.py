@@ -29,6 +29,7 @@ def bench():
         ("coherence", {}),
         ("pi0", {"n_cells": [14, 14, 14, 14]}),
         ("real", {"rows": [[n, n * (n + 1) // 2, n, n, 1, n, n] for n in range(1, 17)]}),
+        ("parse 600", {"text_length": 1703069}),
     ],
 )
 def test_measure_gives_exact_counts_and_digests(bench, case, counts):

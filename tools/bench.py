@@ -26,6 +26,9 @@ Every case runs in a fresh interpreter:
 - `real`: `validate_chain_vjps` on `build_chain(16, "real", dim=256,
   seed=0)`, and `run_tradeoff(16, "real", dim=256)`, which builds, checks
   and runs that chain.
+- `parse 600`: `parse_term` of the text of the forward pass of
+  `compose_optic_chain` over the 600 reified stages of `build_chain(600,
+  "finite", seed=9)`, 1.7 MB, most of it the residual's sort names.
 
 The child prints one JSON object: the seconds per call of each timed
 operation, the exact counts, and the SHA-256 of each output.  An operation
@@ -48,7 +51,8 @@ of the output but must not change the classes.  The `real` case counts
 every exact column of the tradeoff rows; its outputs are the bytes of the
 lens, optic and shared round trips of the whole chain on `chain_input`,
 and the finite-difference verdict (not the worst error, whose low digits
-depend on how the matrix products round).
+depend on how the matrix products round).  The `parse` case counts the
+text's length, and its output is the text of the parsed term.
 
     python tools/bench.py                            # every case on this checkout's src/
     python tools/bench.py --case chain --case pi0    # a kind stands for all its sizes
@@ -267,6 +271,15 @@ def real_case() -> dict:
     }
 
 
+def parse_case(n: int) -> dict:
+    import cartoptics as C
+
+    chain = C.build_chain(n, "finite", seed=9)
+    text = str(C.compose_optic_chain([C.reify(l) for l in chain.lenses]).forward)
+    seconds, term = shots(lambda: C.parse_term(text, chain.signature))
+    return {"seconds": {"parse_term": seconds}, "counts": {"text_length": len(text)}, "outputs": {"term": str(term)}}
+
+
 CASES = {
     **{f"chain {n}": lambda n=n: term_case("chain", n) for n in (16, 64, 128, 200, 1000)},
     **{f"copy {k}": lambda k=k: term_case("copy", k) for k in (12, 16, 20, 64)},
@@ -276,6 +289,7 @@ CASES = {
     "pi0": lambda: pi0_case(demo_families(), REPEAT),
     "pi0 1000": lambda: pi0_case(chain_packagings(1000), 1),
     "real": real_case,
+    "parse 600": lambda: parse_case(600),
 }
 
 
