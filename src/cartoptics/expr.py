@@ -23,9 +23,11 @@ import re
 from .signature import NAME, Obj, Signature, SignatureError
 from .term import WORDS, Copy, Delete, Gen, Id, Term, graph
 
-# One token per match, as (text, position, kind): a name; the '[' of a whole
-# bracket of sort names and commas, which the match skips to its ']'; a mark;
-# or any other character, which is an error.
+# One token per match, as (text, position, kind), the kind being the group
+# that matched: a name; the '[' of a whole bracket of sort names and commas,
+# which the match skips to its ']' (names in it end at a space or comma, so
+# one that is not closed is given up in linear time); a mark; or any other
+# character, which is an error.
 _N = NAME.pattern
 _SCAN = re.compile(rf"\s*(?:({_N})|(\[)[\s,]*(?:{_N}(?:[\s,]+{_N})*[\s,]*)?\]|([;*()\[\],])|(\S))")
 _WORD, _OBJS, _MARK, _BAD, _END = 1, 2, 3, 4, 5

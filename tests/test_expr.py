@@ -216,6 +216,15 @@ class TestErrors:
             parse_term(src, sig)
         assert (str(info.value), info.value.pos) == (f"at position {pos}: {message}", pos)
 
+    def test_unclosed_bracket_of_long_names_fails_fast(self, sig):
+        # a bracket is scanned whole when it holds only names and commas; one
+        # that is not must be given up without trying every split of its names
+        src = "copy[" + "A " * 20000 + "B" * 60 + " ;"
+        with pytest.raises(ExprError, match=f"^at position 40005: unknown sort '{'B' * 60}'$"):
+            parse_term(src, sig)
+        with pytest.raises(ExprError, match="^at position 66: expected a sort name, found ';'$"):
+            parse_term("copy[" + "B" * 60 + " ;", Signature((Sort("B" * 60, FiniteCarrier(2)),), ()))
+
     def test_unknown_generator_position(self, sig):
         with pytest.raises(ExprError, match="unknown generator 'zz'") as info:
             parse_term("f ; zz", sig)
