@@ -182,6 +182,9 @@ ERRORS = [
 ]
 
 
+RESERVED = ("copy", "del", "id", "swap", "pi1", "pi2", "graph")
+
+
 class TestNames:
     """Every name a signature accepts is one the term syntax can spell."""
 
@@ -195,13 +198,13 @@ class TestNames:
         with pytest.raises(SignatureError, match=r"^name: expected an identifier, got "):
             Generator(name, a, a, table=((0,), (1,)))
 
-    @pytest.mark.parametrize("word", ["copy", "del", "id", "swap", "pi1", "pi2", "graph"])
+    @pytest.mark.parametrize("word", RESERVED)
     def test_generator_may_not_be_a_reserved_word(self, word):
         a = Obj((Sort("A", self.A),))
         with pytest.raises(SignatureError, match=rf"^name: '{word}' is a reserved word$"):
             Generator(word, a, a, table=((0,), (1,)))
 
-    @pytest.mark.parametrize("word", ["copy", "del", "id", "swap", "pi1", "pi2", "graph"])
+    @pytest.mark.parametrize("word", RESERVED)
     def test_sort_may_be_a_reserved_word(self, word):
         s = Sort(word, self.A)
         sig = Signature((s,), (Generator("f", Obj((s,)), Obj((s,)), table=((1,), (0,))),))
@@ -306,7 +309,6 @@ class TestRoundTrip:
         assert str(f >> g) == term_to_expr(f >> g)
 
 
-RESERVED = ("copy", "del", "id", "swap", "pi1", "pi2", "graph")
 NAMES = st.from_regex(r"[A-Za-z_]\w*", fullmatch=True)
 
 
