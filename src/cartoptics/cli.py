@@ -31,7 +31,7 @@ from .bridge import check_adjunction, coherence_suite
 from .cost import rows_to_csv, run_tradeoff
 from .dag import share
 from .expr import ExprError, parse_term
-from .interp import EnumerationCapError, Interp, UnsupportedInterpretation
+from .interp import EnumerationCapError, Interp, UnsupportedInterpretation, check_identity_env, check_values
 from .lens import Lens, lens_exec
 from .normal import CanonicalForm, normalize, read_back
 from .optic import Optic, optic_exec
@@ -176,18 +176,22 @@ def cmd_run(args) -> int:
     sig = load_signature(args.signature)
     interp = Interp.from_signature(sig)
     values = _at("--input", _parse_values, args.input)
-    env = None
+    resp = None
     if args.env != "id":
         if not args.env.startswith("const:"):
             raise ValueError(f"--env: unknown env {args.env!r}; use 'id' or 'const:<json>'")
         resp = _at("--env", _parse_values, args.env[len("const:") :])
-        env = lambda _b: resp  # noqa: E731
     if args.lens:
-        l = _load_lens(args.lens, sig)
-        b, a_prime, report = lens_exec(l, values, interp, env)
+        packaging, execute = _load_lens(args.lens, sig), lens_exec
     else:
-        o = _load_optic(args.optic, sig)
-        b, a_prime, report = optic_exec(o, values, interp, env)
+        packaging, execute = _load_optic(args.optic, sig), optic_exec
+    # every entry is checked against its carrier before any pass runs
+    check_values(packaging.dom_pair[0], values, "--input")
+    if resp is None:
+        _at("--env", check_identity_env, packaging.cod_pair)
+    else:
+        check_values(packaging.cod_pair[1], resp, "--env")
+    b, a_prime, report = execute(packaging, values, interp, None if resp is None else lambda _b: resp)
     print(_json_line({"output": b, "updated": a_prime, "cost": report.to_json()}))
     return 0
 

@@ -21,12 +21,14 @@ def share(t: Term) -> CanonicalForm:
 
 
 def evaluate_dag(dag: CanonicalForm, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
-    """Evaluate every row exactly once, in order."""
+    """Evaluate every row exactly once, in order.
+
+    Each row is one application, counted in `report.generator_counts` by one
+    update once every row has run: a run that raises partway counts nothing.
+    """
     if report is None:
         report = CostReport()
     check_values(dag.dom, values)
     out = run_form(dag, values, interp.apply)
-    counts = report.generator_counts
-    for gen, _ in dag.nodes:
-        counts[gen.name] += 1
+    report.generator_counts.update(gen.name for gen, _ in dag.nodes)
     return out

@@ -5,10 +5,12 @@ carriers its sorts declare.  The default interpretation of a signature reads
 it off the declarations; a table given in its place is checked as a declared
 one is, at the generator's first application.
 
-`evaluate` runs a term on a concrete input tuple and counts work: one counter
-bump per generator application, one copy per duplicated wire.  Identities,
-deletions, swaps and projections are free.  Values move by `term.run`, the
-walker `normalize` uses to evaluate in the syntactic model.
+`evaluate` runs a term on a concrete input tuple and counts work: one count
+per generator application, added to the report in one update when the pass
+ends, and one copy per duplicated wire.  Identities, deletions, swaps and
+projections are free.  Values move by `term.run`, the walker `normalize`
+uses to evaluate in the syntactic model.  Applying a table generator is one
+lookup of its argument tuple in the table's row index.
 
 Exhaustive equality is one column pass per term: `term.run` moves a column
 (one wire's value for every input tuple of a block) where it would move a
@@ -21,7 +23,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Iterator
 
 import numpy as np
@@ -75,8 +76,9 @@ class Interp:
 
     Carriers are the ones the sorts declare.  A generator's table is checked
     with `signature.check_table`, as a declared table is, and indexed once, at
-    the generator's first application; its function, if it has no table, is
-    looked up in `fns` at every call.
+    the generator's first application, by a dict from each input tuple to its
+    row; an argument tuple that is not a row raises CarrierMismatch.  Its
+    function, if it has no table, is looked up in `fns` at every call.
     """
 
     def __init__(
@@ -95,11 +97,12 @@ class Interp:
         return Interp(tables, fns)
 
     def _build_index(self, gen: Generator) -> tuple | None:
-        """(table, strides, columns): a table generator's checked row index, kept by name.
+        """(rows, columns): a table generator's checked row index, kept by name.
 
-        The row of args is `sum(v * stride)`; `columns` is the table
-        transposed to one tuple per output.  None for a generator without a
-        table, whose function is looked up at each call.  A table that fails
+        `rows` maps each input tuple, in row-major order over the domain's
+        carriers, to its output row; `columns` is the table transposed to
+        one tuple per output.  None for a generator without a table, whose
+        function is looked up at each call.  A table that fails
         `check_table` raises SignatureError and is not kept.  Keyed by name:
         hashing a Generator hashes its table.
         """
@@ -110,18 +113,20 @@ class Interp:
             check_table(gen.dom, gen.cod, table)
         except SignatureError as e:
             raise SignatureError(f"generator {gen.name}: {e}") from None
-        strides, n = [], 1
-        for s in reversed(gen.dom.sorts):
-            strides.insert(0, n)
-            n *= s.carrier.size
         table = tuple(map(tuple, table))
-        index = self._row_index[gen.name] = (table, tuple(strides), tuple(zip(*table)))
+        inputs = itertools.product(*[range(s.carrier.size) for s in gen.dom.sorts])
+        index = self._row_index[gen.name] = (dict(zip(inputs, table)), tuple(zip(*table)))
         return index
 
     def apply(self, gen: Generator, args: tuple) -> tuple:
         index = self._row_index.get(gen.name) or self._build_index(gen)
         if index is not None:
-            return index[0][sum(map(mul, args, index[1]))]
+            try:
+                return index[0][args]
+            except KeyError:
+                raise CarrierMismatch(
+                    f"generator {gen.name}: arguments {args!r} are not a row of its table"
+                ) from None
         fn = self.fns.get(gen.name)
         if fn is None:
             raise UnsupportedInterpretation(f"no semantics for generator {gen.name}")
@@ -141,32 +146,31 @@ class Interp:
                 # a function: point by point, with apply's checks
                 points = zip(*cols) if cols else itertools.repeat((), count)
                 return tuple(map(list, zip(*[self.apply(gen, p) for p in points])))
-            _, strides, columns = index
-            if len(cols) == 1:
+            rows, columns = index
+            if len(cols) == 1:  # a value is its row's number: index each output column
                 idx = cols[0]
-            elif cols:
-                idx = [sum(map(mul, p, strides)) for p in zip(*cols)]
-            else:
-                idx = [0] * count
-            return tuple([[c[i] for i in idx] for c in columns])
+                return tuple([[c[i] for i in idx] for c in columns])
+            if cols:  # a list, not map(rows.__getitem__, ...), which adds to the collector's count
+                return tuple(map(list, zip(*[rows[p] for p in zip(*cols)])))
+            return tuple([[v] * count for v in rows[()]])
 
         return apply
 
 
 def check_values(obj: Obj, values: tuple, what: str = "input") -> None:
-    """Validate a value tuple against an object's carriers."""
+    """Validate a value tuple against an object's carriers; an error names `what` and the entry."""
     if len(values) != len(obj):
         raise CarrierMismatch(f"{what}: expected {len(obj)} values for {obj}, got {len(values)}")
-    for v, s in zip(values, obj):
+    for i, (v, s) in enumerate(zip(values, obj)):
         c = s.carrier
         if isinstance(c, FiniteCarrier):
             if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and 0 <= v < c.size):
-                raise CarrierMismatch(f"{what}: value {v!r} not in finite carrier of {s.name}")
+                raise CarrierMismatch(f"{what}: [{i}]: value {v!r} not in finite carrier of {s.name}")
         else:
             arr = np.asarray(v)
             if arr.shape != (c.dimension,):
                 raise CarrierMismatch(
-                    f"{what}: value for {s.name} has shape {arr.shape}, expected ({c.dimension},)"
+                    f"{what}: [{i}]: value for {s.name} has shape {arr.shape}, expected ({c.dimension},)"
                 )
 
 

@@ -158,11 +158,11 @@ def _run_passes(
     m: Obj, forward: Term, backward: Term, cod_pair: tuple[Obj, Obj], a: tuple, interp: Interp, env
 ) -> tuple[tuple, tuple, CostReport]:
     """`optic_exec` on the parts of an optic; env's answer (b if env is None) is checked against B'."""
+    if env is None:
+        check_identity_env(cod_pair)
     report = CostReport()
     out = evaluate(forward, a, interp, report)
     m_vals, b = out[: len(m)], out[len(m) :]
-    if env is None:
-        check_identity_env(cod_pair)
     b_resp = b if env is None else tuple(env(b))
     check_values(cod_pair[1], b_resp, what="env response")
     a_prime = evaluate(backward, m_vals + b_resp, interp, report)

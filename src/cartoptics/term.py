@@ -215,8 +215,11 @@ def run(
     Values are opaque: `apply(gen, args)` gives a generator's outputs and the
     structure maps only move, duplicate and drop values.  Applying a finite
     interpretation evaluates t; looking rows up in a unique table normalizes
-    it.  With `counts` given, each application also bumps `counts[gen.name]`.
-    The walk keeps its own stack, so terms of any depth run.
+    it.  With `counts` given, the walk notes each application's generator
+    name and adds them all to `counts` in one update when it ends, so keys
+    come in the order of each generator's first application; a walk that
+    raises partway leaves `counts` as it was.  The walk keeps its own stack,
+    so terms of any depth run.
 
     With `memo` given (an empty dict, one per call), a `Seq` node reached
     more than once is run once per distinct input: its first visit only
@@ -235,6 +238,7 @@ def run(
         raise ValueError("run: a memo skips applications, so counts cannot be kept with it")
     # Seq nodes are taken apart here without a memo, and by the memo branch with one
     descend = Seq if memo is None else None
+    applied: list[str] | None = None if counts is None else []  # generator names, in order
     copied = 0
     todo: list = []  # terms still to run, and the pieces of tensors in progress
     parked: list[tuple] = []  # left parts of tensor outputs, waiting for the right part
@@ -259,8 +263,8 @@ def run(
             t = t.left
             continue
         if kind is Gen:
-            if counts is not None:
-                counts[t.gen.name] += 1
+            if applied is not None:
+                applied.append(t.gen.name)
             xs = apply(t.gen, xs)
         elif kind is tuple:  # a left half is done: park it, take up the right half's input
             parked.append(xs)
@@ -304,6 +308,8 @@ def run(
         else:
             raise TypeError(f"not a term: {t!r}")
         if not todo:
+            if applied:
+                counts.update(applied)
             return xs, copied
         t = todo.pop()
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cartoptics import EnumerationCapError, cli, main, signature_to_json
+from cartoptics import EnumerationCapError, Interp, cli, main, signature_to_json
 from cartoptics.cli import VERSION
 
 
@@ -160,6 +160,53 @@ class TestRun:
         assert data["output"] == [2]
         assert data["updated"] == [1]
         assert data["cost"]["peak_residual_slots"] == 1
+
+    @pytest.mark.parametrize("kind", ["lens", "optic"])
+    @pytest.mark.parametrize("value, output", [(0, 1), (1, 2)])
+    def test_cost_json_is_pinned(self, capsys, request, sig_path, kind, value, output):
+        path = request.getfixturevalue(f"{kind}_path")
+        rc, out, err = run_cli(
+            capsys, "run", f"--{kind}", path, "--signature", sig_path, "--input", f"[{value}]"
+        )
+        assert (rc, err) == (0, "")
+        assert out == (
+            '{"cost": {"copies": 1, "generator_counts": {"f": 1, "h": 1}, '
+            '"peak_residual_bytes": 1, "peak_residual_slots": 1}, '
+            f'"output": [{output}], "updated": [1]}}\n'
+        )
+
+    @pytest.mark.parametrize("kind", ["lens", "optic"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--input", '["a"]'], "--input: [0]: value 'a' not in finite carrier of A"),
+            (["--input", "[0]", "--env", "const:[7]"], "--env: [0]: value 7 not in finite carrier of B"),
+        ],
+        ids=["input", "env"],
+    )
+    def test_bad_finite_entry_is_named_before_any_pass(
+        self, capsys, request, monkeypatch, sig_path, kind, argv, message
+    ):
+        def no_pass(*_):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(Interp, "apply", no_pass)
+        path = request.getfixturevalue(f"{kind}_path")
+        rc, out, err = run_cli(capsys, "run", f"--{kind}", path, "--signature", sig_path, *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_identity_env_on_unequal_boundaries_is_named_before_any_pass(
+        self, capsys, monkeypatch, sig_path, work
+    ):
+        def no_pass(*_):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(Interp, "apply", no_pass)
+        path = work / "lens-b-to-a.json"  # get answers in B, put reads its response in A
+        path.write_text(json.dumps({"get": "f", "put": "pi1[A,A]"}))
+        rc, out, err = run_cli(capsys, "run", "--lens", str(path), "--signature", sig_path, "--input", "[0]")
+        message = "--env: identity environment needs matching boundary: B vs A"
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_const_env(self, capsys, sig_path, lens_path):
         rc, out, _ = run_cli(

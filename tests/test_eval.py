@@ -35,6 +35,7 @@ from cartoptics import (
 )
 from cartoptics.interp import CostReport, obj_bytes
 from cartoptics.primitives import resolve
+from cartoptics.term import run
 
 
 class TestTableEvaluation:
@@ -60,6 +61,32 @@ class TestTableEvaluation:
         assert evaluate(Copy(A @ B), (1, 2), interp) == (1, 2, 1, 2)
 
 
+class TestRowIndex:
+    """A table generator's rows are looked up by the argument tuple, and only a row is found."""
+
+    def test_every_input_reads_its_row_major_row(self):
+        a, b = Sort("A", FiniteCarrier(2)), Sort("B", FiniteCarrier(3))
+        # six rows, two outputs each, no two alike, so a wrong row cannot pass
+        table = ((0, 2), (1, 0), (1, 1), (0, 1), (0, 0), (1, 2))
+        m = Generator("m", Obj((a, b)), Obj((a, b)), table=table)
+        inputs = [(x, y) for x in range(2) for y in range(3)]
+        point = Interp(tables={"m": table})
+        assert [point.apply(m, p) for p in inputs] == [table[3 * x + y] for x, y in inputs]
+        # the same through column_apply: one column per wire, one entry per input
+        cols = ([x for x, _ in inputs], [y for _, y in inputs])
+        want = tuple(list(c) for c in zip(*(table[3 * x + y] for x, y in inputs)))
+        assert Interp(tables={"m": table}).column_apply(len(inputs))(m, cols) == want
+
+    @pytest.mark.parametrize("args", [(0, 2), (1, -1), (1, 5)])
+    def test_arguments_that_are_not_a_row_are_rejected(self, args):
+        a = Sort("A", FiniteCarrier(2))
+        x = Obj((a,))
+        h = Generator("h", x @ x, x, table=((0,), (1,), (1,), (0,)))
+        with pytest.raises(CarrierMismatch) as info:
+            Interp.from_signature(Signature((a,), (h,))).apply(h, args)
+        assert str(info.value) == f"generator h: arguments {args!r} are not a row of its table"
+
+
 class TestCostCounting:
     def test_generator_counts(self, f, g, interp):
         report = CostReport()
@@ -83,6 +110,42 @@ class TestCostCounting:
         evaluate(f >> g >> f, (0,), interp, report)
         assert report.total_evals({"f", "g"}) == 3
         assert report.total_evals({"f"}) == 2
+
+    def test_a_pass_that_raises_counts_nothing(self, f, g, A, interp):
+        report = CostReport()
+        evaluate(f >> g, (0,), interp, report)
+        calls = []
+
+        def apply(gen, xs):  # the third application fails
+            calls.append(gen.name)
+            if len(calls) == 3:
+                raise CarrierMismatch("third application")
+            return interp.apply(gen, xs)
+
+        for t in (f >> g >> f >> g, Copy(A) >> Ten(f >> g, f >> g)):
+            calls.clear()
+            with pytest.raises(CarrierMismatch, match="third application"):
+                run(t, (0,), apply, report.generator_counts)
+            assert report.generator_counts == {"f": 1, "g": 1}
+            assert list(report.generator_counts) == ["f", "g"]
+        # the shared DAG: its second g row fails
+        seen = []
+
+        def g_fails_second(xs):
+            seen.append(xs)
+            if len(seen) == 2:
+                raise CarrierMismatch("second g")
+            return interp.apply(g.gen, xs)
+
+        failing = Interp(tables={"f": f.gen.table}, fns={"g": g_fails_second})
+        with pytest.raises(CarrierMismatch, match="second g"):
+            evaluate_dag(share(f >> g >> f >> g), (0,), failing, report)
+        assert report.generator_counts == {"f": 1, "g": 1}
+
+    def test_counts_keep_first_application_order(self, f, g, e, interp):
+        report = CostReport()
+        evaluate(g >> e >> f >> g >> e, (2,), interp, report)
+        assert list(report.generator_counts.items()) == [("g", 2), ("e", 2), ("f", 1)]
 
     def test_report_json_shape(self, f, interp):
         report = CostReport()

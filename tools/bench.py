@@ -12,6 +12,9 @@ Every case runs in a fresh interpreter:
   and occurrences as `chain N`, but no subterm of the term is reached twice,
   so the walk that keeps the outputs of shared subterms finds none to keep
   (its worst case);
+- `exec N` (N = 64, 256): `lens_exec` of the lens composite, `optic_exec`
+  of the optic chain and `evaluate_dag` of the shared round trip of
+  `build_chain(N, "finite", seed=0)`, on `chain_input(chain, 0)`;
 - `check-laws`: `cartoptics check-laws --random-signatures 3 --seed 0`, run
   by `cli.main` in the child (import and start-up not timed);
 - `coherence`: `check_oplax_coherence` on the 3-stage windows of
@@ -51,8 +54,11 @@ of the output but must not change the classes.  The `real` case counts
 every exact column of the tradeoff rows; its outputs are the bytes of the
 lens, optic and shared round trips of the whole chain on `chain_input`,
 and the finite-difference verdict (not the worst error, whose low digits
-depend on how the matrix products round).  The `parse` case counts the
-text's length, and its output is the text of the parsed term.
+depend on how the matrix products round).  An `exec` case counts each
+strategy's get evaluations, copies and residual slots, and its outputs are
+the three round trips (b, a') on every input of the chain.  The `parse`
+case counts the text's length, and its output is the text of the parsed
+term.
 
     python tools/bench.py                            # every case on this checkout's src/
     python tools/bench.py --case chain --case pi0    # a kind stands for all its sizes
@@ -271,6 +277,37 @@ def real_case() -> dict:
     }
 
 
+def exec_case(n: int) -> dict:
+    import cartoptics as C
+
+    chain = C.build_chain(n, "finite", seed=0)
+    interp = C.Interp.from_signature(chain.signature)
+    lens = C.compose_chain(chain.lenses)
+    optic = C.compose_optic_chain([C.reify(l) for l in chain.lenses])
+    dag = C.share(C.round_trip_term(C.reify(lens)))
+
+    def shared(a: tuple) -> tuple:  # (b, a', report), as the executors return
+        report = C.CostReport()
+        out = C.evaluate_dag(dag, a, interp, report)
+        return out[:1], out[1:], report
+
+    runs = {
+        "lens_exec": lambda a: C.lens_exec(lens, a, interp),
+        "optic_exec": lambda a: C.optic_exec(optic, a, interp),
+        "evaluate_dag": shared,
+    }
+    a = C.chain_input(chain, 0)
+    inputs = list(C.enumerate_inputs(lens.dom_pair[0]))
+    reports = {op: run(a)[2] for op, run in runs.items()}
+    return {
+        "seconds": {op: shots(lambda run=run: run(a))[0] for op, run in runs.items()},
+        "counts": {  # per strategy: [get evaluations, copies, residual slots]
+            op: [r.total_evals(chain.get_names), r.copies, r.peak_residual_slots] for op, r in reports.items()
+        },
+        "outputs": {op: [list(map(list, run(x)[:2])) for x in inputs] for op, run in runs.items()},
+    }
+
+
 def parse_case(n: int) -> dict:
     import cartoptics as C
 
@@ -284,6 +321,7 @@ CASES = {
     **{f"chain {n}": lambda n=n: term_case("chain", n) for n in (16, 64, 128, 200, 1000)},
     **{f"copy {k}": lambda k=k: term_case("copy", k) for k in (12, 16, 20, 64)},
     **{f"optic {n}": lambda n=n: term_case("optic", n) for n in (64, 256, 1000)},
+    **{f"exec {n}": lambda n=n: exec_case(n) for n in (64, 256)},
     "check-laws": check_laws_case,
     "coherence": coherence_case,
     "pi0": lambda: pi0_case(demo_families(), REPEAT),
