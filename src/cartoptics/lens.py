@@ -16,7 +16,7 @@ from typing import Callable
 
 from .interp import CostReport, Interp
 from .normal import normal_eq
-from .optic import _run_passes
+from .optic import _rest, _run_passes
 from .signature import Obj
 from .term import Id, Proj2, Ten, Term, TermTypeError, graph
 
@@ -30,15 +30,8 @@ class Lens:
     cod_pair: tuple[Obj, Obj] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = self.get.dom
-        if self.put.dom[: len(a)] != a:
-            raise TermTypeError(
-                f"put domain {self.put.dom} does not start with get domain {a}",
-                expected=a,
-                actual=self.put.dom[: len(a)],
-            )
-        b_back = self.put.dom[len(a) :]
-        object.__setattr__(self, "dom_pair", (a, self.put.cod))
+        b_back = _rest(self.put.dom, "put domain", self.get.dom, "get domain")
+        object.__setattr__(self, "dom_pair", (self.get.dom, self.put.cod))
         object.__setattr__(self, "cod_pair", (self.get.cod, b_back))
 
     @cached_property

@@ -71,6 +71,14 @@ def _wrap(m: Obj, t: Term) -> Term:
     return Ten(Id(m), t)
 
 
+def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
+    """obj after its leading prefix; TermTypeError if obj does not start with it."""
+    head, rest = obj[: len(prefix)], obj[len(prefix) :]
+    if head != prefix:
+        raise TermTypeError(f"{what} {obj} does not start with {prefix_what} {prefix}", expected=prefix, actual=head)
+    return rest
+
+
 @dataclass(frozen=True)
 class Optic:
     residual: Obj
@@ -82,21 +90,8 @@ class Optic:
     def __post_init__(self) -> None:
         object.__setattr__(self, "forward", _flat(self.forward))
         object.__setattr__(self, "backward", _flat(self.backward))
-        m = self.residual
-        if self.forward.cod[: len(m)] != m:
-            raise TermTypeError(
-                f"forward codomain {self.forward.cod} does not start with residual {m}",
-                expected=m,
-                actual=self.forward.cod[: len(m)],
-            )
-        if self.backward.dom[: len(m)] != m:
-            raise TermTypeError(
-                f"backward domain {self.backward.dom} does not start with residual {m}",
-                expected=m,
-                actual=self.backward.dom[: len(m)],
-            )
-        b = self.forward.cod[len(m) :]
-        b_back = self.backward.dom[len(m) :]
+        b = _rest(self.forward.cod, "forward codomain", self.residual, "residual")
+        b_back = _rest(self.backward.dom, "backward domain", self.residual, "residual")
         object.__setattr__(self, "dom_pair", (self.forward.dom, self.backward.cod))
         object.__setattr__(self, "cod_pair", (b, b_back))
 

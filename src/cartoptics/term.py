@@ -3,7 +3,8 @@
 A term is a tree built from generators, identities, sequential and parallel
 composition, and the cartesian structure maps (copy, delete, swap, and the two
 projections).  Every node is well-typed at construction; `dom`/`cod` are
-computed once and stored.  Terms are immutable and hashable.
+computed once and stored.  Terms are immutable, and they compare, hash and
+print at any depth; `repr` shows the term text, as in `Seq('(f ; g)')`.
 
 Composition is written `f >> g` (left to right) and tensor `f @ g`, matching
 the textual syntax `f ; g` and `f * g` accepted by the expression parser.
@@ -27,11 +28,16 @@ class TermTypeError(TypeError):
         self.actual = actual
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Term:
-    """Base class; subclasses are frozen dataclasses with dom/cod fields."""
+    """Base of the nine term classes; each sets dom/cod in its `__post_init__`.
 
-    dom: Obj
-    cod: Obj
+    `==`, `hash` and `repr` are defined here once and do not recurse.  Every
+    subclass is declared `eq=False, repr=False`, so none gets them generated.
+    """
+
+    dom: Obj = field(init=False, compare=False, repr=False)
+    cod: Obj = field(init=False, compare=False, repr=False)
 
     def __rshift__(self, other: "Term") -> "Term":
         return Seq(self, other)
@@ -42,42 +48,58 @@ class Term:
     def __str__(self) -> str:
         return term_to_expr(self)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({term_to_expr(self)!r})"
+
+    def __eq__(self, other: object) -> bool:
+        # same constructor and arguments (`__match_args__`: no derived boundary), children on a stack
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [self, other]
+        while todo:
+            b, a = todo.pop(), todo.pop()
+            if a is b:
+                continue
+            kind = a.__class__
+            if kind is not b.__class__:
+                return False
+            if kind is Seq or kind is Ten:
+                todo += (a.right, b.right, a.left, b.left)
+            else:
+                for name in kind.__match_args__:
+                    if getattr(a, name) != getattr(b, name):
+                        return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.dom, self.cod))  # equal terms share both
+
 
 def _set(t: Term, dom: Obj, cod: Obj) -> None:
     object.__setattr__(t, "dom", dom)
     object.__setattr__(t, "cod", cod)
 
 
-def _derived():
-    return field(init=False, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Gen(Term):
     gen: Generator
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.gen.dom, self.gen.cod)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Id(Term):
     obj: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.obj, self.obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Term):
     left: Term
     right: Term
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         if self.left.cod != self.right.dom:
@@ -89,65 +111,53 @@ class Seq(Term):
         _set(self, self.left.dom, self.right.cod)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Ten(Term):
     left: Term
     right: Term
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.left.dom @ self.right.dom, self.left.cod @ self.right.cod)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Copy(Term):
     obj: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.obj, self.obj @ self.obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Delete(Term):
     obj: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.obj, UNIT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Swap(Term):
     first: Obj
     second: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.first @ self.second, self.second @ self.first)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proj1(Term):
     first: Obj
     second: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.first @ self.second, self.first)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proj2(Term):
     first: Obj
     second: Obj
-    dom: Obj = _derived()
-    cod: Obj = _derived()
 
     def __post_init__(self) -> None:
         _set(self, self.first @ self.second, self.second)

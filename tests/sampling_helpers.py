@@ -115,3 +115,14 @@ def loop_term(optic: Optic) -> Term:
     """forward ; backward as one term (identity environment, b discarded)."""
     check_identity_env(optic.cod_pair)
     return optic.forward >> optic.backward
+
+
+def stage_by_stage(chain, interp, a, n):
+    """b and a' of the first n stages, identity environment, from the generators alone."""
+    xs = [a]
+    for l in chain.lenses[:n]:
+        xs.append(interp.apply(l.get.gen, xs[-1]))
+    back = xs[-1]
+    for x, l in zip(reversed(xs[:-1]), reversed(chain.lenses[:n])):
+        back = interp.apply(l.put.gen, x + back)
+    return xs[-1], back

@@ -190,6 +190,14 @@ class TestOplaxStructure:
         ):
             assert calls.count(cell) == 1
 
+    def test_coherence_on_deep_composites(self):
+        # three 60-stage lens composites: strict associativity compares optics of 180 stages
+        chain = build_chain(180, "finite", seed=2)
+        l1, l2, l3 = (compose_chain(chain.lenses[i : i + 60]) for i in (0, 60, 120))
+        report = check_oplax_coherence(l1, l2, l3, Interp.from_signature(chain.signature))
+        assert report.passed, report.to_json()
+        assert {name: law.checked for name, law in report.laws.items()} == dict.fromkeys(COHERENCE_LAWS, 1)
+
     def test_triple_coherence(self, sig, interp):
         rng = random.Random(96)
         for _ in range(10):

@@ -28,9 +28,11 @@ class TestConstruction:
         assert l.dom_pair == (A, A)
         assert l.cod_pair == (B, B)
 
-    def test_put_must_extend_get_domain(self, f, g):
-        with pytest.raises(TermTypeError, match="does not start with"):
+    def test_put_must_extend_get_domain(self, f, g, A, B):
+        with pytest.raises(TermTypeError) as err:
             Lens(f, g)
+        assert str(err.value) == "put domain B does not start with get domain A"
+        assert (err.value.expected, err.value.actual) == (A, B)
 
     def test_identity(self, A, B):
         l = lens_id((A, B))

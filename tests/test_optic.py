@@ -32,10 +32,12 @@ from cartoptics import (
     reify,
     round_trip_term,
     graph,
+    identity_cell,
+    vcompose,
 )
 from cartoptics.optic import _chain, _stages
 from cartoptics.sampling import random_obj, random_optic
-from sampling_helpers import loop_term, random_values
+from sampling_helpers import loop_term, random_values, stage_by_stage
 
 
 def response_term(optic):
@@ -66,13 +68,17 @@ class TestConstruction:
         assert o.dom_pair == (A, A)
         assert o.cod_pair == (B, B)
 
-    def test_forward_must_emit_residual(self, f, h, B):
-        with pytest.raises(TermTypeError, match="forward codomain"):
+    def test_forward_must_emit_residual(self, f, h, A, B):
+        with pytest.raises(TermTypeError) as err:
             Optic(B, graph(f), h)
+        assert str(err.value) == "forward codomain A * B does not start with residual B"
+        assert (err.value.expected, err.value.actual) == (B, A)
 
-    def test_backward_must_consume_residual(self, f, g, A):
-        with pytest.raises(TermTypeError, match="backward domain"):
+    def test_backward_must_consume_residual(self, f, g, A, B):
+        with pytest.raises(TermTypeError) as err:
             Optic(A, graph(f), g)
+        assert str(err.value) == "backward domain B does not start with residual A"
+        assert (err.value.expected, err.value.actual) == (A, B)
 
     def test_identity_padding_is_normalized_away(self, f, h, A, B):
         plain = Optic(A, graph(f), h)
@@ -167,7 +173,6 @@ class TestStrictCategoryLaws:
 
 class TestDeepChains:
     def test_1500_stage_chain_composes(self):
-        # composing is iterative; executing at this depth is still recursive
         start = time.perf_counter()
         chain = build_chain(1500, "finite", seed=3)
         lens = compose_chain(chain.lenses)
@@ -175,6 +180,22 @@ class TestDeepChains:
         assert time.perf_counter() - start < 5.0
         assert len(optic.residual) == 1500
         assert (optic.dom_pair, optic.cod_pair) == (lens.dom_pair, lens.cod_pair)
+        interp = Interp.from_signature(chain.signature)
+        a = chain_input(chain)
+        b, a_prime, _ = optic_exec(optic, a, interp)
+        assert (b, a_prime) == stage_by_stage(chain, interp, a, 1500)
+
+    def test_separate_builds_are_one_representative(self):
+        chain = build_chain(1500, "finite", seed=3)
+        o1, o2 = (compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2))
+        assert o1.forward is not o2.forward and o1.backward is not o2.backward
+        assert o1 == o2
+        assert hash(o1) == hash(o2)
+        assert repr(o1).startswith("Optic(residual=Obj(sorts=(Sort(name='X0'")
+        assert repr(o1.forward) == f"Seq({str(o1.forward)!r})"
+        cell = vcompose(identity_cell(o1), identity_cell(o2))
+        assert cell.src is o1 and cell.tgt is o2
+        assert compose_chain(chain.lenses) == compose_chain(chain.lenses)
 
 
 class TestCompositionSemantics:

@@ -5,6 +5,8 @@ import pytest
 from cartoptics import (
     Copy,
     Delete,
+    Gen,
+    Generator,
     Id,
     Obj,
     Proj1,
@@ -69,6 +71,23 @@ class TestTyping:
 
     def test_terms_are_hashable(self, f, g):
         assert len({f >> g, f >> g, f @ g}) == 2
+
+    def test_equality_is_structural(self, sig, f, g, A, B):
+        twin = Generator("f", A, B, table=((1,), (2,)))  # f again, a separate object
+        assert Gen(twin) == f and hash(Gen(twin)) == hash(f)
+        assert (Gen(twin) >> g) @ Id(A) == (f >> g) @ Id(A)
+        assert f >> g != f @ g
+        assert (f >> g) >> f != f >> (g >> f)  # one boundary, other bracketing
+        assert Proj1(A, A) != Proj2(A, A)
+        assert Swap(A, B) != Swap(B, A)
+        assert Gen(sig.generator("e")) != Gen(Generator("e", A, A, table=((0,), (1,))))
+        assert (f == 1) is False and f.__eq__(1) is NotImplemented
+
+    def test_repr_shows_the_term_text(self, f, g, A, B):
+        assert repr(f >> g) == "Seq('(f ; g)')"
+        assert repr(f @ g) == "Ten('(f * g)')"
+        assert repr(f) == "Gen('f')"
+        assert repr(Swap(A, B)) == "Swap('swap[A,B]')"
 
 
 class TestCombinators:

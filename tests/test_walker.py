@@ -75,7 +75,7 @@ from cartoptics.sampling import (
     random_table,
 )
 from cartoptics.term import run
-from sampling_helpers import padded_variants
+from sampling_helpers import padded_variants, stage_by_stage
 
 # --- oracle: the recursive walkers ---------------------------------------------
 
@@ -486,17 +486,6 @@ def test_gen_occurrences_matches_oracle_on_round_trips():
 # changes the limit.
 DEEP = 3000
 DEEP_LENS = 1200
-
-
-def stage_by_stage(chain, interp, a, n):
-    """b and a' of the first n stages, identity environment, from the generators alone."""
-    xs = [a]
-    for l in chain.lenses[:n]:
-        xs.append(interp.apply(l.get.gen, xs[-1]))
-    back = xs[-1]
-    for x, l in zip(reversed(xs[:-1]), reversed(chain.lenses[:n])):
-        back = interp.apply(l.put.gen, x + back)
-    return xs[-1], back
 
 
 def test_deep_optic_chain_executes_normalizes_and_shares():
