@@ -3,9 +3,10 @@
 Every affine family member is deterministic: its weights are drawn from a PRNG
 seeded with a CRC of the builtin name and the boundary dimensions, so the same
 name always denotes the same function.  Weights are drawn when a primitive is
-first applied, not when it is resolved, and kept read-only in one cache keyed
-by (tag, m, n), which a forward primitive and its `_vjp` share: loading a
-signature draws nothing.  Each forward primitive has a matching
+first applied, not when it is resolved, so loading a signature draws nothing;
+a primitive holds its weights read-only, sharing them through a weak map with
+the other primitives of its key (tag, m, n), such as a forward one and its
+`_vjp`, until the last of them is freed.  Each forward primitive has a matching
 `*_vjp` transpose-derivative: given the primal input and an output cotangent
 it returns the input cotangent, which is what backward passes are built from.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
+import weakref
 import zlib
 from typing import Callable
 
@@ -41,13 +43,22 @@ def _seeded(name: str, *dims: int) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(key))
 
 
-@functools.cache
-def _affine_weights(tag: str, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = _seeded(f"affine_{tag}", m, n)
-    w = rng.standard_normal((n, m)) / np.sqrt(m)
-    b = rng.standard_normal(n) * 0.1
-    w.flags.writeable = b.flags.writeable = False
-    return w, b
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (tag, m, n) -> its getter
+
+
+def _affine(tag: str, m: int, n: int) -> Callable[[], tuple[np.ndarray, np.ndarray]]:
+    """The getter, shared by the live primitives of (tag, m, n), that draws their weights once."""
+    weights = _SHARED.get((tag, m, n))
+    if weights is None:
+        @functools.cache
+        def weights() -> tuple[np.ndarray, np.ndarray]:
+            rng = _seeded(f"affine_{tag}", m, n)
+            w = rng.standard_normal((n, m)) / np.sqrt(m)
+            b = rng.standard_normal(n) * 0.1
+            w.flags.writeable = b.flags.writeable = False
+            return w, b
+        _SHARED[tag, m, n] = weights
+    return weights
 
 
 def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
@@ -71,42 +82,28 @@ def resolve(name: str, dom: Obj, cod: Obj) -> Callable[[tuple], tuple]:
             y = np.tanh(x)
             return (c * (1.0 - y * y),)
 
-    elif m := re.fullmatch(r"affine_tanh_vjp_(\w+)", name):
+    elif m := re.fullmatch(r"affine_(tanh_)?vjp_(\w+)", name):
         if len(ddims) != 2 or len(cdims) != 1 or cdims[0] != ddims[0]:
             raise SignatureError(f"builtin {name}: expects (x, cotangent) -> x-cotangent")
-        key = ("tanh_" + m.group(1), ddims[0], ddims[1])
+        tanh, weights = m.group(1), _affine("".join(m.groups("")), *ddims)
 
         def fn(args):
             x, c = args
-            w, b = _affine_weights(*key)
-            y = np.tanh(x @ w.T + b)
-            return ((c * (1.0 - y * y)) @ w,)
+            w, b = weights()
+            if tanh:
+                y = np.tanh(x @ w.T + b)
+                c = c * (1.0 - y * y)
+            return (c @ w,)
 
-    elif m := re.fullmatch(r"affine_tanh_(\w+)", name):
+    elif m := re.fullmatch(r"affine_(tanh_)?(\w+)", name):
         if len(ddims) != 1 or len(cdims) != 1:
             raise SignatureError(f"builtin {name}: expects one real sort each side")
-        key = ("tanh_" + m.group(1), ddims[0], cdims[0])
+        tanh, weights = m.group(1), _affine("".join(m.groups("")), *ddims, *cdims)
 
         def fn(args):
-            w, b = _affine_weights(*key)
-            return (np.tanh(args[0] @ w.T + b),)
-
-    elif m := re.fullmatch(r"affine_vjp_(\w+)", name):
-        if len(ddims) != 2 or len(cdims) != 1 or cdims[0] != ddims[0]:
-            raise SignatureError(f"builtin {name}: expects (x, cotangent) -> x-cotangent")
-        key = (m.group(1), ddims[0], ddims[1])
-
-        def fn(args):
-            return (args[1] @ _affine_weights(*key)[0],)
-
-    elif m := re.fullmatch(r"affine_(\w+)", name):
-        if len(ddims) != 1 or len(cdims) != 1:
-            raise SignatureError(f"builtin {name}: expects one real sort each side")
-        key = (m.group(1), ddims[0], cdims[0])
-
-        def fn(args):
-            w, b = _affine_weights(*key)
-            return (args[0] @ w.T + b,)
+            w, b = weights()
+            y = args[0] @ w.T + b
+            return (np.tanh(y) if tanh else y,)
 
     else:
         raise SignatureError(f"unknown builtin primitive {name!r}")

@@ -52,7 +52,8 @@ class Term:
         return f"{type(self).__name__}({term_to_expr(self)!r})"
 
     def __eq__(self, other: object) -> bool:
-        # same constructor and arguments (`__match_args__`: no derived boundary), children on a stack
+        # same constructor and arguments (`__match_args__`, not the derived boundary);
+        # the children of Seq and Ten go on a stack, so terms of any depth compare
         if other.__class__ is not self.__class__:
             return NotImplemented
         todo = [self, other]

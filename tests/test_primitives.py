@@ -23,8 +23,8 @@ def eager_weights(tag, m, n):
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Each weight draw from an empty cache, as (name, dims)."""
-    primitives._affine_weights.cache_clear()
+    """Each weight draw, with no weights shared yet, as (name, dims)."""
+    primitives._SHARED.clear()
     seen = []
     seeded = primitives._seeded
 
@@ -34,7 +34,6 @@ def draws(monkeypatch):
 
     monkeypatch.setattr(primitives, "_seeded", counting)
     yield seen
-    primitives._affine_weights.cache_clear()
 
 
 class TestAffineWeights:
@@ -84,8 +83,23 @@ class TestAffineWeights:
         vjp((x, c))
         fwd((x,))
         assert draws == [("affine_tanh_s2", (M, N))]
-        w, b = primitives._affine_weights("tanh_s2", M, N)
+        w, b = primitives._affine("tanh_s2", M, N)()
         assert not w.flags.writeable and not b.flags.writeable
+
+    def test_weights_go_with_the_last_primitive_that_holds_them(self, draws):
+        x, c = np.ones(M), np.ones(N)
+        fwd = primitives.resolve("affine_s3", X, Y)
+        vjp = primitives.resolve("affine_vjp_s3", X @ Y, X)
+        fwd((x,))
+        vjp((x, c))
+        del fwd
+        (got,) = vjp((x, c))
+        assert draws == [("affine_s3", (M, N))]
+        del vjp
+        assert ("s3", M, N) not in primitives._SHARED
+        primitives.resolve("affine_vjp_s3", X @ Y, X)((x, c))
+        assert draws == [("affine_s3", (M, N))] * 2
+        assert np.array_equal(got, eager_weights("s3", M, N)[0].T @ c)
 
     def test_loading_the_real_chain_signature_draws_nothing(self, draws, tmp_path):
         path = str(tmp_path / "chain-real.json")
