@@ -86,7 +86,7 @@ def _load_optic(path: str, sig, data=None, where: str = "") -> Optic:
     if not all(isinstance(n, str) for n in res):
         raise ValueError(f"{path}: {where}residual: expected a list of sort names")
     at = f"{path}: {where}"
-    residual = Obj(tuple(_at(f"{at}residual[{j}]", sig.sort, n) for j, n in enumerate(res)))
+    residual = Obj(_at(f"{at}residual[{j}]", sig.sort, n) for j, n in enumerate(res))
     fw, bw = _at(f"{at}forward", parse_term, fw, sig), _at(f"{at}backward", parse_term, bw, sig)
     return _at(f"{path}: {where[:-1]}" if where else path, Optic, residual, fw, bw)
 

@@ -114,7 +114,7 @@ class Interp:
         except SignatureError as e:
             raise SignatureError(f"generator {gen.name}: {e}") from None
         table = tuple(map(tuple, table))
-        inputs = itertools.product(*[range(s.carrier.size) for s in gen.dom.sorts])
+        inputs = itertools.product(*[range(s.carrier.size) for s in gen.dom])
         index = self._row_index[gen.name] = (dict(zip(inputs, table)), tuple(zip(*table)))
         return index
 

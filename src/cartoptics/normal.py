@@ -97,7 +97,7 @@ class UniqueTable:
         if outs is None:
             node = len(self.rows)
             self.rows.append((rep, xs))
-            outs = self.outs[key] = tuple([(node, j) for j in range(len(rep.cod.sorts))])
+            outs = self.outs[key] = tuple([(node, j) for j in range(len(rep.cod))])
         return outs
 
     def push(self, t: Term | CanonicalForm, xs: tuple[Ref, ...]) -> tuple[Ref, ...]:
@@ -150,7 +150,7 @@ class UniqueTable:
         nodes: list[Node] = []
 
         def append(gen: Generator, args: tuple[Ref, ...]) -> tuple[Ref, ...]:
-            n, k = len(nodes), len(gen.cod.sorts)
+            n, k = len(nodes), len(gen.cod)
             nodes.append((gen, args))
             return ((n, 0),) if k == 1 else tuple([(n, j) for j in range(k)])
 

@@ -60,15 +60,15 @@ def random_signature(rng: random.Random) -> Signature:
             cod = Obj((sorts[(i + 1) % n_sorts],))
             gens.append(Generator(f"c{i}", dom, cod, table=random_table(rng, dom, cod)))
     for i in range(rng.randint(1, 3)):
-        dom = Obj(tuple(rng.choice(sorts) for _ in range(rng.randint(1, 2))))
+        dom = Obj(rng.choice(sorts) for _ in range(rng.randint(1, 2)))
         n_out = 2 if rng.random() < MULTI_OUTPUT_PROB else 1
-        cod = Obj(tuple(rng.choice(sorts) for _ in range(n_out)))
+        cod = Obj(rng.choice(sorts) for _ in range(n_out))
         gens.append(Generator(f"g{i}", dom, cod, table=random_table(rng, dom, cod)))
     return Signature(tuple(sorts), tuple(gens))
 
 
 def random_obj(rng: random.Random, sig: Signature, lo: int = 1, hi: int = 2) -> Obj:
-    return Obj(tuple(rng.choice(sig.sorts) for _ in range(rng.randint(lo, hi))))
+    return Obj(rng.choice(sig.sorts) for _ in range(rng.randint(lo, hi)))
 
 
 def random_wire(

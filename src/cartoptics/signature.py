@@ -1,6 +1,6 @@
 """Sorts, objects, generators and signatures of the term language.
 
-An object is a finite list of sorts and the monoidal product is list
+An object is a tuple of sorts and the monoidal product is tuple
 concatenation, so associativity and unitality of the tensor hold on the nose.
 Generators declare their boundary objects together with default semantics:
 a total lookup table for finite carriers, or a vector function for real
@@ -69,30 +69,23 @@ class Sort:
         _check_name(self.name)
 
 
-@dataclass(frozen=True)
-class Obj:
-    """An ordered list of sorts; `a @ b` concatenates."""
+class Obj(tuple):
+    """A tuple of sorts, equal to any tuple of the same sorts; `a @ b` concatenates, and a slice is an `Obj`."""
 
-    sorts: tuple[Sort, ...] = ()
+    __slots__ = ()
 
     def __matmul__(self, other: "Obj") -> "Obj":
-        return Obj(self.sorts + other.sorts)
-
-    def __len__(self) -> int:
-        return len(self.sorts)
-
-    def __iter__(self):
-        return iter(self.sorts)
+        return Obj(self + other)
 
     def __getitem__(self, ix):
-        if isinstance(ix, slice):
-            return Obj(self.sorts[ix])
-        return self.sorts[ix]
+        got = tuple.__getitem__(self, ix)
+        return Obj(got) if isinstance(ix, slice) else got
+
+    def __repr__(self) -> str:
+        return f"Obj(sorts={tuple.__repr__(self)})"
 
     def __str__(self) -> str:
-        if not self.sorts:
-            return "1"
-        return " * ".join(s.name for s in self.sorts)
+        return " * ".join(s.name for s in self) or "1"  # a sort's name is never empty
 
 
 UNIT = Obj()
@@ -128,7 +121,7 @@ class Generator:
 
 def check_table(dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...]) -> None:
     """Check a finite lookup table for totality and well-typedness; errors lead with `table...:`."""
-    for s in tuple(dom) + tuple(cod):
+    for s in dom + cod:
         if not isinstance(s.carrier, FiniteCarrier):
             raise SignatureError(f"table: sort {s.name} is not finite")
     want = math.prod(s.carrier.size for s in dom)
@@ -159,7 +152,7 @@ class Signature:
         for g in self.generators:
             if g.name in by_gen:
                 raise SignatureError(f"duplicate generator name {g.name}")
-            for s in tuple(g.dom) + tuple(g.cod):
+            for s in g.dom + g.cod:
                 if by_sort.get(s.name) != s:
                     raise SignatureError(f"generator {g.name}: unknown sort {s.name}")
             by_gen[g.name] = g
@@ -180,7 +173,7 @@ class Signature:
             raise SignatureError(f"unknown generator {name}") from None
 
     def obj(self, *names: str) -> Obj:
-        return Obj(tuple(self.sort(n) for n in names))
+        return Obj(self.sort(n) for n in names)
 
     def min_depths(self, dom: Obj) -> dict[Sort, int]:
         """Least wire depth at which each sort is producible from dom.
@@ -253,7 +246,7 @@ def parse_signature(data: dict) -> Signature:
             if not (isinstance(n, str) and n in by_name):
                 raise SignatureError(f"{where}.{key}[{j}]: unknown sort {n!r}")
             out.append(by_name[n])
-        return Obj(tuple(out))
+        return Obj(out)
 
     gens = []
     for i, raw in enumerate(_list(data.get("generators", []), "generators")):

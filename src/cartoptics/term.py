@@ -3,8 +3,8 @@
 A term is a tree built from generators, identities, sequential and parallel
 composition, and the cartesian structure maps (copy, delete, swap, and the two
 projections).  Every node is well-typed at construction; `dom`/`cod` are
-computed once and stored.  Terms are immutable, and they compare, hash and
-print at any depth; `repr` shows the term text, as in `Seq('(f ; g)')`.
+computed once and stored.  Terms are immutable, and they compare, hash, copy
+and print at any depth; `repr` shows the term text, as in `Seq('(f ; g)')`.
 
 Composition is written `f >> g` (left to right) and tensor `f @ g`, matching
 the textual syntax `f ; g` and `f * g` accepted by the expression parser.
@@ -74,6 +74,11 @@ class Term:
 
     def __hash__(self) -> int:
         return hash((type(self), self.dom, self.cod))  # equal terms share both
+
+    def __deepcopy__(self, memo: dict | None = None) -> "Term":
+        return self  # terms are immutable: a copy, deep or not, is the term itself
+
+    __copy__ = __deepcopy__
 
 
 def _set(t: Term, dom: Obj, cod: Obj) -> None:
@@ -260,7 +265,7 @@ def run(
             t = t.left
             kind = type(t)
         if kind is Ten:
-            k = len(t.left.dom.sorts)  # the tuple's len: Obj.__len__ is a Python call
+            k = len(t.left.dom)
             if type(t.left) is Id:
                 # the identity context of a composed optic stage: park it for the join
                 parked.append(xs[:k])
@@ -285,17 +290,17 @@ def run(
         elif kind is Id:
             pass
         elif kind is Copy:
-            copied += len(t.obj.sorts)
+            copied += len(t.obj)
             xs = xs + xs
         elif kind is Delete:
             xs = ()
         elif kind is Swap:
-            k = len(t.first.sorts)
+            k = len(t.first)
             xs = xs[k:] + xs[:k]
         elif kind is Proj1:
-            xs = xs[: len(t.first.sorts)]
+            xs = xs[: len(t.first)]
         elif kind is Proj2:
-            xs = xs[len(t.first.sorts) :]
+            xs = xs[len(t.first) :]
         elif kind is Seq:  # only with a memo: down t's left spine, all on input xs
             while kind is Seq:
                 key = id(t)

@@ -7,11 +7,12 @@ kind declared without those flags, or with its own `dom`/`cod`, would bring
 that back without failing any test on small terms; this module fails then.
 """
 
+import copy
 import dataclasses
 
 import pytest
 
-from cartoptics import UNIT, Id, Seq, Ten, Term
+from cartoptics import UNIT, Id, Seq, Ten, Term, build_chain, compose_optic_chain, reify
 
 KINDS = Term.__subclasses__()
 METHODS = ("__eq__", "__hash__", "__repr__")
@@ -66,3 +67,16 @@ def test_methods_walk_terms_deeper_than_the_recursion_limit(A, nest):
     assert t1 == t2 and hash(t1) == hash(t2)
     assert t1 != Seq(t2, Id(t2.cod))
     assert repr(t1) == f"{type(t1).__name__}({str(t1)!r})"
+
+
+def test_copy_and_deepcopy_give_the_term_itself_at_any_depth():
+    # a term is immutable; a deep copy that walked it would recurse once per level
+    chain = build_chain(300, "finite", seed=0)
+    optic = compose_optic_chain([reify(lens) for lens in chain.lenses])
+    for t in (optic.forward, optic.backward):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+    for kind in KINDS:
+        assert (kind.__copy__, kind.__deepcopy__) == (Term.__copy__, Term.__deepcopy__)
+    twin = copy.deepcopy(optic)
+    assert twin == optic and twin is not optic
+    assert twin.forward is optic.forward and twin.backward is optic.backward
