@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from cartoptics import UNIT, FiniteCarrier, Id, Obj, Sort, load_signature, signature_to_json
+from cartoptics import UNIT, Id, Obj, load_signature, signature_to_json
 from cartoptics.term import run
 
 TUPLE_METHODS = ("__eq__", "__ne__", "__hash__", "__len__", "__iter__", "__contains__")
@@ -27,13 +27,13 @@ def test_obj_is_a_tuple_with_no_methods_of_its_own_for_equality_length_or_iterat
 
 
 @pytest.fixture
-def a():
-    return Sort("A", FiniteCarrier(2))
+def a(sig):
+    return sig.sort("A")
 
 
 @pytest.fixture
-def b():
-    return Sort("B", FiniteCarrier(3))
+def b(sig):
+    return sig.sort("B")
 
 
 def test_matmul_and_slices_give_an_obj(a, b):
