@@ -1,7 +1,7 @@
 """Reify and erase: moving between the lens and optic views.
 
-reify(l) runs a lens as an optic whose residual is the whole input: the
-forward pass is the graph of get, the backward pass is put unchanged.
+reify(l) (from `lens`) runs a lens as an optic whose residual is the whole
+input: the forward pass is the graph of get, the backward pass is put.
 erase(o) forgets the residual of an optic by inlining the forward pass into
 both lens components.  erase(reify(l)) is l on the nose (after normalizing),
 and for every optic o there is a canonical cell counit(o): reify(erase(o)) -> o
@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 from . import sampling
 from .interp import Interp
-from .lens import Lens, lens_compose, lens_id, lens_normal_eq
+from .lens import Lens, lens_compose, lens_id, lens_normal_eq, reify
 from .normal import normal_eq
 from .optic import Optic, optic_compose, optic_id, optic_normal_eq
 from .signature import Obj
@@ -36,12 +36,6 @@ from .twocell import (
     mk_two_cell,
     vcompose,
 )
-
-
-def reify(l: Lens) -> Optic:
-    """Run a lens as an optic: residual = input object, forward = graph(get)."""
-    a, _ = l.dom_pair
-    return Optic(a, l.forward, l.put)
 
 
 def erase(o: Optic) -> Lens:
@@ -65,7 +59,7 @@ def oplaxator(l1: Lens, l2: Lens, interp: Interp | None = None) -> TwoCell:
     return mk_two_cell(
         reify(lens_compose(l1, l2)),
         optic_compose(reify(l1), reify(l2)),
-        l1.forward,
+        reify(l1).forward,
         interp,
     )
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .bridge import check_adjunction, coherence_suite
 from .cost import rows_to_csv, run_tradeoff
-from .dag import share
 from .expr import ExprError, parse_term
 from .interp import EnumerationCapError, Interp, UnsupportedInterpretation, check_identity_env, check_values
 from .lens import Lens, lens_exec
@@ -155,6 +154,8 @@ def cmd_check_laws(args) -> int:
 
 def cmd_bench(args) -> int:
     _at_least_one(args, "--max-n", "--dim", "--carrier-size")
+    if args.seed < 0:
+        raise ValueError("--seed: expected an int of at least 0")
     rows = run_tradeoff(
         args.max_n,
         kind=args.interp,
@@ -205,7 +206,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_optimize(args) -> int:
     sig = load_signature(args.signature)
-    dag = share(_at("--expr", parse_term, args.expr, sig))
+    dag = normalize(_at("--expr", parse_term, args.expr, sig))
     print(_json_line({**_form_json(dag), "node_count": len(dag.nodes)}))
     return 0
 

@@ -30,10 +30,10 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import primitives
-from .bridge import reify
-from .dag import evaluate_dag, share
+from .dag import evaluate_dag
 from .interp import CostReport, Interp
-from .lens import Lens, compose_chain, lens_exec
+from .lens import Lens, compose_chain, lens_exec, reify
+from .normal import normalize
 from .optic import compose_optic_chain, optic_exec, round_trip_term
 from .sampling import random_table
 from .signature import FiniteCarrier, Generator, Obj, RealVector, Signature, Sort
@@ -210,7 +210,7 @@ def run_tradeoff(
         b_opt, a_opt, opt_rep = optic_exec(optic, a, interp)
         optic_wall = time.perf_counter() - t0
 
-        rt_dag = share(round_trip_term(reify(lens)))
+        rt_dag = normalize(round_trip_term(reify(lens)))
         shared_rep = CostReport()
         t0 = time.perf_counter()
         out = evaluate_dag(rt_dag, a, interp, shared_rep)

@@ -6,6 +6,9 @@ first.  Evaluating it row by row is the exhaustive form of the rewrite that
 pushes a copy past a morphism (duplicate the output instead of running the
 morphism twice): the number of generator evaluations is the number of rows,
 which never exceeds the number of generator occurrences in the form.
+
+`share(t)` is `normalize(t)`, and the package calls `normalize` itself;
+`share` stays because `perfbench/` names it.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ get: A -> B and put: A x B' -> A'.  No laws relate get and put.  Composition
 feeds the backward pass of the second lens with a recomputation of the first
 forward pass (the graph of get1), so a chain of n lenses composed to the left
 evaluates get maps quadratically often (n(n+1)/2; 2n-1 composed to the right)
-while holding only the original input between passes.
+while holding only the original input between passes.  A lens runs as its
+reified optic (`reify`, built once per lens) through `optic_exec`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 from .interp import CostReport, Interp
 from .normal import normal_eq
-from .optic import _rest, _run_passes
+from .optic import Optic, _rest, optic_exec
 from .signature import Obj
 from .term import Id, Proj2, Ten, Term, TermTypeError, graph
 
@@ -35,9 +36,14 @@ class Lens:
         object.__setattr__(self, "cod_pair", (self.get.cod, b_back))
 
     @cached_property
-    def forward(self) -> Term:
-        """graph(get): A -> A x B, the forward pass of `reify(self)`, built once."""
-        return graph(self.get)
+    def _optic(self) -> Optic:
+        """`reify(self)`, built once."""
+        return Optic(self.dom_pair[0], graph(self.get), self.put)
+
+
+def reify(l: Lens) -> Optic:
+    """Run a lens as an optic: residual = input object, forward = graph(get), backward = put."""
+    return l._optic
 
 
 def lens_id(pair: tuple[Obj, Obj]) -> Lens:
@@ -86,10 +92,5 @@ def lens_exec(
     interp: Interp,
     env: Callable[[tuple], tuple] | None = None,
 ) -> tuple[tuple, tuple, CostReport]:
-    """Run forward, hand the output to env, run backward on (input, response).
-
-    Returns (b, a', report), as `optic_exec(reify(lens), ...)` does, without
-    building the optic: the input is the residual held between the passes.
-    """
-    a_obj, _ = lens.dom_pair
-    return _run_passes(a_obj, lens.forward, lens.put, lens.cod_pair, a, interp, env)
+    """`optic_exec` of the reified lens: the input is the residual held between the passes."""
+    return optic_exec(reify(lens), a, interp, env)

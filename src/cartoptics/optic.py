@@ -10,7 +10,8 @@ stages are wrapped in an identity context holding the residuals of the optics
 before it (coalescing with any identity context a stage already has), forward
 stages go in chain order and backward stages in reverse, optic by optic.  The
 executor materializes the residual between passes, trading memory for the
-recomputation a lens chain would do.
+recomputation a lens chain would do.  It is the one executor of both
+packagings: a lens runs as its reified optic, whose residual is its input.
 """
 
 from __future__ import annotations
@@ -145,22 +146,16 @@ def optic_exec(
     interp: Interp,
     env: Callable[[tuple], tuple] | None = None,
 ) -> tuple[tuple, tuple, CostReport]:
-    """Run forward, hold the residual, run backward on (residual, response)."""
-    return _run_passes(optic.residual, optic.forward, optic.backward, optic.cod_pair, a, interp, env)
-
-
-def _run_passes(
-    m: Obj, forward: Term, backward: Term, cod_pair: tuple[Obj, Obj], a: tuple, interp: Interp, env
-) -> tuple[tuple, tuple, CostReport]:
-    """`optic_exec` on the parts of an optic; env's answer (b if env is None) is checked against B'."""
+    """Run forward, hold the residual, run backward on (residual, env's answer checked against B')."""
+    m = optic.residual
     if env is None:
-        check_identity_env(cod_pair)
+        check_identity_env(optic.cod_pair)
     report = CostReport()
-    out = evaluate(forward, a, interp, report)
+    out = evaluate(optic.forward, a, interp, report)
     m_vals, b = out[: len(m)], out[len(m) :]
     b_resp = b if env is None else tuple(env(b))
-    check_values(cod_pair[1], b_resp, what="env response")
-    a_prime = evaluate(backward, m_vals + b_resp, interp, report)
+    check_values(optic.cod_pair[1], b_resp, what="env response")
+    a_prime = evaluate(optic.backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
     report.peak_residual_bytes = obj_bytes(m)
     return b, a_prime, report

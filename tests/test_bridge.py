@@ -72,6 +72,14 @@ class TestReifyErase:
         assert o.forward == graph(f)
         assert o.backward == h
 
+    def test_reify_is_built_once_per_lens(self, f, h):
+        chain = build_chain(8, "finite", seed=0)
+        for l in (Lens(f, h), chain.lenses[0], compose_chain(list(chain.lenses))):
+            assert reify(l) is reify(l)
+
+    def test_lens_has_no_forward_of_its_own(self, f, h):
+        assert not hasattr(Lens(f, h), "forward")
+
     def test_erase_hand_values(self, f, h, A):
         l = erase(Optic(A, graph(f), h))
         assert normal_eq(l.get, f)

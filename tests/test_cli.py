@@ -388,6 +388,8 @@ MALFORMED = [
     (["normalize", "--expr", "f ; f"], None, "--expr: cannot compose: left codomain B != right domain A"),
     (["check-cell", "--src", "OPTIC", "--tgt", "OPTIC", "--witness", "e ;"], None,
      "--witness: at position 3: unexpected end of expression"),
+    (["bench", "--interp", "real", "--seed", "-1"], None, "--seed: expected an int of at least 0"),
+    (["bench", "--interp", "finite", "--seed", "-1"], None, "--seed: expected an int of at least 0"),
 ]
 
 
@@ -399,7 +401,9 @@ def test_malformed_input_names_its_file_and_field(
     if text is not None:
         path.write_text(text)
     paths = {"FILE": str(path), "LENS": lens_path, "OPTIC": optic_path}
-    argv = [argv[0], "--signature", sig_path] + [paths.get(a, a) for a in argv[1:]]
+    # bench builds its own signature
+    head = [argv[0]] if argv[0] == "bench" else [argv[0], "--signature", sig_path]
+    argv = head + [paths.get(a, a) for a in argv[1:]]
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
     assert err == f"error: {want.replace('FILE', str(path))}\n"
