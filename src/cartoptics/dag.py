@@ -5,7 +5,10 @@ DAG: one row per distinct (generator, arguments) application, arguments
 first.  Evaluating it row by row is the exhaustive form of the rewrite that
 pushes a copy past a morphism (duplicate the output instead of running the
 morphism twice): the number of generator evaluations is the number of rows,
-which never exceeds the number of generator occurrences in the form.
+which never exceeds the number of generator occurrences in the form.  The
+form's `plan`, built with the form, gives each row's argument slots and the
+tuple of row generator names, so `evaluate_dag` spends a row on one fetch
+and one application, and counts all rows in one `Counter.update`.
 
 `share(t)` is `normalize(t)`, and the package calls `normalize` itself;
 `share` stays because `perfbench/` names it.
@@ -33,5 +36,5 @@ def evaluate_dag(dag: CanonicalForm, values: tuple, interp: Interp, report: Cost
         report = CostReport()
     check_values(dag.dom, values)
     out = run_form(dag, values, interp.apply)
-    report.generator_counts.update(gen.name for gen, _ in dag.nodes)
+    report.generator_counts.update(dag.plan[2])
     return out

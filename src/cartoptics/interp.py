@@ -74,8 +74,9 @@ def obj_bytes(obj: Obj) -> int:
 class Interp:
     """Semantics for generators, by name: a lookup table in `tables` or a function in `fns`.
 
-    Carriers are the ones the sorts declare.  A generator's table is checked
-    with `signature.check_table`, as a declared table is, and indexed once, at
+    Carriers are the ones the sorts declare.  A table given in place of a
+    generator's own is checked with `signature.check_table`, as a declared
+    table is when its generator is made, and every table is indexed once, at
     the generator's first application, by a dict from each input tuple to its
     row; an argument tuple that is not a row raises CarrierMismatch.  Its
     function, if it has no table, is looked up in `fns` at every call.
@@ -103,16 +104,18 @@ class Interp:
         carriers, to its output row; `columns` is the table transposed to
         one tuple per output.  None for a generator without a table, whose
         function is looked up at each call.  A table that fails
-        `check_table` raises SignatureError and is not kept.  Keyed by name:
-        hashing a Generator hashes its table.
+        `check_table` raises SignatureError and is not kept; the generator's
+        own table, checked when the generator was made, is not checked
+        again.  Keyed by name: hashing a Generator hashes its table.
         """
         table = self.tables.get(gen.name)
         if table is None:
             return None
-        try:
-            check_table(gen.dom, gen.cod, table)
-        except SignatureError as e:
-            raise SignatureError(f"generator {gen.name}: {e}") from None
+        if table is not gen.table:
+            try:
+                check_table(gen.dom, gen.cod, table)
+            except SignatureError as e:
+                raise SignatureError(f"generator {gen.name}: {e}") from None
         table = tuple(map(tuple, table))
         inputs = itertools.product(*[range(s.carrier.size) for s in gen.dom])
         index = self._row_index[gen.name] = (dict(zip(inputs, table)), tuple(zip(*table)))
@@ -204,7 +207,13 @@ def enumerate_inputs(obj: Obj) -> Iterator[tuple]:
         sizes.append(s.carrier.size)
     count = math.prod(sizes)
     if count > TUPLE_CAP:
-        raise EnumerationCapError(f"{count} input tuples for {obj} exceeds the cap of {TUPLE_CAP}")
+        message = f"{count} input tuples for {obj} exceeds the cap of {TUPLE_CAP}"
+        if len(message) > 200:  # spelled in full only while short
+            message = (
+                f"about 10^{math.log10(count):.1f} input tuples for {len(obj)} sorts "
+                f"({obj[0].name} ... {obj[-1].name}) exceeds the cap of {TUPLE_CAP}"
+            )
+        raise EnumerationCapError(message)
     return itertools.product(*[range(n) for n in sizes])
 
 

@@ -28,15 +28,22 @@ both terms through one table and compares their output refs; `twocell`
 decides both squares of a cell in one `UniqueTable` in the same way.
 `run_form` pushes values through a canonical form row by row, each row
 once; `read_back` is `run_form` applying rows as terms, and normalizing its
-term gives the form back.  `UniqueTable.pull` applies the rows of a table
-that refs use again, through any `apply`: `form` renumbers them, and
-`twocell` moves refs across tables with it.
+term gives the form back.  A form builds its `plan` for `run_form` once,
+with the form: the run keeps its values in one flat list, the inputs first
+and then each row's outputs, and each row fetches its arguments from fixed
+slots of that list (a bare slot for a unary row, an `operator.itemgetter`
+for more), so running a row is one fetch and one application.  The plan is
+derived from the rows and takes no part in `==`, `hash`, `repr` or
+`to_json`.  `UniqueTable.pull` applies the rows of a table that refs use
+again, through any `apply`: `form` renumbers them, and `twocell` moves refs
+across tables with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .signature import Generator, Obj
 from .term import Gen, Term, pairing, run, select_wire
@@ -53,6 +60,20 @@ class CanonicalForm:
     cod: Obj
     nodes: tuple[Node, ...]
     outputs: tuple[Ref, ...]
+    plan: tuple = field(init=False, compare=False, repr=False)  # derived, for `run_form`
+
+    def __post_init__(self) -> None:
+        # (each row's generator and argument fetch, the outputs' fetch, the
+        # row generators' names); ref (node, j) is slot start[node] + j
+        start: list[int] = []
+        n = len(self.dom)
+        rows = []
+        for gen, args in self.nodes:
+            rows.append((gen, _fetch(args, start)))
+            start.append(n)
+            n += len(gen.cod)
+        names = tuple([gen.name for gen, _ in self.nodes])
+        object.__setattr__(self, "plan", (tuple(rows), _fetch(self.outputs, start), names))
 
     def gen_node_count(self, names) -> int:
         return sum(1 for gen, _ in self.nodes if gen.name in names)
@@ -65,6 +86,15 @@ class CanonicalForm:
             "nodes": [{"gen": gen.name, "args": [ref(a) for a in args]} for gen, args in self.nodes],
             "outputs": [ref(r) for r in self.outputs],
         }
+
+
+def _fetch(refs: tuple[Ref, ...], start: list[int]):
+    """How to take refs' values from the flat list: one slot, an itemgetter over slots, or None for none."""
+    slots = []
+    for r in refs:  # a loop, not a comprehension, which costs a call per row
+        slots.append(r if r.__class__ is int else start[r[0]] + r[1])
+    k = len(slots)
+    return slots[0] if k == 1 else itemgetter(*slots) if k else None
 
 
 class UniqueTable:
@@ -192,15 +222,21 @@ def run_form(cf: CanonicalForm, xs: tuple, apply) -> tuple:
 
     Each row is applied once, so a row that many others share costs one
     application, where running its `read_back` term costs one per path.
+    The rows run through the form's plan, on one list of xs and then each
+    row's outputs.
     """
-    vals: list[tuple] = []
-
-    def value(r: Ref):
-        return xs[r] if isinstance(r, int) else vals[r[0]][r[1]]
-
-    for gen, args in cf.nodes:
-        vals.append(apply(gen, tuple(map(value, args))))
-    return tuple(map(value, cf.outputs))
+    if len(xs) != len(cf.dom):
+        raise ValueError(f"run_form: expected {len(cf.dom)} values for {cf.dom}, got {len(xs)}")
+    rows, outputs, _ = cf.plan
+    vals = list(xs)
+    for gen, fetch in rows:
+        if fetch.__class__ is int:
+            vals.extend(apply(gen, (vals[fetch],)))
+        else:
+            vals.extend(apply(gen, fetch(vals) if fetch is not None else ()))
+    if outputs.__class__ is int:
+        return (vals[outputs],)
+    return outputs(vals) if outputs is not None else ()
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:

@@ -3,8 +3,9 @@
 A term is a tree built from generators, identities, sequential and parallel
 composition, and the cartesian structure maps (copy, delete, swap, and the two
 projections).  Every node is well-typed at construction; `dom`/`cod` are
-computed once and stored.  Terms are immutable, and they compare, hash, copy
-and print at any depth; `repr` shows the term text, as in `Seq('(f ; g)')`.
+computed once and stored.  Terms are immutable, and they compare, hash, copy,
+pickle and print at any depth; `repr` shows the term text, as in
+`Seq('(f ; g)')`.
 
 Composition is written `f >> g` (left to right) and tensor `f @ g`, matching
 the textual syntax `f ; g` and `f * g` accepted by the expression parser.
@@ -32,8 +33,10 @@ class TermTypeError(TypeError):
 class Term:
     """Base of the nine term classes; each sets dom/cod in its `__post_init__`.
 
-    `==`, `hash` and `repr` are defined here once and do not recurse.  Every
-    subclass is declared `eq=False, repr=False`, so none gets them generated.
+    `==`, `hash`, `repr` and pickling are defined here once and do not
+    recurse.  Every subclass is declared `eq=False, repr=False`, so none gets
+    them generated.  `dataclasses.astuple` and `asdict` still recurse, once
+    per term level.
     """
 
     dom: Obj = field(init=False, compare=False, repr=False)
@@ -79,6 +82,42 @@ class Term:
         return self  # terms are immutable: a copy, deep or not, is the term itself
 
     __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        # pickled as its distinct nodes in post-order, a child as its index in
+        # that list: the list is built on its own stack, so pickle recurses
+        # into no term, and a subterm shared by identity is listed once
+        index: dict[int, int] = {}
+        nodes: list[tuple] = []
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            if id(t) in index:
+                todo.pop()
+                continue
+            kind = t.__class__
+            if kind is Seq or kind is Ten:
+                unlisted = [c for c in (t.right, t.left) if id(c) not in index]
+                if unlisted:
+                    todo += unlisted
+                    continue
+                node = (kind, index[id(t.left)], index[id(t.right)])
+            else:
+                node = (kind, *[getattr(t, name) for name in kind.__match_args__])
+            index[id(t)] = len(nodes)
+            nodes.append(node)
+            todo.pop()
+        return _unpickle, (nodes,)
+
+
+def _unpickle(nodes: list[tuple]) -> Term:
+    """The term `Term.__reduce__` listed: each node built once, children first."""
+    built: list[Term] = []
+    for kind, *args in nodes:
+        if kind is Seq or kind is Ten:
+            args = [built[i] for i in args]
+        built.append(kind(*args))
+    return built[-1]
 
 
 def _set(t: Term, dom: Obj, cod: Obj) -> None:

@@ -22,6 +22,8 @@ from cartoptics import (
     Ten,
     TermTypeError,
     UnsupportedInterpretation,
+    build_chain,
+    compose_optic_chain,
     dump_signature,
     enumerate_inputs,
     eq_extensional,
@@ -29,11 +31,16 @@ from cartoptics import (
     evaluate_dag,
     extensional_counterexample,
     graph,
+    identity_cell,
     load_signature,
+    reify,
     share,
     signature_to_json,
 )
+from cartoptics import interp as interp_module
+from cartoptics import signature as signature_module
 from cartoptics.interp import CostReport, obj_bytes
+from cartoptics.signature import check_table, parse_signature
 from cartoptics.primitives import resolve
 from cartoptics.term import run
 
@@ -249,6 +256,16 @@ class TestExtensionalErrors:
         assert got == f"{2**20} input tuples for {dom} exceeds the cap of {10**6}"
         assert calls == []
 
+    def test_over_cap_message_of_a_long_chain_is_short(self):
+        # the 1501 sorts and 452-digit count of this square were spelled out in 11,392 characters
+        chain = build_chain(1500, "finite", seed=0)
+        optic = compose_optic_chain([reify(lens) for lens in chain.lenses])
+        got = self.message(
+            EnumerationCapError, lambda: identity_cell(optic, Interp.from_signature(chain.signature))
+        )
+        assert got == "about 10^451.8 input tuples for 1501 sorts (X0 ... X1500) exceeds the cap of 1000000"
+        assert len(got) < 300
+
     def test_replaced_functions_are_called(self, f, g, e):
         first, second = [], []
         fns = {"f": lambda args: (args[0] + 1,), "g": lambda args: (args[0] % 2,)}
@@ -279,6 +296,29 @@ class TestOverrideTables:
                 with pytest.raises(SignatureError) as info:
                     path(bad)
                 assert str(info.value) == want
+
+    def test_each_table_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counted(dom, cod, table):
+            calls.append(table)
+            return check_table(dom, cod, table)
+
+        data = signature_to_json(build_chain(8, "finite", seed=0).signature)
+        monkeypatch.setattr(signature_module, "check_table", counted)
+        monkeypatch.setattr(interp_module, "check_table", counted)
+        sig = parse_signature(data)
+        assert len(calls) == 16  # one per declared table, when its generator is made
+        interp = Interp.from_signature(sig)
+        for _ in range(2):
+            for gen in sig.generators:
+                interp.apply(gen, (0,) * len(gen.dom))
+        assert len(calls) == 16  # a declared table is not checked again at its first application
+        get1 = sig.generator("get1")
+        override = Interp(tables={"get1": get1.table[::-1]})
+        for _ in range(2):
+            override.apply(get1, (0,))
+        assert len(calls) == 17  # a table given in its place, at its first application
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,8 @@ is the only collapse among the first four powers, and that a 3-element
 carrier separates the pair again.
 """
 
+import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -17,6 +19,7 @@ import pytest
 from cartoptics import (
     CanonicalForm,
     Copy,
+    CostReport,
     Delete,
     FiniteCarrier,
     Gen,
@@ -30,7 +33,10 @@ from cartoptics import (
     Sort,
     Swap,
     UNIT,
+    UnsupportedInterpretation,
+    enumerate_inputs,
     eq_extensional,
+    evaluate_dag,
     gen_occurrences,
     graph,
     normal_eq,
@@ -38,7 +44,9 @@ from cartoptics import (
     pairing,
     read_back,
 )
-from cartoptics.sampling import random_morphism, random_obj
+from cartoptics.normal import UniqueTable, run_form
+from cartoptics.sampling import random_morphism, random_obj, random_signature, random_table
+from cartoptics.term import run
 from sampling_helpers import padded_variants, random_interp
 
 
@@ -233,3 +241,139 @@ class TestSmallCarrierCollapse:
         # a 3-cycle: u(x) = x + 1 mod 3, so u^3 is the identity but u is not
         cyc = Interp(tables={"u": ((1,), (2,), (0,))})
         assert not eq_extensional(powers[1], powers[3], cyc)
+
+
+def _edge_signature():
+    """One 3-element sort; c takes no input, m has two outputs, h two inputs."""
+    a = Sort("A", FiniteCarrier(3))
+    x = Obj((a,))
+    return Signature(
+        (a,),
+        (
+            Generator("c", UNIT, x, table=((2,),)),
+            Generator("m", x, x @ x, table=((0, 1), (1, 2), (2, 0))),
+            Generator("h", x @ x, x, table=tuple(((i + 2 * j) % 3,) for i in range(3) for j in range(3))),
+        ),
+    )
+
+
+def _edge_term(sig):
+    """x x -> x x x x x: outputs a c row fed to h, m's first output (its second
+    unused), input wire 0, and one m output twice."""
+    x = sig.obj("A")
+    c, m, h = (Gen(sig.generator(n)) for n in "cmh")
+    first = m >> Proj1(x, x)
+    parts = [
+        pairing([Delete(x @ x) >> c, Proj1(x, x)], x @ x) >> h,
+        Proj2(x, x) >> first,
+        Proj1(x, x),
+        Proj1(x, x) >> first,
+        Proj1(x, x) >> first,
+    ]
+    return pairing(parts, x @ x)
+
+
+class TestPlan:
+    """`run_form` runs a form through the plan it built, and agrees with `term.run` of the term."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            sig = random_signature(rng)
+            # a generator with no input and one with two outputs, so every shape of row occurs
+            s = sig.sorts[0]
+            dom, cod = random_obj(rng, sig, 1, 2), Obj((s, rng.choice(sig.sorts)))
+            extra = (
+                Generator("k", UNIT, Obj((s,)), table=random_table(rng, UNIT, Obj((s,)))),
+                Generator("w", dom, cod, table=random_table(rng, dom, cod)),
+            )
+            sig = Signature(sig.sorts, (*sig.generators, *extra))
+            interp = Interp.from_signature(sig)
+            for _ in range(6):
+                dom, cod = random_obj(rng, sig, 1, 3), random_obj(rng, sig, 1, 3)
+                try:
+                    t = random_morphism(rng, sig, dom, cod, budget=rng.randint(1, 4))
+                except ValueError:
+                    continue
+                out += [(interp, u) for u in [t, *padded_variants(rng, t, 1)]]
+        return out
+
+    def test_matches_term_run_on_random_terms(self):
+        for interp, t in self.cases(0, 200):
+            cf = normalize(t)
+            for xs in enumerate_inputs(t.dom):
+                assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)[0]
+
+    def test_matches_term_run_on_columns_and_table_refs(self):
+        for interp, t in self.cases(1, 100):
+            cf = normalize(t)
+            block = list(enumerate_inputs(t.dom))
+            cols = tuple(map(list, zip(*block))) if t.dom else ()
+            apply = interp.column_apply(len(block))
+            assert run_form(cf, cols, apply) == run(t, cols, apply)[0]
+            table = UniqueTable(len(t.dom))
+            assert run_form(cf, table.inputs, table.apply) == table.push(t, table.inputs)
+
+    def test_edge_rows(self):
+        sig = _edge_signature()
+        t = _edge_term(sig)
+        cf = normalize(t)
+        # a row with no argument, an unused second output, an input wire and a repeated ref
+        assert [len(args) for _, args in cf.nodes] == [0, 2, 1, 1]
+        assert cf.outputs == ((1, 0), (2, 0), 0, (3, 0), (3, 0))
+        interp = Interp.from_signature(sig)
+        for xs in enumerate_inputs(t.dom):
+            x0, x1 = xs
+            want = ((2 + 2 * x0) % 3, x1, x0, x0, x0)  # m's first output is its input
+            assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)[0] == want
+        block = list(enumerate_inputs(t.dom))
+        cols = tuple(map(list, zip(*block)))
+        apply = interp.column_apply(len(block))
+        assert run_form(cf, cols, apply) == run(t, cols, apply)[0]
+        table = UniqueTable(2)
+        assert table.push(cf, table.inputs) == table.push(t, table.inputs)
+        assert normalize(read_back(cf)) == cf
+
+    def test_an_empty_form(self, A):
+        cf = normalize(Delete(A))
+        assert cf.plan == ((), None, ())
+        assert run_form(cf, (1,), None) == ()
+        assert run_form(normalize(Id(A)), (1,), None) == (1,)
+
+    def test_wrong_number_of_inputs_is_rejected(self, A):
+        with pytest.raises(ValueError, match="expected 2 values"):
+            run_form(normalize(Id(A @ A)), (0,), None)
+
+    def test_plan_is_outside_eq_hash_repr_and_json(self, f, A):
+        cf = normalize(Copy(A) >> (f @ f))
+        twin = CanonicalForm(cf.dom, cf.cod, cf.nodes, cf.outputs)
+        object.__setattr__(twin, "plan", None)
+        assert twin == cf and hash(twin) == hash(cf)
+        assert repr(twin) == repr(cf) and "plan" not in repr(cf)
+        assert twin.to_json() == cf.to_json() and "plan" not in cf.to_json()
+        (field,) = [x for x in dataclasses.fields(CanonicalForm) if x.name == "plan"]
+        assert not (field.init or field.compare or field.repr)
+
+    def test_plan_survives_pickle_and_replace(self):
+        t = _edge_term(_edge_signature())
+        cf = normalize(t)
+        interp = Interp.from_signature(_edge_signature())
+        back = pickle.loads(pickle.dumps(cf))
+        assert back == cf and run_form(back, (1, 2), interp.apply) == run_form(cf, (1, 2), interp.apply)
+        swapped = dataclasses.replace(cf, outputs=cf.outputs[::-1])
+        assert run_form(swapped, (1, 2), interp.apply) == run_form(cf, (1, 2), interp.apply)[::-1]
+        assert swapped.plan[2] == cf.plan[2] and swapped.plan[1] != cf.plan[1]
+
+    def test_a_run_that_raises_partway_counts_nothing(self):
+        sig = _edge_signature()
+        cf = normalize(_edge_term(sig))
+        tables = {g.name: g.table for g in sig.generators}
+        del tables["m"]  # the third of four rows has no semantics
+        report = CostReport()
+        with pytest.raises(UnsupportedInterpretation, match="generator m"):
+            evaluate_dag(cf, (0, 1), Interp(tables), report)
+        assert report.generator_counts == Counter()
+        evaluate_dag(cf, (0, 1), Interp.from_signature(sig), report)
+        assert report.generator_counts == Counter({"c": 1, "h": 1, "m": 2})

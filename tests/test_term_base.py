@@ -1,4 +1,4 @@
-"""Every term class takes `==`, `hash` and `repr` from `Term`, and none of them recurses.
+"""Every term class takes `==`, `hash`, `repr` and pickling from `Term`, and none of them recurses.
 
 A dataclass generates these methods unless it is declared `eq=False,
 repr=False`, and the generated ones recurse once per term level, so a term a
@@ -9,10 +9,22 @@ that back without failing any test on small terms; this module fails then.
 
 import copy
 import dataclasses
+import pickle
 
 import pytest
 
-from cartoptics import UNIT, Id, Seq, Ten, Term, build_chain, compose_optic_chain, reify
+from cartoptics import (
+    UNIT,
+    Id,
+    Seq,
+    Ten,
+    Term,
+    build_chain,
+    compose_chain,
+    compose_optic_chain,
+    normal_eq,
+    reify,
+)
 
 KINDS = Term.__subclasses__()
 METHODS = ("__eq__", "__hash__", "__repr__")
@@ -67,6 +79,7 @@ def test_methods_walk_terms_deeper_than_the_recursion_limit(A, nest):
     assert t1 == t2 and hash(t1) == hash(t2)
     assert t1 != Seq(t2, Id(t2.cod))
     assert repr(t1) == f"{type(t1).__name__}({str(t1)!r})"
+    assert pickle.loads(pickle.dumps(t1)) == t2
 
 
 def test_copy_and_deepcopy_give_the_term_itself_at_any_depth():
@@ -80,3 +93,35 @@ def test_copy_and_deepcopy_give_the_term_itself_at_any_depth():
     twin = copy.deepcopy(optic)
     assert twin == optic and twin is not optic
     assert twin.forward is optic.forward and twin.backward is optic.backward
+
+
+def distinct_nodes(t: Term) -> int:
+    seen, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            todo += [getattr(t, side) for side in ("left", "right") if isinstance(t, (Seq, Ten))]
+    return len(seen)
+
+
+def test_pickle_round_trips_a_deep_optic():
+    chain = build_chain(1500, "finite", seed=0)
+    optic = compose_optic_chain([reify(lens) for lens in chain.lenses])
+    for kind in KINDS:
+        assert kind.__reduce__ is Term.__reduce__
+    assert pickle.loads(pickle.dumps(optic)) == optic
+
+
+def test_pickle_keeps_shared_subterms_shared(f, g):
+    shared = f >> g
+    back = pickle.loads(pickle.dumps(Seq(shared, shared >> f >> g) @ shared))
+    assert back.left.left is back.left.right.left.left is back.right
+    # a lens composite's put reaches each prefix of its get many times: quadratic
+    # as a tree, linear in its distinct nodes, and pickled as those nodes
+    put = compose_chain(list(build_chain(200, "finite", seed=0).lenses)).put
+    data = pickle.dumps(put)
+    back = pickle.loads(data)
+    assert len(data) <= 2 * 123_665  # the size when pickle walked the nodes itself
+    assert distinct_nodes(back) == distinct_nodes(put)
+    assert back == put and normal_eq(back, put)
