@@ -30,8 +30,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import primitives
-from .dag import evaluate_dag
-from .interp import CostReport, Interp
+from .interp import Interp, evaluate
 from .lens import Lens, compose_chain, lens_exec, reify
 from .normal import normalize
 from .optic import compose_optic_chain, optic_exec, round_trip_term
@@ -211,9 +210,8 @@ def run_tradeoff(
         optic_wall = time.perf_counter() - t0
 
         rt_dag = normalize(round_trip_term(reify(lens)))
-        shared_rep = CostReport()
         t0 = time.perf_counter()
-        out = evaluate_dag(rt_dag, a, interp, shared_rep)
+        out = evaluate(rt_dag, a, interp)
         shared_wall = time.perf_counter() - t0
         b_obj, _ = lens.cod_pair
         b_dag, a_dag = out[: len(b_obj)], out[len(b_obj) :]

@@ -5,12 +5,14 @@ carriers its sorts declare.  The default interpretation of a signature reads
 it off the declarations; a table given in its place is checked as a declared
 one is, at the generator's first application.
 
-`evaluate` runs a term on a concrete input tuple and counts work: one count
-per generator application, added to the report in one update when the pass
-ends, and one copy per duplicated wire.  Identities, deletions, swaps and
-projections are free.  Values move by `term.run`, the walker `normalize`
-uses to evaluate in the syntactic model.  Applying a table generator is one
-lookup of its argument tuple in the table's row index.
+`evaluate` is the one evaluator, of a term or a canonical form: it checks
+a value tuple against the domain once and runs `term.run` or
+`normal.run_form`, which count into the `CostReport` they are given, in one
+update when the pass ends: one count per generator application (a form
+applies each row once) and one copy per wire a term duplicates.
+Identities, deletions, swaps and projections are free.  `term.run` is also
+the walker `normalize` uses to evaluate in the syntactic model.  Applying a
+table generator is one lookup of its argument tuple in the table's row index.
 
 Exhaustive equality is one column pass per term: `term.run` moves a column
 (one wire's value for every input tuple of a block) where it would move a
@@ -23,10 +25,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .normal import CanonicalForm, run_form
 from .signature import FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
 from .term import Term, TermTypeError, run
 
@@ -188,14 +192,12 @@ def check_identity_env(cod_pair: tuple[Obj, Obj]) -> None:
         )
 
 
-def evaluate(t: Term, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
-    """Run a term on a value tuple, counting generator applications and copies."""
-    if report is None:
-        report = CostReport()
-    check_values(t.dom, values)
-    out, copied = run(t, tuple(values), interp.apply, report.generator_counts)
-    report.copies += copied
-    return out
+def evaluate(x: Term | CanonicalForm, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
+    """Run a term, or a canonical form row by row, on checked values; count into `report` if given."""
+    check_values(x.dom, values)
+    if isinstance(x, CanonicalForm):
+        return run_form(x, tuple(values), interp.apply, report)
+    return run(x, tuple(values), interp.apply, report)
 
 
 def enumerate_inputs(obj: Obj) -> Iterator[tuple]:
@@ -228,9 +230,7 @@ def extensional_counterexample(f: Term, g: Term, interp: Interp) -> tuple | None
             f"extensional comparison needs equal boundaries: "
             f"({f.dom} -> {f.cod}) vs ({g.dom} -> {g.cod})"
         )
-    return first_disagreement(
-        f.dom, lambda xs, apply: run(f, xs, apply)[0], lambda xs, apply: run(g, xs, apply)[0], interp
-    )
+    return first_disagreement(f.dom, partial(run, f), partial(run, g), interp)
 
 
 def first_disagreement(dom: Obj, f: Runner, g: Runner, interp: Interp) -> tuple | None:

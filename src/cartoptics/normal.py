@@ -27,16 +27,16 @@ in the term's distinct subterms rather than in its tree.  `normal_eq` pushes
 both terms through one table and compares their output refs; `twocell`
 decides both squares of a cell in one `UniqueTable` in the same way.
 `run_form` pushes values through a canonical form row by row, each row
-once; `read_back` is `run_form` applying rows as terms, and normalizing its
-term gives the form back.  A form builds its `plan` for `run_form` once,
-with the form: the run keeps its values in one flat list, the inputs first
-and then each row's outputs, and each row fetches its arguments from fixed
-slots of that list (a bare slot for a unary row, an `operator.itemgetter`
-for more), so running a row is one fetch and one application.  The plan is
-derived from the rows and takes no part in `==`, `hash`, `repr` or
-`to_json`.  `UniqueTable.pull` applies the rows of a table that refs use
-again, through any `apply`: `form` renumbers them, and `twocell` moves refs
-across tables with it.
+once; `interp.evaluate` runs a form with it, `read_back` is `run_form`
+applying rows as terms, and normalizing its term gives the form back.  A
+form builds its `plan` for `run_form` once, with the form: the run keeps
+its values in one flat list, the inputs first and then each row's outputs,
+and each row fetches its arguments from fixed slots of that list (a bare
+slot for a unary row, an `operator.itemgetter` for more), so running a row
+is one fetch and one application.  The plan is derived from the rows and
+takes no part in `==`, `hash`, `repr` or `to_json`.  `UniqueTable.pull`
+applies the rows of a table that refs use again, through any `apply`:
+`form` renumbers them, and `twocell` moves refs across tables with it.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class UniqueTable:
         """
         if isinstance(t, CanonicalForm):
             return run_form(t, xs, self.apply)
-        return run(t, xs, self.apply, memo={})[0]
+        return run(t, xs, self.apply, memo={})
 
     def pull(self, refs, apply, leaf=None) -> tuple:
         """The new value of each ref when the rows it uses are applied again.
@@ -217,23 +217,26 @@ def read_back(cf: CanonicalForm) -> Term:
     return pairing(list(run_form(cf, wires, row)), dom)
 
 
-def run_form(cf: CanonicalForm, xs: tuple, apply) -> tuple:
+def run_form(cf: CanonicalForm, xs: tuple, apply, report=None) -> tuple:
     """Push the value tuple xs through a canonical form, as `term.run` does a term.
 
     Each row is applied once, so a row that many others share costs one
     application, where running its `read_back` term costs one per path.
     The rows run through the form's plan, on one list of xs and then each
-    row's outputs.
+    row's outputs.  A `report` is counted into as `term.run` does, each row
+    one application, once every row has run.
     """
     if len(xs) != len(cf.dom):
         raise ValueError(f"run_form: expected {len(cf.dom)} values for {cf.dom}, got {len(xs)}")
-    rows, outputs, _ = cf.plan
+    rows, outputs, names = cf.plan
     vals = list(xs)
     for gen, fetch in rows:
         if fetch.__class__ is int:
             vals.extend(apply(gen, (vals[fetch],)))
         else:
             vals.extend(apply(gen, fetch(vals) if fetch is not None else ()))
+    if report is not None:
+        report.generator_counts.update(names)
     if outputs.__class__ is int:
         return (vals[outputs],)
     return outputs(vals) if outputs is not None else ()

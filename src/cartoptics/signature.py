@@ -229,7 +229,7 @@ def parse_signature(data: dict) -> Signature:
     if not isinstance(data, dict):
         raise SignatureError("signature: top level must be an object")
     sorts = []
-    for i, raw in enumerate(_list(data.get("sorts", []), "sorts")):
+    for i, raw in enumerate(_list(data.get("sorts"), "sorts")):
         where = f"sorts[{i}]"
         if not isinstance(raw, dict) or "carrier" not in raw:
             raise SignatureError(f"{where}: expected {{name, carrier}}")
@@ -242,19 +242,21 @@ def parse_signature(data: dict) -> Signature:
 
     def lookup_obj(raw: dict, key: str, where: str) -> Obj:
         out = []
-        for j, n in enumerate(_list(raw.get(key, []), f"{where}.{key}")):
+        for j, n in enumerate(_list(raw.get(key), f"{where}.{key}")):
             if not (isinstance(n, str) and n in by_name):
                 raise SignatureError(f"{where}.{key}[{j}]: unknown sort {n!r}")
             out.append(by_name[n])
         return Obj(out)
 
     gens = []
-    for i, raw in enumerate(_list(data.get("generators", []), "generators")):
+    for i, raw in enumerate(_list(data.get("generators"), "generators")):
         where = f"generators[{i}]"
         if not isinstance(raw, dict):
             raise SignatureError(f"{where}: expected a generator object")
         name = _string(raw, "name", where)
         dom, cod = lookup_obj(raw, "dom", where), lookup_obj(raw, "cod", where)
+        if "table" in raw and "builtin" in raw:
+            raise SignatureError(f"{where}: table and builtin both given")
         if "table" in raw:
             rows = enumerate(_list(raw["table"], f"{where}.table"))
             semantics = {"table": tuple(tuple(_list(row, f"{where}.table[{r}]")) for r, row in rows)}

@@ -13,11 +13,13 @@ the textual syntax `f ; g` and `f * g` accepted by the expression parser.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .signature import RESERVED, Generator, Obj, UNIT
+
+if TYPE_CHECKING:
+    from .interp import CostReport
 
 
 class TermTypeError(TypeError):
@@ -262,19 +264,20 @@ def run(
     t: Term,
     xs: tuple,
     apply: Callable[[Generator, tuple], tuple],
-    counts: Counter | None = None,
+    report: CostReport | None = None,
     memo: dict | None = None,
-) -> tuple[tuple, int]:
-    """Push the value tuple xs through t; return the outputs and the wires copied.
+) -> tuple:
+    """Push the value tuple xs through t and return the outputs.
 
     Values are opaque: `apply(gen, args)` gives a generator's outputs and the
     structure maps only move, duplicate and drop values.  Applying a finite
     interpretation evaluates t; looking rows up in a unique table normalizes
-    it.  With `counts` given, the walk notes each application's generator
-    name and adds them all to `counts` in one update when it ends, so keys
-    come in the order of each generator's first application; a walk that
-    raises partway leaves `counts` as it was.  The walk keeps its own stack,
-    so terms of any depth run.
+    it.  With a `report` (an `interp.CostReport`) given, the walk notes each
+    application's generator name and each wire it copies, and when it ends
+    adds the names to `report.generator_counts` in one update, so keys come
+    in the order of each generator's first application, and the copies to
+    `report.copies`; a walk that raises partway leaves the report as it was.
+    The walk keeps its own stack, so terms of any depth run.
 
     With `memo` given (an empty dict, one per call), a `Seq` node reached
     more than once is run once per distinct input: its first visit only
@@ -285,15 +288,14 @@ def run(
     identity, which is sound while t, and so every node it reaches, is
     alive.  Values must be hashable and applications free of effects, so
     only `normal.UniqueTable.push` passes a memo; evaluation never does, and
-    its counts stay exact.  A memo skips applications, so `counts` and
-    `memo` together raise ValueError, and the copies returned are those of
-    the nodes actually walked.
+    its counts stay exact.  A memo skips applications, so `report` and
+    `memo` together raise ValueError.
     """
-    if counts is not None and memo is not None:
-        raise ValueError("run: a memo skips applications, so counts cannot be kept with it")
+    if report is not None and memo is not None:
+        raise ValueError("run: a memo skips applications, so a report cannot be kept with it")
     # Seq nodes are taken apart here without a memo, and by the memo branch with one
     descend = Seq if memo is None else None
-    applied: list[str] | None = None if counts is None else []  # generator names, in order
+    applied: list[str] | None = None if report is None else []  # generator names, in order
     copied = 0
     todo: list = []  # terms still to run, and the pieces of tensors in progress
     parked: list[tuple] = []  # left parts of tensor outputs, waiting for the right part
@@ -363,9 +365,10 @@ def run(
         else:
             raise TypeError(f"not a term: {t!r}")
         if not todo:
-            if applied:
-                counts.update(applied)
-            return xs, copied
+            if report is not None:
+                report.generator_counts.update(applied)
+                report.copies += copied
+            return xs
         t = todo.pop()
 
 

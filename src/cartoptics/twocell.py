@@ -94,7 +94,7 @@ def _push(witness: Term | CanonicalForm, xs: tuple, apply) -> tuple:
     """Run a witness given as a term, or as a canonical form row by row."""
     if isinstance(witness, CanonicalForm):
         return run_form(witness, xs, apply)
-    return run(witness, xs, apply)[0]
+    return run(witness, xs, apply)
 
 
 def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
@@ -103,15 +103,15 @@ def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalFo
     if side == "forward":
 
         def left(xs: tuple, apply) -> tuple:
-            ys = run(src.forward, xs, apply)[0]
+            ys = run(src.forward, xs, apply)
             return _push(witness, ys[:k], apply) + ys[k:]
 
-        return left, lambda xs, apply: run(tgt.forward, xs, apply)[0]
+        return left, lambda xs, apply: run(tgt.forward, xs, apply)
 
     def left(xs: tuple, apply) -> tuple:
-        return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)[0]
+        return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)
 
-    return left, lambda xs, apply: run(src.backward, xs, apply)[0]
+    return left, lambda xs, apply: run(src.backward, xs, apply)
 
 
 def _rejected_side(

@@ -132,7 +132,7 @@ class TestCostCounting:
         for t in (f >> g >> f >> g, Copy(A) >> Ten(f >> g, f >> g)):
             calls.clear()
             with pytest.raises(CarrierMismatch, match="third application"):
-                run(t, (0,), apply, report.generator_counts)
+                run(t, (0,), apply, report)
             assert report.generator_counts == {"f": 1, "g": 1}
             assert list(report.generator_counts) == ["f", "g"]
         # the shared DAG: its second g row fails

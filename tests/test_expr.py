@@ -143,6 +143,33 @@ class TestSignatureInput:
             parse_signature(data)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            (("generators", 0, "dom"), "generators[0].dom: expected a list"),
+            (("generators", 1, "cod"), "generators[1].cod: expected a list"),
+            (("sorts",), "sorts: expected a list"),
+            (("generators",), "generators: expected a list"),
+        ],
+        ids=["no-dom", "no-cod", "no-sorts", "no-generators"],
+    )
+    def test_missing_key_is_rejected_not_taken_as_empty(self, path, message):
+        data = _table_signature([[0], [1]])
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        with pytest.raises(SignatureError) as info:
+            parse_signature(data)
+        assert str(info.value) == message
+
+    def test_table_and_builtin_together_are_rejected(self):
+        data = _table_signature([[0], [1]])
+        data["generators"][1]["builtin"] = "tanh"
+        with pytest.raises(SignatureError) as info:
+            parse_signature(data)
+        assert str(info.value) == "generators[1]: table and builtin both given"
+
 
 # (source, pos, message): every kind of ExprError, over the conftest signature
 ERRORS = [

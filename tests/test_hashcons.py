@@ -171,7 +171,7 @@ def _pushed_tree(t):
     def apply(gen, xs):
         return tuple(("app", gen, j, xs) for j in range(len(gen.cod)))
 
-    wires, _ = run(t, tuple(("var", i) for i in range(len(t.dom))), apply)
+    wires = run(t, tuple(("var", i) for i in range(len(t.dom))), apply)
     return t.dom, t.cod, wires
 
 

@@ -304,7 +304,7 @@ class TestPlan:
         for interp, t in self.cases(0, 200):
             cf = normalize(t)
             for xs in enumerate_inputs(t.dom):
-                assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)[0]
+                assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)
 
     def test_matches_term_run_on_columns_and_table_refs(self):
         for interp, t in self.cases(1, 100):
@@ -312,7 +312,7 @@ class TestPlan:
             block = list(enumerate_inputs(t.dom))
             cols = tuple(map(list, zip(*block))) if t.dom else ()
             apply = interp.column_apply(len(block))
-            assert run_form(cf, cols, apply) == run(t, cols, apply)[0]
+            assert run_form(cf, cols, apply) == run(t, cols, apply)
             table = UniqueTable(len(t.dom))
             assert run_form(cf, table.inputs, table.apply) == table.push(t, table.inputs)
 
@@ -327,11 +327,11 @@ class TestPlan:
         for xs in enumerate_inputs(t.dom):
             x0, x1 = xs
             want = ((2 + 2 * x0) % 3, x1, x0, x0, x0)  # m's first output is its input
-            assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)[0] == want
+            assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply) == want
         block = list(enumerate_inputs(t.dom))
         cols = tuple(map(list, zip(*block)))
         apply = interp.column_apply(len(block))
-        assert run_form(cf, cols, apply) == run(t, cols, apply)[0]
+        assert run_form(cf, cols, apply) == run(t, cols, apply)
         table = UniqueTable(2)
         assert table.push(cf, table.inputs) == table.push(t, table.inputs)
         assert normalize(read_back(cf)) == cf

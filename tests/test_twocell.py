@@ -359,8 +359,8 @@ def forward_solutions(src, tgt, cap=ENUMERATION_CAP):
     arguments, enumerated as terms; the witnesses are their tuples.
     """
     table = UniqueTable(len(src.forward.dom))
-    fw1 = run(src.forward, table.inputs, table.apply)[0]
-    fw2 = run(tgt.forward, table.inputs, table.apply)[0]
+    fw1 = run(src.forward, table.inputs, table.apply)
+    fw2 = run(tgt.forward, table.inputs, table.apply)
     m1, k1, k2 = src.residual, len(src.residual), len(tgt.residual)
     if fw1[k1:] != fw2[k2:]:
         return []
@@ -391,11 +391,11 @@ def enumerated_count(src, tgt):
         return None
     table = UniqueTable(len(src.backward.dom))
     k = len(src.residual)
-    want = run(src.backward, table.inputs, table.apply)[0]
+    want = run(src.backward, table.inputs, table.apply)
 
     def closes(r):
-        ms = run(r, table.inputs[:k], table.apply)[0]
-        return run(tgt.backward, ms + table.inputs[k:], table.apply)[0] == want
+        ms = run(r, table.inputs[:k], table.apply)
+        return run(tgt.backward, ms + table.inputs[k:], table.apply) == want
 
     return sum(map(closes, solutions))
 

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from cartoptics import (
     UNIT,
     CanonicalForm,
+    CarrierMismatch,
     Copy,
     CostReport,
     Delete,
@@ -65,7 +66,7 @@ from cartoptics import (
     select_wire,
     share,
 )
-from cartoptics.normal import UniqueTable
+from cartoptics.normal import UniqueTable, run_form
 from cartoptics.sampling import (
     random_composable_lenses,
     random_lens,
@@ -352,6 +353,111 @@ def test_evaluate_dag_matches_oracle(rng):
             assert sum(got.generator_counts.values()) == len(cf.nodes) <= sum(tree.generator_counts.values())
 
 
+# --- the report protocol: each walker counts into the report it is given ---------
+
+
+class _LoggedCounts(Counter):
+    def __init__(self, log):
+        self.log = log
+        super().__init__()
+
+    def update(self, names=None, **kwargs):
+        self.log.append(("counts", list(names or ())))
+        super().update(names, **kwargs)
+
+
+class _LoggedReport(CostReport):
+    """A report that logs each update of its counts and each write of its copies."""
+
+    def __init__(self):
+        self.log = []
+        super().__init__(_LoggedCounts(self.log))
+        self.log.clear()
+
+    def __setattr__(self, name, value):
+        if name == "copies":
+            self.log.append(("copies", value))
+        super().__setattr__(name, value)
+
+
+def _walkers(t):
+    """(name, walk, oracle) for the term walker and the form walker on t.
+
+    `walk(xs, apply, report)` runs t or its form; `oracle(t, xs, interp,
+    report)` is the matching recursive walker.
+    """
+    cf = normalize(t)
+    return (
+        ("run", lambda xs, apply, report: run(t, xs, apply, report), oracle_eval),
+        (
+            "run_form",
+            lambda xs, apply, report: run_form(cf, xs, apply, report),
+            lambda _, xs, interp, report: oracle_eval_dag(cf, xs, interp, report),
+        ),
+    )
+
+
+def test_a_report_receives_the_counts_and_copies_once_per_walk():
+    for interp, t in random_terms(5, 60):
+        for name, walk, oracle in _walkers(t):
+            for xs in list(enumerate_inputs(t.dom))[:4]:
+                got, want = _LoggedReport(), CostReport()
+                assert walk(xs, interp.apply, got) == oracle(t, xs, interp, want), name
+                assert got.generator_counts == want.generator_counts, name
+                assert got.copies == (want.copies if name == "run" else 0), name
+                # one update, keys in first-application order; a form writes no copies
+                names = [k for k, _ in got.log]
+                assert names == (["counts", "copies"] if name == "run" else ["counts"]), name
+                assert list(dict.fromkeys(got.log[0][1])) == list(got.generator_counts), name
+
+
+def test_a_walk_that_raises_leaves_the_report_untouched():
+    class Stop(Exception):
+        pass
+
+    for interp, t in random_terms(6, 60):
+        for name, walk, _ in _walkers(t):
+            xs = next(enumerate_inputs(t.dom))
+            report = CostReport()
+            walk(xs, interp.apply, report)
+            before = (Counter(report.generator_counts), report.copies)
+            for k in range(1, sum(before[0].values()) // 2 + 1):
+                calls = []
+
+                def apply(gen, args):  # the k-th application raises
+                    calls.append(gen)
+                    if len(calls) == k:
+                        raise Stop
+                    return interp.apply(gen, args)
+
+                with pytest.raises(Stop):
+                    walk(xs, apply, report)
+                assert (report.generator_counts, report.copies) == before, (name, k)
+
+
+def test_evaluate_runs_terms_and_forms_as_evaluate_dag_did():
+    for interp, t in random_terms(7, 100):
+        cf = normalize(t)
+        for xs in list(enumerate_inputs(t.dom))[:4]:
+            got, want, dag = CostReport(), CostReport(), CostReport()
+            out = evaluate(cf, xs, interp, got)
+            assert out == evaluate_dag(share(t), xs, interp, dag) == oracle_eval_dag(cf, xs, interp, want)
+            assert got == dag and got.generator_counts == want.generator_counts
+            assert list(got.generator_counts) == list(want.generator_counts)
+            assert evaluate(cf, xs, interp) == evaluate(t, xs, interp) == out
+
+
+def test_evaluate_rejects_a_bad_value_as_evaluate_dag_did():
+    A = Obj((Sort("A", FiniteCarrier(2)),))
+    f = Gen(Generator("f", A, A, table=((1,), (0,))))
+    interp = Interp.from_signature(Signature(tuple(A), (f.gen,)))
+    for x in (f >> f, normalize(f >> f)):
+        with pytest.raises(CarrierMismatch, match=r"^input: \[0\]: value 2 not in finite carrier of A$"):
+            evaluate(x, (2,), interp)
+        with pytest.raises(CarrierMismatch, match=r"^input: expected 1 values for A, got 2$"):
+            evaluate(x, (0, 1), interp, CostReport())
+
+
 def test_print_matches_oracle():
     for _, t in random_terms(6, 300):
         back = read_back(normalize(t))
@@ -562,8 +668,8 @@ def test_run_rejects_counts_with_a_memo():
     A = Obj((Sort("A", FiniteCarrier(2)),))
     t = Copy(A) >> Swap(A, A)
     with pytest.raises(ValueError, match="memo"):
-        run(t, (0,), lambda gen, xs: xs, Counter(), {})
-    assert run(t, (0,), lambda gen, xs: xs, memo={}) == ((0, 0), 1)
+        run(t, (0,), lambda gen, xs: xs, CostReport(), {})
+    assert run(t, (0,), lambda gen, xs: xs, memo={}) == (0, 0)
 
 
 def test_a_shared_subterm_runs_once_per_distinct_input():
@@ -575,8 +681,8 @@ def test_a_shared_subterm_runs_once_per_distinct_input():
     t = Copy(A) >> Ten(s, s) >> Ten(s, Id(A)) >> Ten(Id(A), s)
     table, calls = _counting_table(A)
     memo: dict = {}
-    outs, copied = run(t, table.inputs, table.apply, memo=memo)
-    assert (len(calls), copied) == (2 + 2 + 2, 1)
+    outs = run(t, table.inputs, table.apply, memo=memo)
+    assert len(calls) == 2 + 2 + 2
     assert memo[id(s)] == {(0,): ((1, 0),), ((1, 0),): ((3, 0),)}
     assert outs == ((3, 0), (3, 0))
     assert table.form(A, A @ A, outs) == oracle_normalize(t)

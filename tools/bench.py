@@ -39,11 +39,11 @@ is timed in REPEAT `timeit` shots (one for `check-laws` and `pi0 1000`) of
 the fewest calls, doubling from one, that take MIN_SHOT_S, and the median
 shot is divided by its calls, so operations of microseconds are timed over
 enough calls to rise above the clock's and the machine's noise.  A term case times
-`normalize`, `share`, `normal_eq`, `eq` (`==` between a fresh `normalize(t)`
-and a form normalized earlier) `hash` (of a fresh form) and
-`gen_occurrences`; it counts `len(share(t).nodes)` and
+`normalize`, `normal_eq`, `eq` (`==` between a fresh `normalize(t)` and a
+form normalized earlier) `hash` (of a fresh form) and `gen_occurrences`; it
+counts `len(normalize(t).nodes)` and
 `sum(gen_occurrences(normalize(t)).values())`, and its output is the
-canonical form.  The output of `check-laws` is its stdout, and that of
+canonical form.  (`share` is `normalize`, so it is not timed apart.)  The output of `check-laws` is its stdout, and that of
 `coherence` every law's checked count and verdict.  A `pi0` case also times
 `search_cells` alone (`search`); it counts the cells per family, and its
 output is, per family, the classes, the number of cells and every cell as
@@ -142,13 +142,12 @@ def build_term(kind: str, size: int):
 
 
 def term_case(kind: str, size: int) -> dict:
-    from cartoptics import gen_occurrences, normal_eq, normalize, share
+    from cartoptics import gen_occurrences, normal_eq, normalize
 
     t = build_term(kind, size)
     cf = normalize(t)
     calls = {
         "normalize": lambda: normalize(t),
-        "share": lambda: share(t),
         "normal_eq": lambda: normal_eq(t, t),
         "eq": lambda: normalize(t) == cf,
         "hash": lambda: hash(normalize(t)),
@@ -156,7 +155,7 @@ def term_case(kind: str, size: int) -> dict:
     }
     return {
         "seconds": {op: shots(call)[0] for op, call in calls.items()},
-        "counts": {"dag_nodes": len(share(t).nodes), "gen_occurrences": sum(gen_occurrences(cf).values())},
+        "counts": {"dag_nodes": len(cf.nodes), "gen_occurrences": sum(gen_occurrences(cf).values())},
         "outputs": {"form": cf.to_json()},
     }
 
@@ -287,6 +286,7 @@ def exec_case(n: int) -> dict:
     dag = C.share(C.round_trip_term(C.reify(lens)))
 
     def shared(a: tuple) -> tuple:  # (b, a', report), as the executors return
+        # evaluate_dag, not evaluate: an older --before revision's evaluate takes no forms
         report = C.CostReport()
         out = C.evaluate_dag(dag, a, interp, report)
         return out[:1], out[1:], report
