@@ -3,46 +3,31 @@
 An optic between boundary pairs (A, A') -> (B, B') is a residual object M
 with terms forward: A -> M x B and backward: M x B' -> A'.  Optics are
 representatives, not equivalence classes, but composition is still strictly
-associative and unital on the nose: components are stored as flat stage
-chains (left-nested, identity stages dropped).  `compose_optic_chain` builds
-the composite of a whole chain in one pass over the stages: each optic's
-stages are wrapped in an identity context holding the residuals of the optics
-before it (coalescing with any identity context a stage already has), forward
-stages go in chain order and backward stages in reverse, optic by optic.  The
-executor materializes the residual between passes, trading memory for the
-recomputation a lens chain would do.  It is the one executor of both
-packagings: a lens runs as its reified optic, whose residual is its input.
+associative and unital on the nose.  An optic built from terms keeps them as
+flat stage chains (left-nested, identity stages dropped).  A composite keeps
+each pass as a `term.Chain` of blocks: the pass of each optic in the chain
+with the count of residual wires before it, which it runs beside.
+`compose_optic_chain` concatenates the optics' blocks in one pass, adding
+the residual wires before each optic to its blocks' counts, forward passes in
+chain order and backward passes in reverse; it builds no term.  `forward`
+and `backward` build a composite's terms on first access: each stage wrapped
+in an identity context holding the residuals of the optics before it
+(coalescing with any identity context the stage already has).  The executor
+runs the passes the optic stores and materializes the residual between them,
+trading memory for the recomputation a lens chain would do.  It is the one
+executor of both packagings: a lens runs as its reified optic, whose
+residual is its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
 from typing import Callable
 
 from .interp import CostReport, Interp, check_identity_env, check_values, evaluate, obj_bytes
 from .normal import normal_eq
 from .signature import Obj, UNIT
-from .term import Copy, Id, Seq, Swap, Ten, Term, TermTypeError
-
-
-def _stages(t: Term) -> list[Term]:
-    """The non-identity stages of a sequential composite, left to right."""
-    out: list[Term] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Seq):
-            stack.append(t.right)
-            stack.append(t.left)
-        elif not isinstance(t, Id):
-            out.append(t)
-    return out
-
-
-def _chain(stages: list[Term], dom: Obj) -> Term:
-    """Left-nested chain of stages (identity on dom if there are none)."""
-    return reduce(Seq, stages) if stages else Id(dom)
+from .term import Block, Chain, Copy, Id, Seq, Swap, Ten, Term, TermTypeError, _chain, _stages
 
 
 def _flat(t: Term) -> Term:
@@ -59,17 +44,13 @@ def _flat(t: Term) -> Term:
     return t
 
 
-def _wrap(m: Obj, t: Term) -> Term:
-    """Tensor an identity context onto a stage, merging adjacent contexts.
-
-    wrap(m1, wrap(m2, t)) == wrap(m1 @ m2, t), which is what makes optic
-    composition associative at the representative level.
-    """
-    if len(m) == 0:
-        return t
-    if isinstance(t, Ten) and isinstance(t.left, Id):
-        return Ten(Id(m @ t.left.obj), t.right)
-    return Ten(Id(m), t)
+def _blocks(p: Term | Chain, k: int) -> list[Block]:
+    """A pass as blocks under k more context wires: a chain's own while its term is unbuilt, else its term."""
+    if p.__class__ is Chain:
+        if p.built is None:
+            return [Block(k + b.k, b.term) for b in p.blocks] if k else p.blocks
+        p = p.built
+    return [Block(k, p)]
 
 
 def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
@@ -80,21 +61,65 @@ def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
     return rest
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Optic:
+    """An optic; `==`, `hash` and `repr` go by its residual and its two terms.
+
+    `passes` is what `optic_exec` runs: (forward, backward) as given to the
+    constructor, flattened, or for a composite the `Chain` of each pass,
+    whose term `forward` and `backward` build on first access.
+    """
+
     residual: Obj
     forward: Term  # A -> M x B
     backward: Term  # M x B' -> A'
-    dom_pair: tuple[Obj, Obj] = field(init=False, compare=False, repr=False)
-    cod_pair: tuple[Obj, Obj] = field(init=False, compare=False, repr=False)
+    passes: tuple[Term | Chain, Term | Chain]
+    dom_pair: tuple[Obj, Obj]
+    cod_pair: tuple[Obj, Obj]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forward", _flat(self.forward))
-        object.__setattr__(self, "backward", _flat(self.backward))
-        b = _rest(self.forward.cod, "forward codomain", self.residual, "residual")
-        b_back = _rest(self.backward.dom, "backward domain", self.residual, "residual")
-        object.__setattr__(self, "dom_pair", (self.forward.dom, self.backward.cod))
-        object.__setattr__(self, "cod_pair", (b, b_back))
+    def __init__(self, residual: Obj, forward: Term, backward: Term) -> None:
+        forward, backward = _flat(forward), _flat(backward)
+        b = _rest(forward.cod, "forward codomain", residual, "residual")
+        b_back = _rest(backward.dom, "backward domain", residual, "residual")
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
+        self._fill(residual, (forward, backward), (forward.dom, backward.cod), (b, b_back))
+
+    def _fill(self, residual: Obj, passes: tuple, dom_pair: tuple[Obj, Obj], cod_pair: tuple[Obj, Obj]) -> Optic:
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "passes", passes)
+        object.__setattr__(self, "dom_pair", dom_pair)
+        object.__setattr__(self, "cod_pair", cod_pair)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Optic):
+            return NotImplemented
+        return (self.residual, self.forward, self.backward) == (other.residual, other.forward, other.backward)
+
+    def __hash__(self) -> int:
+        return hash((self.residual, self.forward, self.backward))
+
+    def __repr__(self) -> str:
+        return f"Optic(residual={self.residual!r}, forward={self.forward!r}, backward={self.backward!r})"
+
+
+class _Composite(Optic):
+    """An optic made by `compose_optic_chain`, whose passes are `Chain`s.
+
+    Its own class, so that an optic built from terms reads `forward` and
+    `backward` as plain attributes, which the law checks do often.
+    """
+
+    @property
+    def forward(self) -> Term:
+        p = self.passes[0]
+        return p.built or p.term
+
+    @property
+    def backward(self) -> Term:
+        p = self.passes[1]
+        return p.built or p.term
 
 
 def optic_id(pair: tuple[Obj, Obj]) -> Optic:
@@ -111,24 +136,26 @@ def compose_optic_chain(optics: list[Optic]) -> Optic:
     """Compose a chain in one pass; any bracketing gives this representative."""
     if not optics:
         raise ValueError("empty optic chain")
-    first = optics[0]
-    m = first.residual
-    forward = _stages(first.forward)
-    backward = [_stages(first.backward)]
-    for prev, o in zip(optics, optics[1:]):
-        if prev.cod_pair != o.dom_pair:
+    first, last = optics[0], optics[-1]
+    k = 0  # the residual wires of the optics before o
+    forward: list[Block] = []
+    backward: list[list[Block]] = []
+    for i, o in enumerate(optics):
+        prev = optics[i - 1]
+        if i and prev.cod_pair != o.dom_pair:
             raise TermTypeError(
                 f"optic boundaries do not match: {prev.cod_pair[0]} / {prev.cod_pair[1]} "
                 f"vs {o.dom_pair[0]} / {o.dom_pair[1]}"
             )
-        forward += [_wrap(m, s) for s in _stages(o.forward)]
-        backward.append([_wrap(m, s) for s in _stages(o.backward)])
-        m = m @ o.residual
-    return Optic(
-        m,
-        _chain(forward, first.forward.dom),
-        _chain([s for part in reversed(backward) for s in part], m @ optics[-1].cod_pair[1]),
+        forward += _blocks(o.passes[0], k)
+        backward.append(_blocks(o.passes[1], k))
+        k += len(o.residual)
+    m = Obj([s for o in optics for s in o.residual])
+    passes = (
+        Chain(first.dom_pair[0], forward),
+        Chain(m @ last.cod_pair[1], [b for part in reversed(backward) for b in part]),
     )
+    return object.__new__(_Composite)._fill(m, passes, first.dom_pair, last.cod_pair)
 
 
 def optic_normal_eq(o1: Optic, o2: Optic) -> bool:
@@ -150,12 +177,13 @@ def optic_exec(
     m = optic.residual
     if env is None:
         check_identity_env(optic.cod_pair)
+    forward, backward = optic.passes
     report = CostReport()
-    out = evaluate(optic.forward, a, interp, report)
+    out = evaluate(forward, a, interp, report)
     m_vals, b = out[: len(m)], out[len(m) :]
     b_resp = b if env is None else tuple(env(b))
     check_values(optic.cod_pair[1], b_resp, what="env response")
-    a_prime = evaluate(optic.backward, m_vals + b_resp, interp, report)
+    a_prime = evaluate(backward, m_vals + b_resp, interp, report)
     report.peak_residual_slots = len(m)
     report.peak_residual_bytes = obj_bytes(m)
     return b, a_prime, report

@@ -121,13 +121,17 @@ class Generator:
 
 def check_table(dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...]) -> None:
     """Check a finite lookup table for totality and well-typedness; errors lead with `table...:`."""
+    sizes = []
     for s in dom + cod:
         if not isinstance(s.carrier, FiniteCarrier):
             raise SignatureError(f"table: sort {s.name} is not finite")
-    want = math.prod(s.carrier.size for s in dom)
+        sizes.append(s.carrier.size)
+    want = math.prod(sizes[: len(dom)])
     if len(table) != want:
         raise SignatureError(f"table: {len(table)} rows, expected {want}")
-    for r, row in enumerate(table):
+    if _in_carriers(table, sizes[len(dom) :]):
+        return
+    for r, row in enumerate(table):  # the first bad entry, located
         if len(row) != len(cod):
             raise SignatureError(f"table[{r}]: {len(row)} entries, expected {len(cod)}")
         for c, (v, s) in enumerate(zip(row, cod)):
@@ -135,6 +139,17 @@ def check_table(dom: Obj, cod: Obj, table: tuple[tuple[int, ...], ...]) -> None:
                 raise SignatureError(
                     f"table[{r}][{c}]: expected an integer in the carrier of sort {s.name}, got {v!r}"
                 )
+
+
+def _in_carriers(table: tuple[tuple[int, ...], ...], sizes: list[int]) -> bool:
+    """Whether each row holds one int per size, below that size: the common case, in one pass."""
+    for row in table:
+        if len(row) != len(sizes):
+            return False
+        for v, n in zip(row, sizes):
+            if v.__class__ is not int or not 0 <= v < n:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -153,7 +168,8 @@ class Signature:
             if g.name in by_gen:
                 raise SignatureError(f"duplicate generator name {g.name}")
             for s in g.dom + g.cod:
-                if by_sort.get(s.name) != s:
+                known = by_sort.get(s.name)
+                if known is not s and known != s:
                     raise SignatureError(f"generator {g.name}: unknown sort {s.name}")
             by_gen[g.name] = g
         object.__setattr__(self, "_sorts_by_name", by_sort)
@@ -224,6 +240,15 @@ def _parse_carrier(raw: object, where: str) -> Carrier:
     return make(value)
 
 
+def _lookup_obj(names: object, key: str, by_name: dict[str, Sort]) -> Obj:
+    if not isinstance(names, list):
+        raise SignatureError(f".{key}: expected a list")
+    for j, n in enumerate(names):
+        if not (isinstance(n, str) and n in by_name):
+            raise SignatureError(f".{key}[{j}]: unknown sort {n!r}")
+    return Obj([by_name[n] for n in names])
+
+
 def parse_signature(data: dict) -> Signature:
     """Build a Signature from decoded JSON, with location-bearing errors."""
     if not isinstance(data, dict):
@@ -239,41 +264,38 @@ def parse_signature(data: dict) -> Signature:
         except SignatureError as e:
             raise SignatureError(f"{where}.{e}") from None
     by_name = {s.name: s for s in sorts}
-
-    def lookup_obj(raw: dict, key: str, where: str) -> Obj:
-        out = []
-        for j, n in enumerate(_list(raw.get(key), f"{where}.{key}")):
-            if not (isinstance(n, str) and n in by_name):
-                raise SignatureError(f"{where}.{key}[{j}]: unknown sort {n!r}")
-            out.append(by_name[n])
-        return Obj(out)
-
     gens = []
     for i, raw in enumerate(_list(data.get("generators"), "generators")):
-        where = f"generators[{i}]"
-        if not isinstance(raw, dict):
-            raise SignatureError(f"{where}: expected a generator object")
-        name = _string(raw, "name", where)
-        dom, cod = lookup_obj(raw, "dom", where), lookup_obj(raw, "cod", where)
-        if "table" in raw and "builtin" in raw:
-            raise SignatureError(f"{where}: table and builtin both given")
-        if "table" in raw:
-            rows = enumerate(_list(raw["table"], f"{where}.table"))
-            semantics = {"table": tuple(tuple(_list(row, f"{where}.table[{r}]")) for r, row in rows)}
-        elif "builtin" in raw:
-            from . import primitives
+        try:  # a message starts where the location inside the entry goes
+            if not isinstance(raw, dict):
+                raise SignatureError(": expected a generator object")
+            name = _string(raw, "name", "")
+            dom = _lookup_obj(raw.get("dom"), "dom", by_name)
+            cod = _lookup_obj(raw.get("cod"), "cod", by_name)
+            if "table" in raw and "builtin" in raw:
+                raise SignatureError(": table and builtin both given")
+            if "table" in raw:
+                rows = _list(raw["table"], ".table")
+                for r, row in enumerate(rows):
+                    if not isinstance(row, list):
+                        raise SignatureError(f".table[{r}]: expected a list")
+                semantics = {"table": tuple(map(tuple, rows))}
+            elif "builtin" in raw:
+                from . import primitives
 
-            builtin = _string(raw, "builtin", where)
+                builtin = _string(raw, "builtin", "")
+                try:
+                    semantics = {"fn": primitives.resolve(builtin, dom, cod)}
+                except SignatureError as e:
+                    raise SignatureError(f": {e}") from None
+            else:
+                raise SignatureError(": one of table/builtin required")
             try:
-                semantics = {"fn": primitives.resolve(builtin, dom, cod)}
+                gens.append(Generator(name, dom, cod, **semantics))
             except SignatureError as e:
-                raise SignatureError(f"{where}: {e}") from None
-        else:
-            raise SignatureError(f"{where}: one of table/builtin required")
-        try:
-            gens.append(Generator(name, dom, cod, **semantics))
-        except SignatureError as e:
-            raise SignatureError(f"{where}.{e}") from None
+                raise SignatureError(f".{e}") from None
+        except SignatureError as e:  # the entry's location, spelled out only on failure
+            raise SignatureError(f"generators[{i}]{e}") from None
     return Signature(tuple(sorts), tuple(gens))
 
 

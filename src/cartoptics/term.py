@@ -14,7 +14,8 @@ the textual syntax `f ; g` and `f * g` accepted by the expression parser.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from functools import reduce
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .signature import RESERVED, Generator, Obj, UNIT
 
@@ -255,13 +256,105 @@ def gen_wire(gen: Generator, out: int, args: list[Term], dom: Obj) -> Term:
     return t if len(gen.cod) == 1 else t >> select_wire(gen.cod, out)
 
 
+# --- stage chains -------------------------------------------------------------
+
+
+def _stages(t: Term) -> list[Term]:
+    """The non-identity stages of a sequential composite, left to right."""
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Seq):
+            stack.append(t.right)
+            stack.append(t.left)
+        elif not isinstance(t, Id):
+            out.append(t)
+    return out
+
+
+def _node(kind: type, left: Term, right: Term, dom: Obj, cod: Obj) -> Term:
+    """`kind(left, right)` for a Seq or Ten kind whose boundary dom -> cod is known: not checked or recomputed."""
+    t = kind.__new__(kind)
+    object.__setattr__(t, "left", left)
+    object.__setattr__(t, "right", right)
+    object.__setattr__(t, "dom", dom)
+    object.__setattr__(t, "cod", cod)
+    return t
+
+
+def _chain(stages: list[Term], dom: Obj) -> Term:
+    """Left-nested chain of stages (identity on dom if there are none)."""
+    return reduce(Seq, stages) if stages else Id(dom)
+
+
+class Block(NamedTuple):
+    """A sequential composite run under an identity context on the first k wires of its input."""
+
+    k: int
+    term: Term
+
+
+class Chain:
+    """A left-nested sequential composite kept as a list of blocks.
+
+    Built, the stages of a block with k > 0 each go under the identity on
+    the first k sorts of their input, c: a stage s becomes `Ten(Id(c), s)`,
+    or `Ten(Id(c @ d), r)` if s is `Ten(Id(d), r)`.  `run` walks the blocks
+    without building that; `term` builds it once, on first access, as the
+    left-nested `Seq` of all the stages (`Id(dom)` if there are none).  A
+    chain is immutable: a copy, deep or not, is the chain itself.
+    """
+
+    __slots__ = ("dom", "blocks", "built")
+
+    def __init__(self, dom: Obj, blocks: list[Block]):
+        self.dom = dom
+        self.blocks = blocks
+        self.built: Term | None = None  # the term, once built
+
+    @property
+    def term(self) -> Term:
+        t = self.built
+        if t is None:
+            # composition checked every boundary, so each node is given its own,
+            # and a wrapped stage's domain is the previous stage's codomain object
+            x = self.dom
+            for k, block in self.blocks:
+                if not k and t is None:  # a leading block's term is a flat chain: kept whole
+                    if block.__class__ is not Id:
+                        t, x = block, block.cod
+                    continue
+                if k:
+                    c = x[:k]  # the stages of a block leave its context as it is
+                    ctx = Id(c)
+                for s in _stages(block):
+                    if k:
+                        left = ctx
+                        if s.__class__ is Ten and s.left.__class__ is Id:
+                            left, s = Id(c @ s.left.obj), s.right
+                        s = _node(Ten, left, s, x, left.cod @ s.cod)
+                    t = s if t is None else _node(Seq, t, s, self.dom, s.cod)
+                    x = s.cod
+            t = self.built = Id(self.dom) if t is None else t
+        return t
+
+    def __deepcopy__(self, memo: dict | None = None) -> "Chain":
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return Chain, (self.dom, self.blocks)
+
+
 # --- running ----------------------------------------------------------------
 
 _JOIN = object()  # marks where a tensor's right half is done
 
 
 def run(
-    t: Term,
+    t: Term | Chain,
     xs: tuple,
     apply: Callable[[Generator, tuple], tuple],
     report: CostReport | None = None,
@@ -277,7 +370,9 @@ def run(
     adds the names to `report.generator_counts` in one update, so keys come
     in the order of each generator's first application, and the copies to
     `report.copies`; a walk that raises partway leaves the report as it was.
-    The walk keeps its own stack, so terms of any depth run.
+    The walk keeps its own stack, so terms of any depth run.  A `Chain` runs
+    block by block, each `Block` parking its context as the identity context
+    of a `Ten` is parked, so it counts as its built term would.
 
     With `memo` given (an empty dict, one per call), a `Seq` node reached
     more than once is run once per distinct input: its first visit only
@@ -362,6 +457,16 @@ def run(
                 continue
         elif kind is list:  # a kept Seq node is done: keep its output under its input
             t[0][t[1]] = xs
+        elif kind is Block:  # its context parked as a Ten's identity context is
+            k = t.k
+            if k:
+                parked.append(xs[:k])
+                todo.append(_JOIN)
+                xs = xs[k:]
+            t = t.term
+            continue
+        elif kind is Chain:  # its blocks, the first on top
+            todo += reversed(t.blocks)
         else:
             raise TypeError(f"not a term: {t!r}")
         if not todo:

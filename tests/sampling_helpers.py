@@ -6,6 +6,7 @@ here too.
 """
 
 import random
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from cartoptics import (
     mk_two_cell,
 )
 from cartoptics.interp import check_identity_env
-from cartoptics.sampling import canon, random_morphism, random_obj, random_table, random_valid_cell
+from cartoptics.optic import optic_id
+from cartoptics.sampling import canon, random_morphism, random_obj, random_optic, random_table, random_valid_cell
 
 
 def random_interp(rng: random.Random, sig: Signature) -> Interp:
@@ -97,6 +99,116 @@ def random_composable_cells(
     c1 = random_valid_cell(rng, sig, interp)
     c2 = random_valid_cell(rng, sig, interp, dom_pair=c1.src.cod_pair)
     return c1, c2
+
+
+def contextual_optic(
+    rng: random.Random, sig: Signature, dom_pair: tuple[Obj, Obj], cod_pair: tuple[Obj, Obj] | None = None
+) -> Optic:
+    """A random optic whose last forward and first backward stage carry an identity context.
+
+    The context is the residual's first j sorts, for a random j: at j = 0 it
+    is `Id(UNIT)`, which composition merges into the context it adds.
+    """
+    o = random_optic(rng, sig, dom_pair, cod_pair)
+    m = o.residual
+    b, b_back = o.cod_pair
+    j = rng.randint(0, len(m))
+    fw = o.forward >> Ten(Id(m[:j]), random_morphism(rng, sig, m[j:] @ b, m[j:] @ b))
+    bw = Ten(Id(m[:j]), random_morphism(rng, sig, m[j:] @ b_back, m[j:] @ b_back)) >> o.backward
+    return Optic(m, fw, bw)
+
+
+@dataclass(frozen=True)
+class Sub:
+    """A sub-chain, composed before the chain it sits in; if `built`, its passes are built then too."""
+
+    parts: list
+    built: bool
+    cod_pair: tuple[Obj, Obj]
+
+
+def random_optic_chain(
+    rng: random.Random, sig: Signature, length: int, dom_pair: tuple[Obj, Obj] | None = None, depth: int = 2
+) -> list:
+    """Composable optics: identities, random optics, optics with context stages and, `depth`
+    levels down, `Sub` chains of such optics; `composed_parts` composes the `Sub`s."""
+    pair = dom_pair or (random_obj(rng, sig), random_obj(rng, sig))
+    chain: list = []
+    for _ in range(length):
+        pick = rng.randrange(4 if depth else 3)
+        if pick == 0:
+            o = optic_id(pair)
+        elif pick == 1:
+            o = random_optic(rng, sig, pair)
+        elif pick == 2:
+            o = contextual_optic(rng, sig, pair)
+        else:
+            parts = random_optic_chain(rng, sig, rng.randint(1, 3), pair, depth - 1)
+            o = Sub(parts, rng.random() < 0.5, parts[-1].cod_pair)
+        chain.append(o)
+        pair = o.cod_pair
+    return chain
+
+
+def composed_parts(chain: list, compose) -> list[Optic]:
+    """The optics of a `random_optic_chain`, each `Sub` composed with `compose`."""
+    out = []
+    for x in chain:
+        if isinstance(x, Sub):
+            o = compose(composed_parts(x.parts, compose))
+            if x.built:
+                o.forward, o.backward  # composed later with its built terms as its passes
+            x = o
+        out.append(x)
+    return out
+
+
+def _eager_stages(t: Term) -> list[Term]:
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Seq):
+            todo += (t.right, t.left)
+        elif not isinstance(t, Id):
+            out.append(t)
+    return out
+
+
+def _eager_wrap(m: Obj, t: Term) -> Term:
+    if len(m) == 0:
+        return t
+    if isinstance(t, Ten) and isinstance(t.left, Id):
+        return Ten(Id(m @ t.left.obj), t.right)
+    return Ten(Id(m), t)
+
+
+def _eager_chain(stages: list[Term], dom: Obj) -> Term:
+    t = stages[0] if stages else Id(dom)
+    for s in stages[1:]:
+        t = Seq(t, s)
+    return t
+
+
+def eager_compose(optics: list[Optic]) -> Optic:
+    """The optic chain composed with every stage wrapped in a fresh identity context, as terms.
+
+    Each stage of optic j goes under `Id(m_<j)`, the residuals before it,
+    merged with an identity context the stage has; forward stages in chain
+    order, backward stages in reverse, optic by optic.
+    """
+    first = optics[0]
+    m = first.residual
+    forward = _eager_stages(first.forward)
+    backward = [_eager_stages(first.backward)]
+    for o in optics[1:]:
+        forward += [_eager_wrap(m, s) for s in _eager_stages(o.forward)]
+        backward.append([_eager_wrap(m, s) for s in _eager_stages(o.backward)])
+        m = m @ o.residual
+    return Optic(
+        m,
+        _eager_chain(forward, first.forward.dom),
+        _eager_chain([s for part in reversed(backward) for s in part], m @ optics[-1].cod_pair[1]),
+    )
 
 
 def random_values(rng: random.Random, obj: Obj) -> tuple:

@@ -1,13 +1,22 @@
 """Optics: strict composition of representatives, residual costs, run modes."""
 
+import copy
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
+import cartoptics
 from cartoptics import (
     UNIT,
+    CostReport,
     Copy,
     Id,
     Interp,
@@ -37,7 +46,7 @@ from cartoptics import (
 )
 from cartoptics.optic import _chain, _stages
 from cartoptics.sampling import random_obj, random_optic
-from sampling_helpers import loop_term, random_values, stage_by_stage
+from sampling_helpers import composed_parts, eager_compose, loop_term, random_optic_chain, random_values, stage_by_stage
 
 
 def response_term(optic):
@@ -171,6 +180,46 @@ class TestStrictCategoryLaws:
             compose_optic_chain([])
 
 
+# Composes the 5000 reified stages of a finite chain and runs the composite,
+# counting every Seq and Ten node made meanwhile; prints what it saw as JSON.
+# Its peak RSS is VmHWM, its own address space's: ru_maxrss keeps the peak of
+# the process it was forked from across the exec.
+LINEAR_SPACE_CHILD = """
+import collections, json, resource, time
+from cartoptics import Interp, build_chain, chain_input, compose_optic_chain, optic_exec, reify
+from cartoptics.term import Seq, Ten
+from sampling_helpers import stage_by_stage
+
+chain = build_chain(5000, "finite", seed=3)
+optics = [reify(l) for l in chain.lenses]
+interp = Interp.from_signature(chain.signature)
+a = chain_input(chain)
+built = collections.Counter()
+for kind in (Seq, Ten):
+    kind.__new__ = lambda cls, *args, **kwargs: built.update([cls.__name__]) or object.__new__(cls)
+start = time.perf_counter()
+b, a_prime, report = optic_exec(compose_optic_chain(optics), a, interp)
+seconds = time.perf_counter() - start
+
+
+def peak_rss_kb():
+    try:
+        with open("/proc/self/status") as f:
+            return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
+print(json.dumps({
+    "built": dict(built),
+    "seconds": seconds,
+    "max_rss_mb": peak_rss_kb() / 1024,
+    "same_as_stage_by_stage": (b, a_prime) == stage_by_stage(chain, interp, a, 5000),
+    "get_evals": report.total_evals(chain.get_names),
+}))
+"""
+
+
 class TestDeepChains:
     def test_1500_stage_chain_composes(self):
         start = time.perf_counter()
@@ -185,6 +234,20 @@ class TestDeepChains:
         b, a_prime, _ = optic_exec(optic, a, interp)
         assert (b, a_prime) == stage_by_stage(chain, interp, a, 1500)
 
+    def test_5000_stage_chain_composes_and_runs_in_linear_space(self):
+        # a fresh interpreter, so the max RSS is this chain's alone
+        src = Path(cartoptics.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+        p = subprocess.run(
+            [sys.executable, "-c", LINEAR_SPACE_CHILD], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert p.returncode == 0, p.stderr
+        got = json.loads(p.stdout)
+        assert got["same_as_stage_by_stage"] and got["get_evals"] == 5000
+        assert got["built"] == {}  # composing and running build no Seq or Ten node
+        assert got["max_rss_mb"] < 100
+        assert got["seconds"] < 10.0
+
     def test_separate_builds_are_one_representative(self):
         chain = build_chain(1500, "finite", seed=3)
         o1, o2 = (compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2))
@@ -196,6 +259,49 @@ class TestDeepChains:
         cell = vcompose(identity_cell(o1), identity_cell(o2))
         assert cell.src is o1 and cell.tgt is o2
         assert compose_chain(chain.lenses) == compose_chain(chain.lenses)
+
+
+class TestStagesAgainstEagerComposition:
+    """A composite keeps blocks of stages; built, its passes are the eagerly wrapped terms."""
+
+    def chains(self, sig, seed, count=60):
+        """(rng, composite, the eager oracle's optic), with sub-chains composed each way."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            chain = random_optic_chain(rng, sig, rng.randint(1, 5))
+            yield (
+                rng,
+                compose_optic_chain(composed_parts(chain, compose_optic_chain)),
+                eager_compose(composed_parts(chain, eager_compose)),
+            )
+
+    def test_built_passes_are_the_eager_terms(self, sig):
+        for _, o, want in self.chains(sig, 81):
+            assert (o.residual, o.dom_pair, o.cod_pair) == (want.residual, want.dom_pair, want.cod_pair)
+            assert (o.forward, o.backward) == (want.forward, want.backward)
+            assert (str(o.forward), str(o.backward)) == (str(want.forward), str(want.backward))
+            assert o.forward.dom == want.forward.dom and o.backward.cod == want.backward.cod
+
+    def test_equality_hash_pickle_and_deepcopy_agree_with_the_eager_optic(self, sig):
+        for _, o, want in self.chains(sig, 82):
+            assert o == want and want == o and hash(o) == hash(want)
+            assert repr(o) == repr(want)
+            for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o)):
+                assert twin == o and hash(twin) == hash(o)
+            twin = copy.deepcopy(o)
+            assert twin.forward is o.forward and twin.backward is o.backward
+
+    def test_execution_counts_as_the_eager_terms_evaluate(self, sig, interp):
+        for rng, o, want in self.chains(sig, 83):
+            a = random_values(rng, want.dom_pair[0])
+            resp = random_values(rng, want.cod_pair[1])
+            b, a_prime, got = optic_exec(o, a, interp, env=lambda _b: resp)
+            report = CostReport()
+            out = evaluate(want.forward, a, interp, report)
+            m = len(want.residual)
+            assert (b, a_prime) == (out[m:], evaluate(want.backward, out[:m] + resp, interp, report))
+            assert list(got.generator_counts.items()) == list(report.generator_counts.items())
+            assert (got.copies, got.peak_residual_slots) == (report.copies, m)
 
 
 class TestCompositionSemantics:

@@ -12,6 +12,10 @@ Every case runs in a fresh interpreter:
   and occurrences as `chain N`, but no subterm of the term is reached twice,
   so the walk that keeps the outputs of shared subterms finds none to keep
   (its worst case);
+- `compose N` (N = 64, 256, 1000): `compose_chain` of the N stages of
+  `build_chain(N, "finite", seed=0)`, `compose_optic_chain` of their
+  reified optics, and the first `optic_exec` of each fresh optic composite,
+  on `chain_input(chain, 0)`;
 - `exec N` (N = 64, 256): `lens_exec` of the lens composite, `optic_exec`
   of the optic chain and `evaluate_dag` of the shared round trip of
   `build_chain(N, "finite", seed=0)`, on `chain_input(chain, 0)`;
@@ -58,7 +62,9 @@ depend on how the matrix products round).  An `exec` case counts each
 strategy's get evaluations, copies and residual slots, and its outputs are
 the three round trips (b, a') on every input of the chain.  The `parse`
 case counts the text's length, and its output is the text of the parsed
-term.
+term.  A `compose` case counts the optic composite's residual wires and
+get evaluations, and its outputs are the text of its two passes; its first
+`optic_exec` is timed alone, each call on a composite made just before it.
 
     python tools/bench.py                            # every case on this checkout's src/
     python tools/bench.py --case chain --case pi0    # a kind stands for all its sizes
@@ -139,6 +145,25 @@ def build_term(kind: str, size: int):
     for _ in range(size):
         t = t >> (C.Copy(a) >> h)
     return t
+
+
+def first_calls(make, call, repeat: int = REPEAT) -> float:
+    """Seconds of `call(make())`, the call alone, on a fresh `make()` for every call.
+
+    The median over `repeat` shots, each of the fewest calls whose own
+    time adds up to MIN_SHOT_S.
+    """
+    seconds = []
+    for _ in range(repeat):
+        total, number = 0.0, 0
+        while total < MIN_SHOT_S:
+            x = make()
+            start = time.perf_counter()
+            call(x)
+            total += time.perf_counter() - start
+            number += 1
+        seconds.append(total / number)
+    return statistics.median(seconds)
 
 
 def term_case(kind: str, size: int) -> dict:
@@ -308,6 +333,27 @@ def exec_case(n: int) -> dict:
     }
 
 
+def compose_case(n: int) -> dict:
+    import cartoptics as C
+
+    chain = C.build_chain(n, "finite", seed=0)
+    interp = C.Interp.from_signature(chain.signature)
+    lenses = list(chain.lenses)
+    optics = [C.reify(l) for l in lenses]
+    a = C.chain_input(chain, 0)
+    optic = C.compose_optic_chain(optics)
+    report = C.optic_exec(optic, a, interp)[2]
+    return {
+        "seconds": {
+            "compose_chain": shots(lambda: C.compose_chain(lenses))[0],
+            "compose_optic_chain": shots(lambda: C.compose_optic_chain(optics))[0],
+            "first_optic_exec": first_calls(lambda: C.compose_optic_chain(optics), lambda o: C.optic_exec(o, a, interp)),
+        },
+        "counts": {"residual": len(optic.residual), "get_evals": report.total_evals(chain.get_names)},
+        "outputs": {"forward": str(optic.forward), "backward": str(optic.backward)},
+    }
+
+
 def parse_case(n: int) -> dict:
     import cartoptics as C
 
@@ -321,6 +367,7 @@ CASES = {
     **{f"chain {n}": lambda n=n: term_case("chain", n) for n in (16, 64, 128, 200, 1000)},
     **{f"copy {k}": lambda k=k: term_case("copy", k) for k in (12, 16, 20, 64)},
     **{f"optic {n}": lambda n=n: term_case("optic", n) for n in (64, 256, 1000)},
+    **{f"compose {n}": lambda n=n: compose_case(n) for n in (64, 256, 1000)},
     **{f"exec {n}": lambda n=n: exec_case(n) for n in (64, 256)},
     "check-laws": check_laws_case,
     "coherence": coherence_case,
