@@ -45,11 +45,9 @@ def _flat(t: Term) -> Term:
 
 
 def _blocks(p: Term | Chain, k: int) -> list[Block]:
-    """A pass as blocks under k more context wires: a chain's own while its term is unbuilt, else its term."""
+    """A pass as blocks under k more context wires: a chain's own, each moved k wires right."""
     if p.__class__ is Chain:
-        if p.built is None:
-            return [Block(k + b.k, b.term) for b in p.blocks] if k else p.blocks
-        p = p.built
+        return [Block(k + b.k, b.term) for b in p.blocks] if k else p.blocks
     return [Block(k, p)]
 
 
@@ -61,18 +59,40 @@ def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
     return rest
 
 
+class _Pass:
+    """A composite's pass as a term, built on first read and then kept on the optic.
+
+    It is stored with `object.__setattr__`, as an optic built from terms
+    stores its own, so every optic keeps its attributes in the same form and
+    later reads find them before this descriptor.  `functools.cached_property`
+    would write through the instance `__dict__`, which gives a composite a
+    dict of its own, slower to read, and takes a lock.
+    """
+
+    def __init__(self, i: int) -> None:
+        self.i = i
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, o: Optic | None, owner: type | None = None) -> Term | _Pass:
+        if o is None:
+            return self
+        t = o.passes[self.i].term
+        object.__setattr__(o, self.name, t)
+        return t
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Optic:
     """An optic; `==`, `hash` and `repr` go by its residual and its two terms.
 
     `passes` is what `optic_exec` runs: (forward, backward) as given to the
     constructor, flattened, or for a composite the `Chain` of each pass,
-    whose term `forward` and `backward` build on first access.
+    whose term `forward` and `backward` build on first access and keep.
     """
 
     residual: Obj
-    forward: Term  # A -> M x B
-    backward: Term  # M x B' -> A'
     passes: tuple[Term | Chain, Term | Chain]
     dom_pair: tuple[Obj, Obj]
     cod_pair: tuple[Obj, Obj]
@@ -81,9 +101,9 @@ class Optic:
         forward, backward = _flat(forward), _flat(backward)
         b = _rest(forward.cod, "forward codomain", residual, "residual")
         b_back = _rest(backward.dom, "backward domain", residual, "residual")
+        self._fill(residual, (forward, backward), (forward.dom, backward.cod), (b, b_back))
         object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "backward", backward)
-        self._fill(residual, (forward, backward), (forward.dom, backward.cod), (b, b_back))
 
     def _fill(self, residual: Obj, passes: tuple, dom_pair: tuple[Obj, Obj], cod_pair: tuple[Obj, Obj]) -> Optic:
         object.__setattr__(self, "residual", residual)
@@ -91,6 +111,9 @@ class Optic:
         object.__setattr__(self, "dom_pair", dom_pair)
         object.__setattr__(self, "cod_pair", cod_pair)
         return self
+
+    forward = _Pass(0)  # A -> M x B
+    backward = _Pass(1)  # M x B' -> A'
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Optic):
@@ -102,24 +125,6 @@ class Optic:
 
     def __repr__(self) -> str:
         return f"Optic(residual={self.residual!r}, forward={self.forward!r}, backward={self.backward!r})"
-
-
-class _Composite(Optic):
-    """An optic made by `compose_optic_chain`, whose passes are `Chain`s.
-
-    Its own class, so that an optic built from terms reads `forward` and
-    `backward` as plain attributes, which the law checks do often.
-    """
-
-    @property
-    def forward(self) -> Term:
-        p = self.passes[0]
-        return p.built or p.term
-
-    @property
-    def backward(self) -> Term:
-        p = self.passes[1]
-        return p.built or p.term
 
 
 def optic_id(pair: tuple[Obj, Obj]) -> Optic:
@@ -155,7 +160,7 @@ def compose_optic_chain(optics: list[Optic]) -> Optic:
         Chain(first.dom_pair[0], forward),
         Chain(m @ last.cod_pair[1], [b for part in reversed(backward) for b in part]),
     )
-    return object.__new__(_Composite)._fill(m, passes, first.dom_pair, last.cod_pair)
+    return object.__new__(Optic)._fill(m, passes, first.dom_pair, last.cod_pair)
 
 
 def optic_normal_eq(o1: Optic, o2: Optic) -> bool:

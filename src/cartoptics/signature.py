@@ -241,9 +241,7 @@ def _parse_carrier(raw: object, where: str) -> Carrier:
 
 
 def _lookup_obj(names: object, key: str, by_name: dict[str, Sort]) -> Obj:
-    if not isinstance(names, list):
-        raise SignatureError(f".{key}: expected a list")
-    for j, n in enumerate(names):
+    for j, n in enumerate(_list(names, "." + key)):
         if not (isinstance(n, str) and n in by_name):
             raise SignatureError(f".{key}[{j}]: unknown sort {n!r}")
     return Obj([by_name[n] for n in names])

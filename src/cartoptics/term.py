@@ -306,16 +306,16 @@ class Chain:
     chain is immutable: a copy, deep or not, is the chain itself.
     """
 
-    __slots__ = ("dom", "blocks", "built")
+    __slots__ = ("dom", "blocks", "_built")
 
     def __init__(self, dom: Obj, blocks: list[Block]):
         self.dom = dom
         self.blocks = blocks
-        self.built: Term | None = None  # the term, once built
+        self._built: Term | None = None  # the term, once built
 
     @property
     def term(self) -> Term:
-        t = self.built
+        t = self._built
         if t is None:
             # composition checked every boundary, so each node is given its own,
             # and a wrapped stage's domain is the previous stage's codomain object
@@ -336,7 +336,7 @@ class Chain:
                         s = _node(Ten, left, s, x, left.cod @ s.cod)
                     t = s if t is None else _node(Seq, t, s, self.dom, s.cod)
                     x = s.cod
-            t = self.built = Id(self.dom) if t is None else t
+            t = self._built = Id(self.dom) if t is None else t
         return t
 
     def __deepcopy__(self, memo: dict | None = None) -> "Chain":

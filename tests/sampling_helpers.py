@@ -157,7 +157,7 @@ def composed_parts(chain: list, compose) -> list[Optic]:
         if isinstance(x, Sub):
             o = compose(composed_parts(x.parts, compose))
             if x.built:
-                o.forward, o.backward  # composed later with its built terms as its passes
+                o.forward, o.backward  # composed again after its terms are built
             x = o
         out.append(x)
     return out
