@@ -3,20 +3,21 @@
 An optic between boundary pairs (A, A') -> (B, B') is a residual object M
 with terms forward: A -> M x B and backward: M x B' -> A'.  Optics are
 representatives, not equivalence classes, but composition is still strictly
-associative and unital on the nose.  An optic built from terms keeps them as
-flat stage chains (left-nested, identity stages dropped).  A composite keeps
-each pass as a `term.Chain` of blocks: the pass of each optic in the chain
-with the count of residual wires before it, which it runs beside.
-`compose_optic_chain` concatenates the optics' blocks in one pass, adding
-the residual wires before each optic to its blocks' counts, forward passes in
-chain order and backward passes in reverse; it builds no term.  `forward`
-and `backward` build a composite's terms on first access: each stage wrapped
-in an identity context holding the residuals of the optics before it
-(coalescing with any identity context the stage already has).  The executor
-runs the passes the optic stores and materializes the residual between them,
-trading memory for the recomputation a lens chain would do.  It is the one
-executor of both packagings: a lens runs as its reified optic, whose
-residual is its input.
+associative and unital on the nose.  `term.chain_term` builds every pass
+as a flat stage chain (left-nested, identity stages dropped): the terms an
+optic is built from, kept whole if already flat, and a composite's passes.
+A composite keeps each pass as a `term.Chain` of blocks, plain data: the
+pass of each optic in the chain with the count of residual wires before it,
+which it runs beside.  `compose_optic_chain` concatenates the optics' blocks
+in one pass, adding the residual wires before each optic to its blocks'
+counts, forward passes in chain order and backward passes in reverse; it
+builds no term.  `forward` and `backward` build a composite's terms on first
+access: each stage wrapped in an identity context holding the residuals of
+the optics before it (coalescing with any identity context the stage
+already has).  The executor runs the passes the optic stores and
+materializes the residual between them, trading memory for the
+recomputation a lens chain would do.  It is the one executor of both
+packagings: a lens runs as its reified optic, whose residual is its input.
 """
 
 from __future__ import annotations
@@ -27,21 +28,7 @@ from typing import Callable
 from .interp import CostReport, Interp, check_identity_env, check_values, evaluate, obj_bytes
 from .normal import normal_eq
 from .signature import Obj, UNIT
-from .term import Block, Chain, Copy, Id, Seq, Swap, Ten, Term, TermTypeError, _chain, _stages
-
-
-def _flat(t: Term) -> Term:
-    """t as a flat chain: t itself if it already is one, else rebuilt from its stages.
-
-    A flat chain is a left-nested `Seq` whose stages are neither `Seq` nor
-    `Id`, a single such stage, or a lone `Id`.
-    """
-    s = t
-    while isinstance(s, Seq) and not isinstance(s.right, (Seq, Id)):
-        s = s.left
-    if isinstance(s, Seq) or (isinstance(s, Id) and s is not t):
-        return _chain(_stages(t), t.dom)
-    return t
+from .term import Block, Chain, Copy, Id, Swap, Ten, Term, TermTypeError, chain_term
 
 
 def _blocks(p: Term | Chain, k: int) -> list[Block]:
@@ -60,7 +47,7 @@ def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
 
 
 class _Pass:
-    """A composite's pass as a term, built on first read and then kept on the optic.
+    """A composite's pass as a term: `chain_term` of its `Chain`, built on first read and kept on the optic.
 
     It is stored with `object.__setattr__`, as an optic built from terms
     stores its own, so every optic keeps its attributes in the same form and
@@ -78,18 +65,21 @@ class _Pass:
     def __get__(self, o: Optic | None, owner: type | None = None) -> Term | _Pass:
         if o is None:
             return self
-        t = o.passes[self.i].term
+        p = o.passes[self.i]
+        t = chain_term(p.dom, p.blocks)
         object.__setattr__(o, self.name, t)
         return t
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Optic:
-    """An optic; `==`, `hash` and `repr` go by its residual and its two terms.
+    """An optic; `==` and `repr` go by its residual and its two terms.
 
     `passes` is what `optic_exec` runs: (forward, backward) as given to the
     constructor, flattened, or for a composite the `Chain` of each pass,
     whose term `forward` and `backward` build on first access and keep.
+    `hash` reads the residual and the boundary pairs, which equal optics
+    share, so it builds no term; neither does `==` of an optic with itself.
     """
 
     residual: Obj
@@ -98,7 +88,9 @@ class Optic:
     cod_pair: tuple[Obj, Obj]
 
     def __init__(self, residual: Obj, forward: Term, backward: Term) -> None:
-        forward, backward = _flat(forward), _flat(backward)
+        # each as one block, a plain (k, term) pair: a `Block` would cost a Python-level `__new__`
+        forward = chain_term(forward.dom, [(0, forward)])
+        backward = chain_term(backward.dom, [(0, backward)])
         b = _rest(forward.cod, "forward codomain", residual, "residual")
         b_back = _rest(backward.dom, "backward domain", residual, "residual")
         self._fill(residual, (forward, backward), (forward.dom, backward.cod), (b, b_back))
@@ -116,12 +108,14 @@ class Optic:
     backward = _Pass(1)  # M x B' -> A'
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Optic):
             return NotImplemented
         return (self.residual, self.forward, self.backward) == (other.residual, other.forward, other.backward)
 
     def __hash__(self) -> int:
-        return hash((self.residual, self.forward, self.backward))
+        return hash((self.residual, self.dom_pair, self.cod_pair))  # equal optics share all three
 
     def __repr__(self) -> str:
         return f"Optic(residual={self.residual!r}, forward={self.forward!r}, backward={self.backward!r})"

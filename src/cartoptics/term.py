@@ -14,7 +14,6 @@ the textual syntax `f ; g` and `f * g` accepted by the expression parser.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .signature import RESERVED, Generator, Obj, UNIT
@@ -283,11 +282,6 @@ def _node(kind: type, left: Term, right: Term, dom: Obj, cod: Obj) -> Term:
     return t
 
 
-def _chain(stages: list[Term], dom: Obj) -> Term:
-    """Left-nested chain of stages (identity on dom if there are none)."""
-    return reduce(Seq, stages) if stages else Id(dom)
-
-
 class Block(NamedTuple):
     """A sequential composite run under an identity context on the first k wires of its input."""
 
@@ -295,57 +289,49 @@ class Block(NamedTuple):
     term: Term
 
 
-class Chain:
-    """A left-nested sequential composite kept as a list of blocks.
+class Chain(NamedTuple):
+    """A left-nested sequential composite kept as a list of blocks: `run` walks it, `chain_term` builds it."""
+
+    dom: Obj
+    blocks: list[Block]
+
+
+def chain_term(dom: Obj, blocks: list[Block]) -> Term:
+    """The flat chain of the stages of blocks: a left-nested `Seq`, `Id(dom)` if there are none.
 
     Built, the stages of a block with k > 0 each go under the identity on
     the first k sorts of their input, c: a stage s becomes `Ten(Id(c), s)`,
-    or `Ten(Id(c @ d), r)` if s is `Ten(Id(d), r)`.  `run` walks the blocks
-    without building that; `term` builds it once, on first access, as the
-    left-nested `Seq` of all the stages (`Id(dom)` if there are none).  A
-    chain is immutable: a copy, deep or not, is the chain itself.
+    or `Ten(Id(c @ d), r)` if s is `Ten(Id(d), r)`.  A leading block with
+    k = 0 is kept whole if it is already flat: a left-nested `Seq` whose
+    stages are neither `Seq` nor `Id`, a single such stage, or a lone `Id`,
+    which gives way to the first stage after it.
     """
-
-    __slots__ = ("dom", "blocks", "_built")
-
-    def __init__(self, dom: Obj, blocks: list[Block]):
-        self.dom = dom
-        self.blocks = blocks
-        self._built: Term | None = None  # the term, once built
-
-    @property
-    def term(self) -> Term:
-        t = self._built
-        if t is None:
-            # composition checked every boundary, so each node is given its own,
-            # and a wrapped stage's domain is the previous stage's codomain object
-            x = self.dom
-            for k, block in self.blocks:
-                if not k and t is None:  # a leading block's term is a flat chain: kept whole
-                    if block.__class__ is not Id:
-                        t, x = block, block.cod
+    # the blocks' terms are well-typed and fit end to end, so each node is given its
+    # own boundary, and a wrapped stage's domain is the previous stage's codomain object
+    t = None  # the chain so far
+    x = dom
+    for k, block in blocks:
+        if t is None or t.__class__ is Id:  # no stage yet
+            if not k:
+                s = block
+                while s.__class__ is Seq and s.right.__class__ is not Seq and s.right.__class__ is not Id:
+                    s = s.left
+                if s.__class__ is not Seq and (s.__class__ is not Id or s is block):
+                    t, x = block, block.cod
                     continue
-                if k:
-                    c = x[:k]  # the stages of a block leave its context as it is
-                    ctx = Id(c)
-                for s in _stages(block):
-                    if k:
-                        left = ctx
-                        if s.__class__ is Ten and s.left.__class__ is Id:
-                            left, s = Id(c @ s.left.obj), s.right
-                        s = _node(Ten, left, s, x, left.cod @ s.cod)
-                    t = s if t is None else _node(Seq, t, s, self.dom, s.cod)
-                    x = s.cod
-            t = self._built = Id(self.dom) if t is None else t
-        return t
-
-    def __deepcopy__(self, memo: dict | None = None) -> "Chain":
-        return self
-
-    __copy__ = __deepcopy__
-
-    def __reduce__(self):
-        return Chain, (self.dom, self.blocks)
+            t = None  # a kept lone Id gives way to the stages after it
+        if k:
+            c = x[:k]  # the stages of a block leave its context as it is
+            ctx = Id(c)
+        for s in _stages(block):
+            if k:
+                left = ctx
+                if s.__class__ is Ten and s.left.__class__ is Id:
+                    left, s = Id(c @ s.left.obj), s.right
+                s = _node(Ten, left, s, x, left.cod @ s.cod)
+            t = s if t is None else _node(Seq, t, s, dom, s.cod)
+            x = s.cod
+    return Id(dom) if t is None else t
 
 
 # --- running ----------------------------------------------------------------

@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .interp import Interp, Runner, first_disagreement
+from .interp import EnumerationCapError, Interp, Runner, first_disagreement
 from .normal import CanonicalForm, Ref, UniqueTable, read_back, run_form
 from .optic import Optic, optic_compose
 from .signature import FiniteCarrier, Obj, Signature, Sort
@@ -136,16 +136,21 @@ def _rejected_side(
 def _cross_check(
     src: Optic, tgt: Optic, witness: Term | CanonicalForm, rejected: str | None, interp: Interp | None
 ) -> tuple | None:
-    """Evaluate the squares up to the rejected one on every input, where their domain is finite.
+    """Evaluate the squares up to the rejected one on every input, where their inputs can be listed.
 
-    An input that separates an accepted square is a normalizer bug.  Returns
-    the first input that separates the rejected square, if any.
+    A square's inputs can be listed when its domain is finite and within
+    `TUPLE_CAP` tuples; the normal forms alone decide the others.  An input
+    that separates an accepted square is a normalizer bug.  Returns the
+    first input that separates the rejected square, if any.
     """
     for side in ("forward", "backward"):
         dom = (src.forward if side == "forward" else src.backward).dom
         example = None
         if interp is not None and all(isinstance(s.carrier, FiniteCarrier) for s in dom):
-            example = first_disagreement(dom, *_square_sides(src, tgt, side, witness), interp)
+            try:
+                example = first_disagreement(dom, *_square_sides(src, tgt, side, witness), interp)
+            except EnumerationCapError:
+                pass
         if side == rejected:
             return example
         if example is not None:
@@ -159,7 +164,7 @@ def mk_two_cell(src: Optic, tgt: Optic, witness: Term | CanonicalForm, interp: I
     The witness is a term, or a canonical form, which runs row by row.  Both
     squares are decided in one unique table over A, M1 and B'.  The error
     names the failing square and, under a finite interpretation, an input
-    that separates its sides.
+    that separates its sides, if the square's inputs can be listed.
     """
     check_boundaries(src, tgt, witness)
     na = len(src.forward.dom)

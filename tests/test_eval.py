@@ -31,7 +31,6 @@ from cartoptics import (
     evaluate_dag,
     extensional_counterexample,
     graph,
-    identity_cell,
     load_signature,
     reify,
     share,
@@ -257,12 +256,10 @@ class TestExtensionalErrors:
         assert calls == []
 
     def test_over_cap_message_of_a_long_chain_is_short(self):
-        # the 1501 sorts and 452-digit count of this square were spelled out in 11,392 characters
+        # the 1501 sorts and 452-digit count of this backward domain were spelled out in 11,392 characters
         chain = build_chain(1500, "finite", seed=0)
         optic = compose_optic_chain([reify(lens) for lens in chain.lenses])
-        got = self.message(
-            EnumerationCapError, lambda: identity_cell(optic, Interp.from_signature(chain.signature))
-        )
+        got = self.message(EnumerationCapError, lambda: enumerate_inputs(optic.backward.dom))
         assert got == "about 10^451.8 input tuples for 1501 sorts (X0 ... X1500) exceeds the cap of 1000000"
         assert len(got) < 300
 

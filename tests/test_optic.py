@@ -23,6 +23,7 @@ from cartoptics import (
     Optic,
     Proj1,
     Proj2,
+    Seq,
     Swap,
     Ten,
     TermTypeError,
@@ -44,8 +45,8 @@ from cartoptics import (
     identity_cell,
     vcompose,
 )
-from cartoptics.optic import _chain, _stages
 from cartoptics.sampling import random_obj, random_optic
+from sampling_helpers import _eager_chain as _chain, _eager_stages as _stages
 from sampling_helpers import composed_parts, eager_compose, loop_term, random_optic_chain, random_values, stage_by_stage
 
 
@@ -58,6 +59,25 @@ def response_term(optic):
         >> Ten(Swap(m, b_obj), Id(b_back))
         >> Ten(Id(b_obj), optic.backward)
     )
+
+
+def assert_checked_boundaries(t):
+    """Each Seq and Ten node of t has the boundary its checked constructor gives its two children."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (Seq, Ten)):
+            checked = type(t)(t.left, t.right)
+            assert (t.dom, t.cod) == (checked.dom, checked.cod), t
+            todo += (t.left, t.right)
+
+
+def nested(t):
+    """The stages of t right-nested and ending in an identity stage: a pass `Optic` must rebuild."""
+    out = Id(t.cod)
+    for s in reversed(_stages(t)):
+        out = s >> out
+    return out
 
 
 def _composable_pair(rng, sig, identity_env=False):
@@ -220,6 +240,31 @@ print(json.dumps({
 """
 
 
+# Hashes two separately built composites of 1500 reified stages and compares
+# one with itself, counting every Seq and Ten node made meanwhile.
+HASH_CHILD = """
+import collections, json
+from cartoptics import build_chain, compose_optic_chain, reify
+from cartoptics.term import Seq, Ten
+
+chain = build_chain(1500, "finite", seed=3)
+o1, o2 = (compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2))
+built = collections.Counter()
+for kind in (Seq, Ten):
+    kind.__new__ = lambda cls, *args, **kwargs: built.update([cls.__name__]) or object.__new__(cls)
+print(json.dumps({"same_hash": hash(o1) == hash(o2), "self_equal": o1 == o1, "built": dict(built)}))
+"""
+
+
+def run_child(script: str) -> dict:
+    """The JSON a script prints, run in a fresh interpreter with the package and the test helpers on its path."""
+    src = Path(cartoptics.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    p = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout)
+
+
 class TestDeepChains:
     def test_1500_stage_chain_composes(self):
         start = time.perf_counter()
@@ -236,13 +281,7 @@ class TestDeepChains:
 
     def test_5000_stage_chain_composes_and_runs_in_linear_space(self):
         # a fresh interpreter, so the max RSS is this chain's alone
-        src = Path(cartoptics.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
-        p = subprocess.run(
-            [sys.executable, "-c", LINEAR_SPACE_CHILD], env=env, capture_output=True, text=True, timeout=300
-        )
-        assert p.returncode == 0, p.stderr
-        got = json.loads(p.stdout)
+        got = run_child(LINEAR_SPACE_CHILD)
         assert got["same_as_stage_by_stage"] and got["get_evals"] == 5000
         assert got["built"] == {}  # composing and running build no Seq or Ten node
         assert got["max_rss_mb"] < 100
@@ -259,6 +298,10 @@ class TestDeepChains:
         cell = vcompose(identity_cell(o1), identity_cell(o2))
         assert cell.src is o1 and cell.tgt is o2
         assert compose_chain(chain.lenses) == compose_chain(chain.lenses)
+
+    def test_hash_and_self_equality_build_no_term(self):
+        # a fresh interpreter, so no node made elsewhere is counted
+        assert run_child(HASH_CHILD) == {"same_hash": True, "self_equal": True, "built": {}}
 
 
 class TestStagesAgainstEagerComposition:
@@ -290,6 +333,23 @@ class TestStagesAgainstEagerComposition:
                 assert twin == o and hash(twin) == hash(o)
             twin = copy.deepcopy(o)
             assert twin.forward is o.forward and twin.backward is o.backward
+
+    def test_every_built_node_has_its_checked_boundary(self, sig):
+        # passes are built with unchecked nodes, and `==` ignores boundaries
+        for _, o, want in self.chains(sig, 84):
+            rebuilt = Optic(o.residual, nested(o.forward), nested(o.backward))
+            assert rebuilt == o == want
+            for t in (o.forward, o.backward, rebuilt.forward, rebuilt.backward):
+                assert_checked_boundaries(t)
+
+    def test_pickle_and_deepcopy_before_building_agree_with_the_eager_optic(self, sig):
+        for _, o, want in self.chains(sig, 85):
+            assert "forward" not in vars(o) and "backward" not in vars(o)
+            for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o)):
+                assert twin == want and hash(twin) == hash(want)
+                assert (str(twin.forward), str(twin.backward)) == (str(want.forward), str(want.backward))
+                assert_checked_boundaries(twin.forward)
+                assert_checked_boundaries(twin.backward)
 
     def test_execution_counts_as_the_eager_terms_evaluate(self, sig, interp):
         for rng, o, want in self.chains(sig, 83):

@@ -197,6 +197,23 @@ class TestDeepComponents:
         assert time.perf_counter() - start < 5.0
 
 
+    @pytest.mark.parametrize("n", [20, 1500])
+    def test_identity_cell_of_a_long_chain_under_an_interpretation(self, n):
+        # the backward square's 2**(n+1) inputs are over the cap: the normal forms decide it alone
+        chain = build_chain(n, "finite", seed=0)
+        o = compose_optic_chain([reify(l) for l in chain.lenses])
+        assert identity_cell(o, Interp.from_signature(chain.signature)).witness == Id(o.residual)
+
+    def test_a_wrong_witness_over_the_cap_has_no_counterexample(self):
+        chain = build_chain(20, "finite", seed=0)
+        optics = [reify(l) for l in chain.lenses]
+        last = optics[-1]
+        other = Optic(last.residual, last.forward, Proj1(last.residual, last.cod_pair[1]))
+        src, tgt = compose_optic_chain(optics), compose_optic_chain([*optics[:-1], other])
+        with pytest.raises(TwoCellError) as info:
+            mk_two_cell(src, tgt, Id(src.residual), Interp.from_signature(chain.signature))
+        assert info.value.side == "backward" and info.value.counterexample is None
+
     def test_1000_stage_packagings_are_decided(self):
         # four packagings of one chain; the bounded search needed depth 4 at 5 stages
         chain = build_chain(1000, "finite", seed=0)

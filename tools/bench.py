@@ -14,8 +14,10 @@ Every case runs in a fresh interpreter:
   (its worst case);
 - `compose N` (N = 64, 256, 1000): `compose_chain` of the N stages of
   `build_chain(N, "finite", seed=0)`, `compose_optic_chain` of their
-  reified optics, and the first `optic_exec` of each fresh optic composite,
-  on `chain_input(chain, 0)`;
+  reified optics, the first `optic_exec` of each fresh optic composite, on
+  `chain_input(chain, 0)`, the first read of its `forward` and `backward`,
+  which builds them, and the body of `reify` on the lens composite, its
+  `Optic(dom, graph(get), put)`, which rebuilds the put as a flat chain;
 - `exec N` (N = 64, 256): `lens_exec` of the lens composite, `optic_exec`
   of the optic chain and `evaluate_dag` of the shared round trip of
   `build_chain(N, "finite", seed=0)`, on `chain_input(chain, 0)`;
@@ -64,7 +66,8 @@ the three round trips (b, a') on every input of the chain.  The `parse`
 case counts the text's length, and its output is the text of the parsed
 term.  A `compose` case counts the optic composite's residual wires and
 get evaluations, and its outputs are the text of its two passes; its first
-`optic_exec` is timed alone, each call on a composite made just before it.
+`optic_exec` and its first read of the passes are each timed alone, each
+call on a composite made just before it.
 
     python tools/bench.py                            # every case on this checkout's src/
     python tools/bench.py --case chain --case pi0    # a kind stands for all its sizes
@@ -342,12 +345,15 @@ def compose_case(n: int) -> dict:
     optics = [C.reify(l) for l in lenses]
     a = C.chain_input(chain, 0)
     optic = C.compose_optic_chain(optics)
+    lens = C.compose_chain(lenses)
     report = C.optic_exec(optic, a, interp)[2]
     return {
         "seconds": {
             "compose_chain": shots(lambda: C.compose_chain(lenses))[0],
             "compose_optic_chain": shots(lambda: C.compose_optic_chain(optics))[0],
             "first_optic_exec": first_calls(lambda: C.compose_optic_chain(optics), lambda o: C.optic_exec(o, a, interp)),
+            "first_passes": first_calls(lambda: C.compose_optic_chain(optics), lambda o: (o.forward, o.backward)),
+            "reify_body": shots(lambda: C.Optic(lens.dom_pair[0], C.graph(lens.get), lens.put))[0],
         },
         "counts": {"residual": len(optic.residual), "get_evals": report.total_evals(chain.get_names)},
         "outputs": {"forward": str(optic.forward), "backward": str(optic.backward)},
