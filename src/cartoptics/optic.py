@@ -14,10 +14,14 @@ counts, forward passes in chain order and backward passes in reverse; it
 builds no term.  `forward` and `backward` build a composite's terms on first
 access: each stage wrapped in an identity context holding the residuals of
 the optics before it (coalescing with any identity context the stage
-already has).  The executor runs the passes the optic stores and
-materializes the residual between them, trading memory for the
-recomputation a lens chain would do.  It is the one executor of both
-packagings: a lens runs as its reified optic, whose residual is its input.
+already has).  Only printing and the terms made from an optic (`erase`, the
+counit's witness, `round_trip_term`) read them.  Whatever runs or compares
+optics takes the passes the optic stores: `optic_exec`, `optic_normal_eq`,
+`==` while the passes are equal, and every cell check in `twocell`.  The
+executor runs those passes and materializes the residual between them,
+trading memory for the recomputation a lens chain would do.  It is the one
+executor of both packagings: a lens runs as its reified optic, whose
+residual is its input.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .interp import CostReport, Interp, check_identity_env, check_values, evaluate, obj_bytes
-from .normal import normal_eq
+from .normal import UniqueTable
 from .signature import Obj, UNIT
 from .term import Block, Chain, Copy, Id, Swap, Ten, Term, TermTypeError, chain_term
 
@@ -75,11 +79,14 @@ class _Pass:
 class Optic:
     """An optic; `==` and `repr` go by its residual and its two terms.
 
-    `passes` is what `optic_exec` runs: (forward, backward) as given to the
-    constructor, flattened, or for a composite the `Chain` of each pass,
-    whose term `forward` and `backward` build on first access and keep.
-    `hash` reads the residual and the boundary pairs, which equal optics
-    share, so it builds no term; neither does `==` of an optic with itself.
+    `passes` is what `optic_exec` runs and cells are checked on:
+    (forward, backward) as given to the constructor, flattened, or for a
+    composite the `Chain` of each pass, whose term `forward` and `backward`
+    build on first access and keep.  `hash` reads the residual and the
+    boundary pairs, which equal optics share, so it builds no term.  `==`
+    builds none while the stored passes are equal, as two bracketings of one
+    chain's are; only passes of different forms, such as a composite's and
+    those of an optic built from its terms, are compared as built terms.
     """
 
     residual: Obj
@@ -112,7 +119,11 @@ class Optic:
             return True
         if not isinstance(other, Optic):
             return NotImplemented
-        return (self.residual, self.forward, self.backward) == (other.residual, other.forward, other.backward)
+        if self.residual != other.residual:
+            return False
+        if self.passes == other.passes:  # `chain_term` builds a chain's term from its dom and blocks alone
+            return True
+        return (self.forward, self.backward) == (other.forward, other.backward)
 
     def __hash__(self) -> int:
         return hash((self.residual, self.dom_pair, self.cod_pair))  # equal optics share all three
@@ -158,12 +169,18 @@ def compose_optic_chain(optics: list[Optic]) -> Optic:
 
 
 def optic_normal_eq(o1: Optic, o2: Optic) -> bool:
-    """Same residual object and componentwise equal up to normalization."""
-    return (
-        o1.residual == o2.residual
-        and normal_eq(o1.forward, o2.forward)
-        and normal_eq(o1.backward, o2.backward)
-    )
+    """Same residual and boundary pairs, and each pass equal up to normalization.
+
+    Each pair of stored passes is pushed through one unique table, as
+    `normal_eq` pushes two terms, so a composite's terms are not built.
+    """
+    if (o1.residual, o1.dom_pair, o1.cod_pair) != (o2.residual, o2.dom_pair, o2.cod_pair):
+        return False
+    for p, q in zip(o1.passes, o2.passes):
+        table = UniqueTable(len(p.dom))
+        if table.push(p, table.inputs) != table.push(q, table.inputs):
+            return False
+    return True
 
 
 def optic_exec(

@@ -14,7 +14,9 @@ which runs row by row, each row once.  When a finite interpretation is given
 every accepted square is cross-checked by exhaustive evaluation.
 `mk_two_cell` (and so `cartoptics check-cell`) reports a rejected square
 together with a concrete separating input when one exists under that
-interpretation.
+interpretation.  Both the table and the cross-check take the passes an
+optic stores (`Optic.passes`): a composite's are pushed and run as its
+`term.Chain`s, so no cell check and no search builds its terms.
 
 `search_cells` decides every cell between the optics of a family exactly,
 with no candidate enumeration.  Cells preserve erasure, so only ordered
@@ -50,7 +52,7 @@ from .interp import EnumerationCapError, Interp, Runner, first_disagreement
 from .normal import CanonicalForm, Ref, UniqueTable, read_back, run_form
 from .optic import Optic, optic_compose
 from .signature import FiniteCarrier, Obj, Signature, Sort
-from .term import Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
+from .term import Chain, Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
 
 
 class TwoCellError(ValueError):
@@ -100,22 +102,23 @@ def _push(witness: Term | CanonicalForm, xs: tuple, apply) -> tuple:
 def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
     """The left and right side of one square, as runners `(xs, apply) -> outputs`."""
     k = len(src.residual)
+    (fw1, bw1), (fw2, bw2) = src.passes, tgt.passes
     if side == "forward":
 
         def left(xs: tuple, apply) -> tuple:
-            ys = run(src.forward, xs, apply)
+            ys = run(fw1, xs, apply)
             return _push(witness, ys[:k], apply) + ys[k:]
 
-        return left, lambda xs, apply: run(tgt.forward, xs, apply)
+        return left, lambda xs, apply: run(fw2, xs, apply)
 
     def left(xs: tuple, apply) -> tuple:
-        return run(tgt.backward, _push(witness, xs[:k], apply) + xs[k:], apply)
+        return run(bw2, _push(witness, xs[:k], apply) + xs[k:], apply)
 
-    return left, lambda xs, apply: run(src.backward, xs, apply)
+    return left, lambda xs, apply: run(bw1, xs, apply)
 
 
 def _rejected_side(
-    table: UniqueTable, fw1: tuple, fw2: tuple, bw1: Callable[[], tuple], ins: tuple, bw2: Term, witness
+    table: UniqueTable, fw1: tuple, fw2: tuple, bw1: Callable[[], tuple], ins: tuple, bw2: Term | Chain, witness
 ) -> str | None:
     """The first square the normalizer rejects, or None if both commute.
 
@@ -143,8 +146,8 @@ def _cross_check(
     that separates an accepted square is a normalizer bug.  Returns the
     first input that separates the rejected square, if any.
     """
-    for side in ("forward", "backward"):
-        dom = (src.forward if side == "forward" else src.backward).dom
+    for side, p in zip(("forward", "backward"), src.passes):
+        dom = p.dom
         example = None
         if interp is not None and all(isinstance(s.carrier, FiniteCarrier) for s in dom):
             try:
@@ -167,11 +170,12 @@ def mk_two_cell(src: Optic, tgt: Optic, witness: Term | CanonicalForm, interp: I
     that separates its sides, if the square's inputs can be listed.
     """
     check_boundaries(src, tgt, witness)
-    na = len(src.forward.dom)
-    table = UniqueTable(na + len(src.backward.dom))
+    (fw1, bw1), (fw2, bw2) = src.passes, tgt.passes
+    na = len(fw1.dom)
+    table = UniqueTable(na + len(bw1.dom))
     a, ins = table.inputs[:na], table.inputs[na:]
-    fw1, fw2 = table.push(src.forward, a), table.push(tgt.forward, a)
-    side = _rejected_side(table, fw1, fw2, lambda: table.push(src.backward, ins), ins, tgt.backward, witness)
+    refs1, refs2 = table.push(fw1, a), table.push(fw2, a)
+    side = _rejected_side(table, refs1, refs2, lambda: table.push(bw1, ins), ins, bw2, witness)
     example = _cross_check(src, tgt, witness, side, interp)
     if side is not None:
         raise TwoCellError(
@@ -313,11 +317,12 @@ class _Passes:
         self.starts, self.fw, self.bw, self.fibre = [], [], [], []
         start = na + nb
         for o, k in zip(optics, self.sizes):
-            fw = table.push(o.forward, table.inputs[:na])
+            forward, backward = o.passes
+            fw = table.push(forward, table.inputs[:na])
             self.starts.append(start)
             self.fw.append(fw)
-            self.bw.append(table.push(o.backward, table.inputs[start : start + k] + back))
-            self.fibre.append((fw[k:], table.push(o.backward, fw[:k] + back)))
+            self.bw.append(table.push(backward, table.inputs[start : start + k] + back))
+            self.fibre.append((fw[k:], table.push(backward, fw[:k] + back)))
             start += k
         reads = self.reads_back = []  # per row: does it read B' (which no witness sees)?
         for _, args in table.rows:
@@ -431,7 +436,7 @@ def _first_cell(passes: _Passes, i: int, j: int, interp: Interp | None) -> tuple
     lo = passes.starts[i]
     ins = (*range(lo, lo + passes.sizes[i]), *passes.back)
     side = _rejected_side(
-        passes.table, passes.fw[i], passes.fw[j], lambda: passes.bw[i], ins, tgt.backward, form
+        passes.table, passes.fw[i], passes.fw[j], lambda: passes.bw[i], ins, tgt.passes[1], form
     )
     _cross_check(src, tgt, form, side, interp)
     if side is not None:

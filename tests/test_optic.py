@@ -1,6 +1,7 @@
 """Optics: strict composition of representatives, residual costs, run modes."""
 
 import copy
+import itertools
 import json
 import os
 import pickle
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from functools import reduce
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from cartoptics import (
     evaluate,
     lens_compose,
     lens_normal_eq,
+    normal_eq,
     optic_compose,
     optic_exec,
     optic_id,
@@ -45,7 +48,7 @@ from cartoptics import (
     identity_cell,
     vcompose,
 )
-from cartoptics.sampling import random_obj, random_optic
+from cartoptics.sampling import canon, random_obj, random_optic
 from sampling_helpers import _eager_chain as _chain, _eager_stages as _stages
 from sampling_helpers import composed_parts, eager_compose, loop_term, random_optic_chain, random_values, stage_by_stage
 
@@ -158,17 +161,18 @@ class TestStrictCategoryLaws:
         rng = random.Random(71)
         for _ in range(40):
             o = random_optic(rng, sig)
-            assert optic_compose(optic_id(o.dom_pair), o) == o
-            assert optic_compose(o, optic_id(o.cod_pair)) == o
+            for unit in (optic_compose(optic_id(o.dom_pair), o), optic_compose(o, optic_id(o.cod_pair))):
+                # the built terms as well: they cover `chain_term`, which `==` may not reach
+                assert unit == o and (unit.forward, unit.backward) == (o.forward, o.backward)
 
     def test_associativity_on_the_nose(self, sig):
         rng = random.Random(72)
         for _ in range(40):
             o1, o2 = _composable_pair(rng, sig)
             o3 = random_optic(rng, sig, dom_pair=o2.cod_pair)
-            assert optic_compose(optic_compose(o1, o2), o3) == optic_compose(
-                o1, optic_compose(o2, o3)
-            )
+            left, right = optic_compose(optic_compose(o1, o2), o3), optic_compose(o1, optic_compose(o2, o3))
+            # equal blocks decide `==` alone, so the built terms are compared too
+            assert left == right and (left.forward, left.backward) == (right.forward, right.backward)
 
     def test_residuals_concatenate(self, sig):
         rng = random.Random(73)
@@ -241,7 +245,8 @@ print(json.dumps({
 
 
 # Hashes two separately built composites of 1500 reified stages and compares
-# one with itself, counting every Seq and Ten node made meanwhile.
+# one with itself and with the other, counting every Seq and Ten node made
+# meanwhile: equal blocks decide `==` without building either.
 HASH_CHILD = """
 import collections, json
 from cartoptics import build_chain, compose_optic_chain, reify
@@ -252,7 +257,9 @@ o1, o2 = (compose_optic_chain([reify(l) for l in chain.lenses]) for _ in range(2
 built = collections.Counter()
 for kind in (Seq, Ten):
     kind.__new__ = lambda cls, *args, **kwargs: built.update([cls.__name__]) or object.__new__(cls)
-print(json.dumps({"same_hash": hash(o1) == hash(o2), "self_equal": o1 == o1, "built": dict(built)}))
+print(json.dumps({
+    "same_hash": hash(o1) == hash(o2), "self_equal": o1 == o1, "equal": o1 == o2, "built": dict(built)
+}))
 """
 
 
@@ -301,7 +308,7 @@ class TestDeepChains:
 
     def test_hash_and_self_equality_build_no_term(self):
         # a fresh interpreter, so no node made elsewhere is counted
-        assert run_child(HASH_CHILD) == {"same_hash": True, "self_equal": True, "built": {}}
+        assert run_child(HASH_CHILD) == {"same_hash": True, "self_equal": True, "equal": True, "built": {}}
 
 
 class TestStagesAgainstEagerComposition:
@@ -362,6 +369,48 @@ class TestStagesAgainstEagerComposition:
             assert (b, a_prime) == (out[m:], evaluate(want.backward, out[:m] + resp, interp, report))
             assert list(got.generator_counts.items()) == list(report.generator_counts.items())
             assert (got.copies, got.peak_residual_slots) == (report.copies, m)
+
+
+class TestEqualityOnStoredPasses:
+    """`==` and `optic_normal_eq` read the stored passes; they agree with their definitions on built terms."""
+
+    @staticmethod
+    def family(rng, sig, chain, other):
+        """A composite of the chain, and optics it is or is not equal or normal-equal to."""
+        o = compose_optic_chain(composed_parts(chain, compose_optic_chain))
+        twin = compose_optic_chain(composed_parts(chain, compose_optic_chain))
+        return [
+            o,
+            reduce(optic_compose, composed_parts(chain, compose_optic_chain)),  # equal blocks
+            Optic(twin.residual, twin.forward, twin.backward),  # other passes, equal terms
+            Optic(o.residual, canon(twin.forward), canon(twin.backward)),  # equal normal forms
+            random_optic(rng, sig, o.dom_pair, o.cod_pair),  # another residual
+            other,  # another boundary, most of the time
+        ]
+
+    def test_agree_with_the_built_term_definitions(self, sig):
+        rng = random.Random(86)
+        other = random_optic(rng, sig)
+        seen = Counter()
+        for _ in range(60):
+            family = self.family(rng, sig, random_optic_chain(rng, sig, rng.randint(1, 5)), other)
+            for p, q in itertools.product(family, repeat=2):
+                eq, normal = p == q, optic_normal_eq(p, q)
+                assert eq == ((p.residual, p.forward, p.backward) == (q.residual, q.forward, q.backward))
+                assert normal == (
+                    p.residual == q.residual
+                    and normal_eq(p.forward, q.forward)
+                    and normal_eq(p.backward, q.backward)
+                )
+                seen.update({
+                    "equal passes": p.passes == q.passes,
+                    "equal terms, other passes": eq and p.passes != q.passes,
+                    "normal-equal only": normal and not eq,
+                    "other boundary": p.dom_pair != q.dom_pair or p.cod_pair != q.cod_pair,
+                    "other residual, one boundary": p.residual != q.residual and p.cod_pair == q.cod_pair,
+                })
+            other = family[0]
+        assert all(seen.values()), seen
 
 
 class TestCompositionSemantics:

@@ -27,6 +27,7 @@ def bench():
         ("copy 12", {"dag_nodes": 12, "gen_occurrences": 4095}),
         ("optic 64", {"dag_nodes": 128, "gen_occurrences": 2208}),
         ("coherence", {}),
+        ("coherence real", {}),
         ("pi0", {"n_cells": [14, 14, 14, 14]}),
         ("real", {"rows": [[n, n * (n + 1) // 2, n, n, 1, n, n] for n in range(1, 17)]}),
         ("parse 600", {"text_length": 1703069}),

@@ -28,6 +28,7 @@ from cartoptics import (
     Sort,
     TermTypeError,
     TwoCellError,
+    check_oplax_coherence,
     enumerate_morphisms,
     erase,
     graph,
@@ -39,20 +40,22 @@ from cartoptics import (
     normalize,
     optic_compose,
     optic_id,
+    optic_normal_eq,
     pi0_classes,
     read_back,
     reify,
     search_cells,
     vcompose,
 )
-from cartoptics import compose_chain, compose_optic_chain, twocell
+from cartoptics import compose_chain, compose_optic_chain, term, twocell
+from cartoptics import optic as optic_module
 from cartoptics.cost import build_chain
 from cartoptics.interp import first_disagreement
 from cartoptics.normal import UniqueTable
 from cartoptics.term import gen_wire, pairing, run, select_wire
 from cartoptics.sampling import canon, random_obj, random_optic, random_signature, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
-from sampling_helpers import random_cell_chain, random_composable_cells
+from sampling_helpers import composed_parts, random_cell_chain, random_composable_cells, random_optic_chain
 
 
 @pytest.fixture
@@ -622,3 +625,123 @@ class TestClassesFromEdges:
             if len(set(refs)) == len(refs):
                 assert normal_eq(witnesses[i, j], Id(m))
         assert pi0_classes(sample) == oracle_pi0_classes(sample)
+
+
+def built_copy(o):
+    """The optic built from o's terms: its passes are terms where a composite's are chains."""
+    return Optic(o.residual, o.forward, o.backward)
+
+
+def assert_terms_unbuilt(optics):
+    """No composite among optics has had its terms built: neither is stored on it."""
+    composites = [o for o in optics if isinstance(o.passes[0], term.Chain)]
+    assert composites
+    for o in composites:
+        assert "forward" not in vars(o) and "backward" not in vars(o)
+
+
+class TestCellsReadStoredPasses:
+    """Deciding and checking cells runs a composite's stored chains and builds none of its terms."""
+
+    @pytest.mark.parametrize("kind, n", [("finite", 8), ("real", 5)])
+    def test_oplax_coherence(self, monkeypatch, kind, n):
+        chain = build_chain(n, kind, seed=0)
+        interp = Interp.from_signature(chain.signature)
+        made = []
+
+        def recording(optics):
+            made.append(compose_optic_chain(optics))
+            return made[-1]
+
+        # every composite the laws make comes through `optic_compose`
+        monkeypatch.setattr(optic_module, "compose_optic_chain", recording)
+        for i in range(n - 2):
+            report = check_oplax_coherence(*chain.lenses[i : i + 3], interp)
+            assert report.passed, report.to_json()
+        assert_terms_unbuilt(made)
+
+    def test_search_and_cells_between_composites(self):
+        chain = build_chain(8, "finite", seed=0)
+        interp = Interp.from_signature(chain.signature)
+        for start in range(6):
+            searched = window_packagings(chain.lenses[start : start + 3])
+            sample = search_cells(searched, interp)
+            assert pi0_classes(sample) == [[0, 1, 2, 3]]
+            assert_terms_unbuilt(searched)
+            optics = window_packagings(chain.lenses[start : start + 3])
+            for o in optics:
+                identity_cell(o, interp)
+                identity_cell(o)
+            for c, (i, j, _) in zip(sample.cells, sample.edges):
+                mk_two_cell(optics[i], optics[j], c.witness, interp)
+                mk_two_cell(optics[i], optics[j], read_back(c.witness), interp)
+            # the middle stage's input dropped: the forward square holds, the backward one fails
+            m = optics[3].residual
+            drop_middle = pairing([select_wire(m, 0), select_wire(m, 2)], m)
+            with pytest.raises(TwoCellError, match="backward"):
+                mk_two_cell(optics[3], optics[1], drop_middle, interp)
+            assert_terms_unbuilt(optics)
+
+    def test_optic_equality_and_normal_equality(self):
+        chain = build_chain(8, "finite", seed=0)
+        a, b, c = (compose_optic_chain([reify(l) for l in chain.lenses[i : i + 2]]) for i in (0, 2, 4))
+        left, right = optic_compose(optic_compose(a, b), c), optic_compose(a, optic_compose(b, c))
+        assert left == right and optic_normal_eq(left, right)
+        twins = window_packagings(chain.lenses[:3]), window_packagings(chain.lenses[:3])
+        assert all(optic_normal_eq(o, twin) for o, twin in zip(*twins))
+        assert not optic_normal_eq(twins[0][3], twins[1][1])  # residuals differ
+        assert_terms_unbuilt([a, b, c, left, right, *twins[0], *twins[1]])
+
+
+def cell_outcome(src, tgt, witness, interp):
+    """None if the cell validates, else the rejected side and its counterexample."""
+    try:
+        mk_two_cell(src, tgt, witness, interp)
+    except TwoCellError as err:
+        return err.side, err.counterexample
+    return None
+
+
+class TestCompositesAgainstBuiltCopies:
+    """Searching and checking cells on a composite's chains gives what its built terms give."""
+
+    def assert_same_search(self, optics, copies, interp):
+        got, want = search_cells(optics, interp), search_cells(copies, interp)
+        assert got.edges == want.edges and got.edges
+        assert [c.witness for c in got.cells] == [c.witness for c in want.cells]
+
+    @pytest.mark.parametrize("start", range(6))
+    def test_window_packagings(self, start):
+        chain = build_chain(8, "finite", seed=0)
+        interp = Interp.from_signature(chain.signature)
+        lenses = chain.lenses[start : start + 3]
+        optics = window_packagings(lenses)
+        copies = [built_copy(o) for o in window_packagings(lenses)]
+        for i in (interp, None):
+            self.assert_same_search(optics, copies, i)
+        # every candidate of depth 1 between two packagings, right or wrong
+        rejected = 0
+        for i, j in itertools.permutations(range(4), 2):
+            for r in enumerate_morphisms(chain.signature, optics[i].residual, optics[j].residual, 1):
+                outcome = cell_outcome(optics[i], optics[j], r, interp)
+                assert outcome == cell_outcome(copies[i], copies[j], r, interp)
+                rejected += outcome is not None and outcome[1] is not None
+        assert rejected
+
+    def test_random_composites(self, sig, interp):
+        # contextual stages and nested sub-chains, some built before they are composed
+        rng = random.Random(91)
+        rejected = 0
+        for _ in range(20):
+            pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+            parts = composed_parts(random_optic_chain(rng, sig, rng.randint(2, 3), pair), compose_optic_chain)
+            o = compose_optic_chain(parts)
+            optics = [o, compose_optic_chain([optic_compose(*parts[:2]), *parts[2:]]), reify(erase(o))]
+            copies = [built_copy(x) for x in optics]
+            self.assert_same_search(optics, copies, interp)
+            for i, j in itertools.permutations(range(3), 2):
+                for r in itertools.islice(enumerate_morphisms(sig, optics[i].residual, optics[j].residual, 0), 20):
+                    outcome = cell_outcome(optics[i], optics[j], r, interp)
+                    assert outcome == cell_outcome(copies[i], copies[j], r, interp)
+                    rejected += outcome is not None
+        assert rejected

@@ -26,6 +26,9 @@ Every case runs in a fresh interpreter:
 - `coherence`: `check_oplax_coherence` on the 3-stage windows of
   `build_chain(64, "finite", seed=0)` that start at 0, 8, ..., 56, all
   eight in one shot;
+- `coherence real`: the same on all fourteen 3-stage windows of
+  `build_chain(16, "real", dim=256, seed=0)`, which have no exhaustive
+  cross-check (real carriers);
 - `pi0`: `search_cells` and `pi0_classes` on the optic family of
   `demos/05_connected_components.py`, once for each of the four tables of f;
 - `pi0 1000`: the same with no interpretation on four packagings of
@@ -50,7 +53,7 @@ form normalized earlier) `hash` (of a fresh form) and `gen_occurrences`; it
 counts `len(normalize(t).nodes)` and
 `sum(gen_occurrences(normalize(t)).values())`, and its output is the
 canonical form.  (`share` is `normalize`, so it is not timed apart.)  The output of `check-laws` is its stdout, and that of
-`coherence` every law's checked count and verdict.  A `pi0` case also times
+a `coherence` case every law's checked count and verdict.  A `pi0` case also times
 `search_cells` alone (`search`); it counts the cells per family, and its
 output is, per family, the classes, the number of cells and every cell as
 (source index, target index, witness, count), the witness, a canonical form,
@@ -203,12 +206,12 @@ def check_laws_case() -> dict:
     return {"seconds": {"command": seconds}, "counts": {}, "outputs": {"stdout": stdout}}
 
 
-def coherence_case() -> dict:
+def coherence_case(n: int, kind: str, starts: range, **kw) -> dict:
     import cartoptics as C
 
-    chain = C.build_chain(64, "finite", seed=0)
+    chain = C.build_chain(n, kind, seed=0, **kw)
     interp = C.Interp.from_signature(chain.signature)
-    windows = [chain.lenses[i : i + 3] for i in range(0, 57, 8)]
+    windows = [chain.lenses[i : i + 3] for i in starts]
     seconds, reports = shots(lambda: [C.check_oplax_coherence(*w, interp).to_json() for w in windows])
     return {"seconds": {"shot": seconds}, "counts": {}, "outputs": {"reports": reports}}
 
@@ -376,7 +379,8 @@ CASES = {
     **{f"compose {n}": lambda n=n: compose_case(n) for n in (64, 256, 1000)},
     **{f"exec {n}": lambda n=n: exec_case(n) for n in (64, 256)},
     "check-laws": check_laws_case,
-    "coherence": coherence_case,
+    "coherence": lambda: coherence_case(64, "finite", range(0, 57, 8)),
+    "coherence real": lambda: coherence_case(16, "real", range(14), dim=256),
     "pi0": lambda: pi0_case(demo_families(), REPEAT),
     "pi0 1000": lambda: pi0_case(chain_packagings(1000), 1),
     "real": real_case,
