@@ -27,12 +27,12 @@ def bench():
         ("copy 12", {"dag_nodes": 12, "gen_occurrences": 4095}),
         ("optic 64", {"dag_nodes": 128, "gen_occurrences": 2208}),
         ("coherence", {}),
-        ("coherence real", {}),
         ("pi0", {"n_cells": [14, 14, 14, 14]}),
         ("real", {"rows": [[n, n * (n + 1) // 2, n, n, 1, n, n] for n in range(1, 17)]}),
         ("parse 600", {"text_length": 1703069}),
         ("exec 64", {"lens_exec": [2080, 64, 1], "optic_exec": [64, 64, 64], "evaluate_dag": [64, 0, 0]}),
         ("compose 64", {"residual": 64, "get_evals": 64}),
+        ("coherence real", {}),
     ],
 )
 def test_measure_gives_exact_counts_and_digests(bench, case, counts):
