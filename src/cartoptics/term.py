@@ -13,7 +13,6 @@ the textual syntax `f ; g` and `f * g` accepted by the expression parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .signature import RESERVED, Generator, Obj, UNIT
@@ -31,18 +30,27 @@ class TermTypeError(TypeError):
         self.actual = actual
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Term:
-    """Base of the nine term classes; each sets dom/cod in its `__post_init__`.
+    """Base of the nine term classes, each a slotted class that stores its fields and dom/cod once.
 
-    `==`, `hash`, `repr` and pickling are defined here once and do not
-    recurse.  Every subclass is declared `eq=False, repr=False`, so none gets
-    them generated.  `dataclasses.astuple` and `asdict` still recurse, once
-    per term level.
+    `==`, `hash`, `repr`, copying and pickling are defined here once and do
+    not recurse.  A term is immutable: assigning or deleting any attribute
+    raises AttributeError.  Each constructor stores through the slots' own
+    member descriptors (`_set_dom`, `Seq.left.__set__`), which that guard
+    does not see.  A term is not a dataclass, so `dataclasses.astuple` and
+    `asdict` of a lens or optic keep each term whole (its deep copy is the
+    term itself), and `astuple` of a term raises TypeError.
     """
 
-    dom: Obj = field(init=False, compare=False, repr=False)
-    cod: Obj = field(init=False, compare=False, repr=False)
+    __slots__ = ("dom", "cod")
+    dom: Obj
+    cod: Obj
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable term")
 
     def __rshift__(self, other: "Term") -> "Term":
         return Seq(self, other)
@@ -122,92 +130,123 @@ def _unpickle(nodes: list[tuple]) -> Term:
     return built[-1]
 
 
-def _set(t: Term, dom: Obj, cod: Obj) -> None:
-    object.__setattr__(t, "dom", dom)
-    object.__setattr__(t, "cod", cod)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Gen(Term):
+    __slots__ = __match_args__ = ("gen",)
     gen: Generator
 
-    def __post_init__(self) -> None:
-        _set(self, self.gen.dom, self.gen.cod)
+    def __init__(self, gen: Generator) -> None:
+        _set_gen(self, gen)
+        _set_dom(self, gen.dom)
+        _set_cod(self, gen.cod)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Id(Term):
+    __slots__ = __match_args__ = ("obj",)
     obj: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.obj, self.obj)
+    def __init__(self, obj: Obj) -> None:
+        _set_id_obj(self, obj)
+        _set_dom(self, obj)
+        _set_cod(self, obj)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(Term):
+    __slots__ = __match_args__ = ("left", "right")
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        if self.left.cod != self.right.dom:
+    def __init__(self, left: Term, right: Term) -> None:
+        if left.cod != right.dom:
             raise TermTypeError(
-                f"cannot compose: left codomain {self.left.cod} != right domain {self.right.dom}",
-                expected=self.left.cod,
-                actual=self.right.dom,
+                f"cannot compose: left codomain {left.cod} != right domain {right.dom}",
+                expected=left.cod,
+                actual=right.dom,
             )
-        _set(self, self.left.dom, self.right.cod)
+        _set_seq_left(self, left)
+        _set_seq_right(self, right)
+        _set_dom(self, left.dom)
+        _set_cod(self, right.cod)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Ten(Term):
+    __slots__ = __match_args__ = ("left", "right")
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        _set(self, self.left.dom @ self.right.dom, self.left.cod @ self.right.cod)
+    def __init__(self, left: Term, right: Term) -> None:
+        _set_ten_left(self, left)
+        _set_ten_right(self, right)
+        _set_dom(self, left.dom @ right.dom)
+        _set_cod(self, left.cod @ right.cod)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Copy(Term):
+    __slots__ = __match_args__ = ("obj",)
     obj: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.obj, self.obj @ self.obj)
+    def __init__(self, obj: Obj) -> None:
+        _set_copy_obj(self, obj)
+        _set_dom(self, obj)
+        _set_cod(self, obj @ obj)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Delete(Term):
+    __slots__ = __match_args__ = ("obj",)
     obj: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.obj, UNIT)
+    def __init__(self, obj: Obj) -> None:
+        _set_delete_obj(self, obj)
+        _set_dom(self, obj)
+        _set_cod(self, UNIT)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Swap(Term):
+    __slots__ = __match_args__ = ("first", "second")
     first: Obj
     second: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.first @ self.second, self.second @ self.first)
+    def __init__(self, first: Obj, second: Obj) -> None:
+        _set_swap_first(self, first)
+        _set_swap_second(self, second)
+        _set_dom(self, first @ second)
+        _set_cod(self, second @ first)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Proj1(Term):
+    __slots__ = __match_args__ = ("first", "second")
     first: Obj
     second: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.first @ self.second, self.first)
+    def __init__(self, first: Obj, second: Obj) -> None:
+        _set_proj1_first(self, first)
+        _set_proj1_second(self, second)
+        _set_dom(self, first @ second)
+        _set_cod(self, first)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Proj2(Term):
+    __slots__ = __match_args__ = ("first", "second")
     first: Obj
     second: Obj
 
-    def __post_init__(self) -> None:
-        _set(self, self.first @ self.second, self.second)
+    def __init__(self, first: Obj, second: Obj) -> None:
+        _set_proj2_first(self, first)
+        _set_proj2_second(self, second)
+        _set_dom(self, first @ second)
+        _set_cod(self, second)
+
+
+# each constructor stores through its slots' member descriptors, which `Term.__setattr__` does not see
+_set_dom, _set_cod = Term.dom.__set__, Term.cod.__set__
+_set_gen = Gen.gen.__set__
+_set_id_obj = Id.obj.__set__
+_set_seq_left, _set_seq_right = Seq.left.__set__, Seq.right.__set__
+_set_ten_left, _set_ten_right = Ten.left.__set__, Ten.right.__set__
+_set_copy_obj = Copy.obj.__set__
+_set_delete_obj = Delete.obj.__set__
+_set_swap_first, _set_swap_second = Swap.first.__set__, Swap.second.__set__
+_set_proj1_first, _set_proj1_second = Proj1.first.__set__, Proj1.second.__set__
+_set_proj2_first, _set_proj2_second = Proj2.first.__set__, Proj2.second.__set__
 
 
 def graph(f: Term) -> Term:
@@ -275,10 +314,10 @@ def _stages(t: Term) -> list[Term]:
 def _node(kind: type, left: Term, right: Term, dom: Obj, cod: Obj) -> Term:
     """`kind(left, right)` for a Seq or Ten kind whose boundary dom -> cod is known: not checked or recomputed."""
     t = kind.__new__(kind)
-    object.__setattr__(t, "left", left)
-    object.__setattr__(t, "right", right)
-    object.__setattr__(t, "dom", dom)
-    object.__setattr__(t, "cod", cod)
+    kind.left.__set__(t, left)
+    kind.right.__set__(t, right)
+    _set_dom(t, dom)
+    _set_cod(t, cod)
     return t
 
 

@@ -9,14 +9,21 @@ that back without failing any test on small terms; this module fails then.
 
 import copy
 import dataclasses
+import importlib.util
 import pickle
+from pathlib import Path
 
 import pytest
 
 from cartoptics import (
     UNIT,
+    Copy,
+    Delete,
     Id,
+    Proj1,
+    Proj2,
     Seq,
+    Swap,
     Ten,
     Term,
     build_chain,
@@ -25,6 +32,7 @@ from cartoptics import (
     normal_eq,
     reify,
 )
+from cartoptics.term import Block, chain_term
 
 KINDS = Term.__subclasses__()
 METHODS = ("__eq__", "__hash__", "__repr__")
@@ -63,8 +71,49 @@ def test_checker_sees_generated_methods_and_redeclared_fields():
 
 def test_only_seq_and_ten_hold_terms():
     # `Term.__eq__` pushes the children of these two and compares every other field by value
-    holders = {k.__name__ for k in KINDS for f in dataclasses.fields(k) if f.type == "Term"}
+    holders = {k.__name__ for k in KINDS for name in k.__match_args__ if k.__annotations__[name] == "Term"}
     assert holders == {"Seq", "Ten"}
+
+
+def test_terms_are_immutable_and_have_no_instance_dict(A, B, f, g):
+    # `chain_term` builds its Seq and Ten nodes unchecked, through `_node`
+    built = chain_term(A @ A, [Block(1, f >> g), Block(0, Swap(A, A))])
+    terms = [f, Id(A), f >> g, f @ g, Copy(A), Delete(A), Swap(A, B), Proj1(A, B), Proj2(A, B), built, built.left.left]
+    assert {type(t) for t in terms} == set(KINDS)
+    assert (type(built), type(built.left.left)) == (Seq, Ten)
+    for t in terms:
+        assert not hasattr(t, "__dict__")
+        for name in (*type(t).__match_args__, "dom", "cod"):
+            before = getattr(t, name)
+            with pytest.raises(AttributeError):
+                setattr(t, name, f)
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+            assert getattr(t, name) is before
+        with pytest.raises(AttributeError):
+            t.extra = 0
+
+
+def test_astuple_and_asdict_keep_each_term_of_a_deep_lens_whole():
+    # a term is not a dataclass: both deep-copy it, which gives the term itself
+    lens = compose_chain(list(build_chain(1500, "finite", seed=0).lenses))
+    optic = reify(lens)
+    as_tuple, as_dict = dataclasses.astuple(lens), dataclasses.asdict(lens)
+    assert as_tuple[0] is lens.get and as_tuple[1] is lens.put
+    assert as_dict["get"] is lens.get and as_dict["put"] is lens.put
+    for passes in (dataclasses.astuple(optic)[1], dataclasses.asdict(optic)["passes"]):
+        assert passes[0] is optic.passes[0] and passes[1] is optic.passes[1]
+    with pytest.raises(TypeError):
+        dataclasses.astuple(lens.get)
+
+
+def test_pickles_written_before_terms_were_slotted_still_load():
+    spec = importlib.util.spec_from_file_location("write_terms", Path(__file__).parent / "golden" / "write_terms.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    back = pickle.loads(golden.GOLDEN.read_bytes())
+    assert back == golden.terms()
+    assert back[0].right is back[0].left.left.left.right.left  # f >> g, shared by identity
 
 
 @pytest.mark.parametrize("nest", ["left", "right", "tensor"])
