@@ -197,16 +197,20 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_normalize(args) -> int:
+def _expr_form(args) -> CanonicalForm:
+    """The normal form of `--expr` over `--signature`."""
     sig = load_signature(args.signature)
-    cf = normalize(_at("--expr", parse_term, args.expr, sig))
+    return normalize(_at("--expr", parse_term, args.expr, sig))
+
+
+def cmd_normalize(args) -> int:
+    cf = _expr_form(args)
     print(_json_line({**_form_json(cf), "read_back": str(read_back(cf))}))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    sig = load_signature(args.signature)
-    dag = normalize(_at("--expr", parse_term, args.expr, sig))
+    dag = _expr_form(args)
     print(_json_line({**_form_json(dag), "node_count": len(dag.nodes)}))
     return 0
 

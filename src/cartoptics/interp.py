@@ -32,7 +32,7 @@ import numpy as np
 
 from .normal import CanonicalForm, run_form
 from .signature import FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
-from .term import Chain, Term, TermTypeError, run
+from .term import Blocks, Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
 _BLOCK = 4096  # input tuples per column pass of the exhaustive check
@@ -192,7 +192,9 @@ def check_identity_env(cod_pair: tuple[Obj, Obj]) -> None:
         )
 
 
-def evaluate(x: Term | Chain | CanonicalForm, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
+def evaluate(
+    x: Term | Blocks | CanonicalForm, values: tuple, interp: Interp, report: CostReport | None = None
+) -> tuple:
     """Run a term or stage chain, or a canonical form row by row, on checked values; count into `report` if given."""
     check_values(x.dom, values)
     if isinstance(x, CanonicalForm):

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .signature import Generator, Obj
-from .term import Gen, Term, pairing, run, select_wire
+from .term import Blocks, Gen, Term, pairing, run, select_wire
 
 Ref = int | tuple[int, int]
 Node = tuple[Generator, tuple[Ref, ...]]
@@ -193,7 +193,7 @@ def normalize(t: Term) -> CanonicalForm:
     return table.form(t.dom, t.cod, table.push(t, table.inputs))
 
 
-def normal_eq(f: Term, g: Term) -> bool:
+def normal_eq(f: Term | Blocks, g: Term | Blocks) -> bool:
     """Equality in the free cartesian category (boundaries included).
 
     Both sides are pushed through one unique table, so their canonical

@@ -6,38 +6,43 @@ representatives, not equivalence classes, but composition is still strictly
 associative and unital on the nose.  `term.chain_term` builds every pass
 as a flat stage chain (left-nested, identity stages dropped): the terms an
 optic is built from, kept whole if already flat, and a composite's passes.
-A composite keeps each pass as a `term.Chain` of blocks, plain data: the
-pass of each optic in the chain with the count of residual wires before it,
-which it runs beside.  `compose_optic_chain` concatenates the optics' blocks
-in one pass, adding the residual wires before each optic to its blocks'
-counts, forward passes in chain order and backward passes in reverse; it
-builds no term.  `forward` and `backward` build a composite's terms on first
-access: each stage wrapped in an identity context holding the residuals of
-the optics before it (coalescing with any identity context the stage
-already has).  Only printing and the terms made from an optic (`erase`, the
-counit's witness, `round_trip_term`) read them.  Whatever runs or compares
-optics takes the passes the optic stores: `optic_exec`, `optic_normal_eq`,
-`==` while the passes are equal, and every cell check in `twocell`.  The
-executor runs those passes and materializes the residual between them,
-trading memory for the recomputation a lens chain would do.  It is the one
-executor of both packagings: a lens runs as its reified optic, whose
-residual is its input.
+`Optic(residual, forward, backward)` is the one constructor.  It stores
+each pass it is given: a term flattened, or a `term.Blocks` as it is, and
+reads both boundary pairs off the stored passes.  A composite's passes are
+`Blocks`, plain data: the pass of each optic in the chain with the count of
+residual wires before it, which it runs beside, and the pass's boundary.
+`compose_optic_chain` concatenates the optics' blocks in one pass, adding
+the residual wires before each optic to its blocks' counts, forward passes
+in chain order and backward passes in reverse; it builds no term.
+`forward` and `backward` are the stored terms, or for `Blocks` the term
+`chain_term` builds on first access and the optic caches: each stage
+wrapped in an identity context holding the residuals of the optics before
+it (coalescing with any identity context the stage already has).  Only
+printing and the terms made from an optic (`erase`, the counit's witness,
+`round_trip_term`) read them.  Whatever runs or compares optics takes the
+passes the optic stores: `optic_exec`, `optic_normal_eq`, `==` while the
+passes are equal, and every cell check in `twocell`.  The executor runs
+those passes and materializes the residual between them, trading memory
+for the recomputation a lens chain would do.  It is the one executor of
+both packagings: a lens runs as its reified optic, whose residual is its
+input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .interp import CostReport, Interp, check_identity_env, check_values, evaluate, obj_bytes
-from .normal import UniqueTable
+from .normal import normal_eq
 from .signature import Obj, UNIT
-from .term import Block, Chain, Copy, Id, Swap, Ten, Term, TermTypeError, chain_term
+from .term import Block, Blocks, Copy, Id, Swap, Ten, Term, TermTypeError, chain_term
 
 
-def _blocks(p: Term | Chain, k: int) -> list[Block]:
-    """A pass as blocks under k more context wires: a chain's own, each moved k wires right."""
-    if p.__class__ is Chain:
+def _blocks(p: Term | Blocks, k: int) -> list[Block]:
+    """A pass as blocks under k more context wires: a `Blocks`' own, each moved k wires right."""
+    if p.__class__ is Blocks:
         return [Block(k + b.k, b.term) for b in p.blocks] if k else p.blocks
     return [Block(k, p)]
 
@@ -50,69 +55,51 @@ def _rest(obj: Obj, what: str, prefix: Obj, prefix_what: str) -> Obj:
     return rest
 
 
-class _Pass:
-    """A composite's pass as a term: `chain_term` of its `Chain`, built on first read and kept on the optic.
-
-    It is stored with `object.__setattr__`, as an optic built from terms
-    stores its own, so every optic keeps its attributes in the same form and
-    later reads find them before this descriptor.  `functools.cached_property`
-    would write through the instance `__dict__`, which gives a composite a
-    dict of its own, slower to read, and takes a lock.
-    """
-
-    def __init__(self, i: int) -> None:
-        self.i = i
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, o: Optic | None, owner: type | None = None) -> Term | _Pass:
-        if o is None:
-            return self
-        p = o.passes[self.i]
-        t = chain_term(p.dom, p.blocks)
-        object.__setattr__(o, self.name, t)
-        return t
+def _term(p: Term | Blocks) -> Term:
+    return chain_term(p.dom, p.blocks) if p.__class__ is Blocks else p
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Optic:
     """An optic; `==` and `repr` go by its residual and its two terms.
 
-    `passes` is what `optic_exec` runs and cells are checked on:
-    (forward, backward) as given to the constructor, flattened, or for a
-    composite the `Chain` of each pass, whose term `forward` and `backward`
-    build on first access and keep.  `hash` reads the residual and the
-    boundary pairs, which equal optics share, so it builds no term.  `==`
-    builds none while the stored passes are equal, as two bracketings of one
+    `passes` is what `optic_exec` runs and cells are checked on: each pass
+    as given to the constructor, a term flattened or a `Blocks` kept as it
+    is.  `forward` and `backward` are their terms, built from a `Blocks` on
+    first access and cached.  `hash` reads the residual and the boundary
+    pairs, which equal optics share, so it builds no term.  `==` builds
+    none while the stored passes are equal, as two bracketings of one
     chain's are; only passes of different forms, such as a composite's and
     those of an optic built from its terms, are compared as built terms.
     """
 
     residual: Obj
-    passes: tuple[Term | Chain, Term | Chain]
+    passes: tuple[Term | Blocks, Term | Blocks]
     dom_pair: tuple[Obj, Obj]
     cod_pair: tuple[Obj, Obj]
 
-    def __init__(self, residual: Obj, forward: Term, backward: Term) -> None:
-        # each as one block, a plain (k, term) pair: a `Block` would cost a Python-level `__new__`
-        forward = chain_term(forward.dom, [(0, forward)])
-        backward = chain_term(backward.dom, [(0, backward)])
+    def __init__(self, residual: Obj, forward: Term | Blocks, backward: Term | Blocks) -> None:
+        # a term flattened as one block, a plain (k, term) pair: a `Block` would cost a Python-level `__new__`
+        if forward.__class__ is not Blocks:
+            forward = chain_term(forward.dom, [(0, forward)])
+        if backward.__class__ is not Blocks:
+            backward = chain_term(backward.dom, [(0, backward)])
         b = _rest(forward.cod, "forward codomain", residual, "residual")
         b_back = _rest(backward.dom, "backward domain", residual, "residual")
-        self._fill(residual, (forward, backward), (forward.dom, backward.cod), (b, b_back))
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "backward", backward)
-
-    def _fill(self, residual: Obj, passes: tuple, dom_pair: tuple[Obj, Obj], cod_pair: tuple[Obj, Obj]) -> Optic:
         object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "passes", passes)
-        object.__setattr__(self, "dom_pair", dom_pair)
-        object.__setattr__(self, "cod_pair", cod_pair)
-        return self
+        object.__setattr__(self, "passes", (forward, backward))
+        object.__setattr__(self, "dom_pair", (forward.dom, backward.cod))
+        object.__setattr__(self, "cod_pair", (b, b_back))
 
-    forward = _Pass(0)  # A -> M x B
-    backward = _Pass(1)  # M x B' -> A'
+    @cached_property
+    def forward(self) -> Term:
+        """A -> M x B"""
+        return _term(self.passes[0])
+
+    @cached_property
+    def backward(self) -> Term:
+        """M x B' -> A'"""
+        return _term(self.passes[1])
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -121,7 +108,7 @@ class Optic:
             return NotImplemented
         if self.residual != other.residual:
             return False
-        if self.passes == other.passes:  # `chain_term` builds a chain's term from its dom and blocks alone
+        if self.passes == other.passes:  # `chain_term` builds a `Blocks`' term from its dom and blocks alone
             return True
         return (self.forward, self.backward) == (other.forward, other.backward)
 
@@ -146,7 +133,6 @@ def compose_optic_chain(optics: list[Optic]) -> Optic:
     """Compose a chain in one pass; any bracketing gives this representative."""
     if not optics:
         raise ValueError("empty optic chain")
-    first, last = optics[0], optics[-1]
     k = 0  # the residual wires of the optics before o
     forward: list[Block] = []
     backward: list[list[Block]] = []
@@ -161,26 +147,19 @@ def compose_optic_chain(optics: list[Optic]) -> Optic:
         backward.append(_blocks(o.passes[1], k))
         k += len(o.residual)
     m = Obj([s for o in optics for s in o.residual])
-    passes = (
-        Chain(first.dom_pair[0], forward),
-        Chain(m @ last.cod_pair[1], [b for part in reversed(backward) for b in part]),
+    (a, a_back), (b, b_back) = optics[0].dom_pair, optics[-1].cod_pair
+    return Optic(
+        m,
+        Blocks(a, m @ b, forward),
+        Blocks(m @ b_back, a_back, [x for part in reversed(backward) for x in part]),
     )
-    return object.__new__(Optic)._fill(m, passes, first.dom_pair, last.cod_pair)
 
 
 def optic_normal_eq(o1: Optic, o2: Optic) -> bool:
-    """Same residual and boundary pairs, and each pass equal up to normalization.
-
-    Each pair of stored passes is pushed through one unique table, as
-    `normal_eq` pushes two terms, so a composite's terms are not built.
-    """
+    """Same residual and boundary pairs, and each pair of stored passes `normal_eq`, so no composite's term is built."""
     if (o1.residual, o1.dom_pair, o1.cod_pair) != (o2.residual, o2.dom_pair, o2.cod_pair):
         return False
-    for p, q in zip(o1.passes, o2.passes):
-        table = UniqueTable(len(p.dom))
-        if table.push(p, table.inputs) != table.push(q, table.inputs):
-            return False
-    return True
+    return all(normal_eq(p, q) for p, q in zip(o1.passes, o2.passes))
 
 
 def optic_exec(

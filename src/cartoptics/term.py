@@ -328,10 +328,11 @@ class Block(NamedTuple):
     term: Term
 
 
-class Chain(NamedTuple):
-    """A left-nested sequential composite kept as a list of blocks: `run` walks it, `chain_term` builds it."""
+class Blocks(NamedTuple):
+    """A left-nested sequential composite dom -> cod kept as blocks: `run` walks it, `chain_term` builds it."""
 
     dom: Obj
+    cod: Obj
     blocks: list[Block]
 
 
@@ -379,7 +380,7 @@ _JOIN = object()  # marks where a tensor's right half is done
 
 
 def run(
-    t: Term | Chain,
+    t: Term | Blocks,
     xs: tuple,
     apply: Callable[[Generator, tuple], tuple],
     report: CostReport | None = None,
@@ -395,7 +396,7 @@ def run(
     adds the names to `report.generator_counts` in one update, so keys come
     in the order of each generator's first application, and the copies to
     `report.copies`; a walk that raises partway leaves the report as it was.
-    The walk keeps its own stack, so terms of any depth run.  A `Chain` runs
+    The walk keeps its own stack, so terms of any depth run.  A `Blocks` runs
     block by block, each `Block` parking its context as the identity context
     of a `Ten` is parked, so it counts as its built term would.
 
@@ -490,7 +491,7 @@ def run(
                 xs = xs[k:]
             t = t.term
             continue
-        elif kind is Chain:  # its blocks, the first on top
+        elif kind is Blocks:  # its blocks, the first on top
             todo += reversed(t.blocks)
         else:
             raise TypeError(f"not a term: {t!r}")

@@ -358,6 +358,19 @@ class TestStagesAgainstEagerComposition:
                 assert_checked_boundaries(twin.forward)
                 assert_checked_boundaries(twin.backward)
 
+    def test_stored_passes_carry_their_boundary_and_construct_the_optic(self, sig, A):
+        for _, o, _ in self.chains(sig, 87):
+            fw, bw = o.passes
+            again = Optic(o.residual, fw, bw)
+            assert again.passes[0] is fw and again.passes[1] is bw
+            assert again == o and hash(again) == hash(o)
+            assert (fw.dom, fw.cod) == (o.forward.dom, o.forward.cod)
+            assert (bw.dom, bw.cod) == (o.backward.dom, o.backward.cod)
+            wrong = fw.cod @ A  # longer than the codomain, so never its prefix
+            with pytest.raises(TermTypeError) as err:
+                Optic(wrong, fw, bw)
+            assert str(err.value) == f"forward codomain {fw.cod} does not start with residual {wrong}"
+
     def test_execution_counts_as_the_eager_terms_evaluate(self, sig, interp):
         for rng, o, want in self.chains(sig, 83):
             a = random_values(rng, want.dom_pair[0])

@@ -634,7 +634,7 @@ def built_copy(o):
 
 def assert_terms_unbuilt(optics):
     """No composite among optics has had its terms built: neither is stored on it."""
-    composites = [o for o in optics if isinstance(o.passes[0], term.Chain)]
+    composites = [o for o in optics if isinstance(o.passes[0], term.Blocks)]
     assert composites
     for o in composites:
         assert "forward" not in vars(o) and "backward" not in vars(o)
