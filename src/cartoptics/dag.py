@@ -1,12 +1,12 @@
 """Shared evaluation: compute once, copy the result.
 
-A canonical form (`normal.CanonicalForm`) is already a shared evaluation
+A canonical form (`term.CanonicalForm`) is already a shared evaluation
 DAG: one row per distinct (generator, arguments) application, arguments
 first.  Evaluating it row by row is the exhaustive form of the rewrite that
 pushes a copy past a morphism (duplicate the output instead of running the
 morphism twice): the number of generator evaluations is the number of rows,
 which never exceeds the number of generator occurrences in the form.
-`interp.evaluate` runs a form this way, through `normal.run_form`.
+`interp.evaluate` runs a form this way, through `term.run`.
 
 `share(t)` is `normalize(t)` and `evaluate_dag` is `evaluate` of a form;
 the package calls `normalize` and `evaluate` itself, and both names stay

@@ -5,18 +5,20 @@ carriers its sorts declare.  The default interpretation of a signature reads
 it off the declarations; a table given in its place is checked as a declared
 one is, at the generator's first application.
 
-`evaluate` is the one evaluator, of a term or a canonical form: it checks
-a value tuple against the domain once and runs `term.run` or
-`normal.run_form`, which count into the `CostReport` they are given, in one
-update when the pass ends: one count per generator application (a form
-applies each row once) and one copy per wire a term duplicates.
-Identities, deletions, swaps and projections are free.  `term.run` is also
-the walker `normalize` uses to evaluate in the syntactic model.  Applying a
-table generator is one lookup of its argument tuple in the table's row index.
+`evaluate` is the one evaluator, of a term, a stage chain or a canonical
+form: it checks a value tuple against the domain once and runs `term.run`,
+the one walker for all three shapes, which counts into the `CostReport` it
+is given, in one update when the pass ends: one count per generator
+application (a form applies each row once) and one copy per wire a term
+duplicates.  Identities, deletions, swaps and projections are free.
+`term.run` is also the walker `normalize` uses to evaluate in the syntactic
+model.  Applying a table generator is one lookup of its argument tuple in
+the table's row index.
 
-Exhaustive equality is one column pass per term: `term.run` moves a column
-(one wire's value for every input tuple of a block) where it would move a
-value, and each generator looks its rows up for the whole column at once.
+Exhaustive equality is one column pass per side, of any of the three
+shapes: `term.run` moves a column (one wire's value for every input tuple of
+a block) where it would move a value, and each generator looks its rows up
+for the whole column at once.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .normal import CanonicalForm, run_form
 from .signature import FiniteCarrier, Generator, Obj, Signature, SignatureError, check_table
-from .term import Blocks, Term, TermTypeError, run
+from .term import Blocks, CanonicalForm, Term, TermTypeError, run
 
 TUPLE_CAP = 10**6
 _BLOCK = 4096  # input tuples per column pass of the exhaustive check
 Runner = Callable[[tuple, Callable], tuple]  # (input values, apply) -> output values
+Morphism = Term | Blocks | CanonicalForm  # the three shapes `term.run` runs
 
 
 class EnumerationCapError(RuntimeError):
@@ -192,13 +194,9 @@ def check_identity_env(cod_pair: tuple[Obj, Obj]) -> None:
         )
 
 
-def evaluate(
-    x: Term | Blocks | CanonicalForm, values: tuple, interp: Interp, report: CostReport | None = None
-) -> tuple:
-    """Run a term or stage chain, or a canonical form row by row, on checked values; count into `report` if given."""
+def evaluate(x: Morphism, values: tuple, interp: Interp, report: CostReport | None = None) -> tuple:
+    """Run a term, stage chain or canonical form on checked values; count into `report` if given."""
     check_values(x.dom, values)
-    if isinstance(x, CanonicalForm):
-        return run_form(x, tuple(values), interp.apply, report)
     return run(x, tuple(values), interp.apply, report)
 
 
@@ -221,10 +219,10 @@ def enumerate_inputs(obj: Obj) -> Iterator[tuple]:
     return itertools.product(*[range(n) for n in sizes])
 
 
-def extensional_counterexample(f: Term, g: Term, interp: Interp) -> tuple | None:
+def extensional_counterexample(f: Morphism, g: Morphism, interp: Interp) -> tuple | None:
     """First input where f and g disagree under a finite interpretation.
 
-    The inputs go through both terms in row-major blocks, one column per
+    The inputs go through both sides in row-major blocks, one column per
     wire; the first block with a mismatch ends the check.
     """
     if f.dom != g.dom or f.cod != g.cod:
@@ -253,6 +251,6 @@ def first_disagreement(dom: Obj, f: Runner, g: Runner, interp: Interp) -> tuple 
     return None
 
 
-def eq_extensional(f: Term, g: Term, interp: Interp) -> bool:
+def eq_extensional(f: Morphism, g: Morphism, interp: Interp) -> bool:
     """Exhaustive extensional equality over finite carriers (never sampled)."""
     return extensional_counterexample(f, g, interp) is None

@@ -6,14 +6,16 @@ the input wires.  Copy, delete, swap and projections all disappear into wire
 bookkeeping, which is why equality of canonical forms is sound and complete
 for the equational theory generated by the cartesian structure.
 
-A canonical form is those components written as one straight-line program
-(Wengert, 1964): a listing of the distinct generator applications, each a row
-(generator, argument refs), and one ref per output wire.  A ref is an input
-wire index or a (node, output) pair.  Equal applications are one row
-(hash-consing, Filliatre and Conchon 2006, with generators compared by value)
-and rows are numbered in the order of a left-to-right, arguments-first walk
-from the outputs, so two forms are equal exactly when their flat tuples are:
-the dataclass `==` and `hash` decide sameness.
+A canonical form (`term.CanonicalForm`, imported here, so that
+`normal.CanonicalForm` and forms pickled under that name resolve) is those
+components written as one straight-line program (Wengert, 1964): a listing
+of the distinct generator applications, each a row (generator, argument
+refs), and one ref per output wire.  A ref is an input wire index or a
+(node, output) pair.  Equal applications are one row (hash-consing,
+Filliatre and Conchon 2006, with generators compared by value) and rows are
+numbered in the order of a left-to-right, arguments-first walk from the
+outputs, so two forms are equal exactly when their flat tuples are: the
+dataclass `==` and `hash` decide sameness.
 
 Normalizing is evaluation in the syntactic model: `normalize` pushes refs
 through the term with `term.run`, the walker `evaluate` uses, and each
@@ -26,75 +28,19 @@ recomputes at every stage costs one walk, and normalizing takes time linear
 in the term's distinct subterms rather than in its tree.  `normal_eq` pushes
 both terms through one table and compares their output refs; `twocell`
 decides both squares of a cell in one `UniqueTable` in the same way.
-`run_form` pushes values through a canonical form row by row, each row
-once; `interp.evaluate` runs a form with it, `read_back` is `run_form`
-applying rows as terms, and normalizing its term gives the form back.  A
-form builds its `plan` for `run_form` once, with the form: the run keeps
-its values in one flat list, the inputs first and then each row's outputs,
-and each row fetches its arguments from fixed slots of that list (a bare
-slot for a unary row, an `operator.itemgetter` for more), so running a row
-is one fetch and one application.  The plan is derived from the rows and
-takes no part in `==`, `hash`, `repr` or `to_json`.  `UniqueTable.pull`
-applies the rows of a table that refs use again, through any `apply`:
-`form` renumbers them, and `twocell` moves refs across tables with it.
+`term.run` runs a canonical form too, row by row through the `plan` the form
+builds with itself; `read_back` is that run applying rows as terms, and
+normalizing its term gives the form back.  `UniqueTable.pull` applies the
+rows of a table that refs use again, through any `apply`: `form` renumbers
+them, and `twocell` moves refs across tables with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .signature import Generator, Obj
-from .term import Blocks, Gen, Term, pairing, run, select_wire
-
-Ref = int | tuple[int, int]
-Node = tuple[Generator, tuple[Ref, ...]]
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A straight-line program dom -> cod: rows, arguments first, then outputs."""
-
-    dom: Obj
-    cod: Obj
-    nodes: tuple[Node, ...]
-    outputs: tuple[Ref, ...]
-    plan: tuple = field(init=False, compare=False, repr=False)  # derived, for `run_form`
-
-    def __post_init__(self) -> None:
-        # (each row's generator and argument fetch, the outputs' fetch, the
-        # row generators' names); ref (node, j) is slot start[node] + j
-        start: list[int] = []
-        n = len(self.dom)
-        rows = []
-        for gen, args in self.nodes:
-            rows.append((gen, _fetch(args, start)))
-            start.append(n)
-            n += len(gen.cod)
-        names = tuple([gen.name for gen, _ in self.nodes])
-        object.__setattr__(self, "plan", (tuple(rows), _fetch(self.outputs, start), names))
-
-    def gen_node_count(self, names) -> int:
-        return sum(1 for gen, _ in self.nodes if gen.name in names)
-
-    def to_json(self) -> dict:
-        def ref(r: Ref):
-            return {"input": r} if isinstance(r, int) else {"node": r[0], "out": r[1]}
-
-        return {
-            "nodes": [{"gen": gen.name, "args": [ref(a) for a in args]} for gen, args in self.nodes],
-            "outputs": [ref(r) for r in self.outputs],
-        }
-
-
-def _fetch(refs: tuple[Ref, ...], start: list[int]):
-    """How to take refs' values from the flat list: one slot, an itemgetter over slots, or None for none."""
-    slots = []
-    for r in refs:  # a loop, not a comprehension, which costs a call per row
-        slots.append(r if r.__class__ is int else start[r[0]] + r[1])
-    k = len(slots)
-    return slots[0] if k == 1 else itemgetter(*slots) if k else None
+from .term import Blocks, CanonicalForm, Gen, Node, Ref, Term, pairing, run, select_wire
 
 
 class UniqueTable:
@@ -130,15 +76,13 @@ class UniqueTable:
             outs = self.outs[key] = tuple([(node, j) for j in range(len(rep.cod))])
         return outs
 
-    def push(self, t: Term | CanonicalForm, xs: tuple[Ref, ...]) -> tuple[Ref, ...]:
+    def push(self, t: Term | Blocks | CanonicalForm, xs: tuple[Ref, ...]) -> tuple[Ref, ...]:
         """The refs t outputs on input refs xs, entering its rows in the table.
 
-        This is how a term enters a table: one walk with a fresh memo, so a
-        subterm shared by identity is pushed once per distinct input.  A
+        This is how a morphism enters a table: one walk with a fresh memo, so
+        a subterm shared by identity is pushed once per distinct input.  A
         canonical form is pushed row by row, each row once.
         """
-        if isinstance(t, CanonicalForm):
-            return run_form(t, xs, self.apply)
         return run(t, xs, self.apply, memo={})
 
     def pull(self, refs, apply, leaf=None) -> tuple:
@@ -214,32 +158,7 @@ def read_back(cf: CanonicalForm) -> Term:
         return (t,) if len(cod) == 1 else tuple([t >> select_wire(cod, j) for j in range(len(cod))])
 
     wires = tuple([select_wire(dom, i) for i in range(len(dom))])
-    return pairing(list(run_form(cf, wires, row)), dom)
-
-
-def run_form(cf: CanonicalForm, xs: tuple, apply, report=None) -> tuple:
-    """Push the value tuple xs through a canonical form, as `term.run` does a term.
-
-    Each row is applied once, so a row that many others share costs one
-    application, where running its `read_back` term costs one per path.
-    The rows run through the form's plan, on one list of xs and then each
-    row's outputs.  A `report` is counted into as `term.run` does, each row
-    one application, once every row has run.
-    """
-    if len(xs) != len(cf.dom):
-        raise ValueError(f"run_form: expected {len(cf.dom)} values for {cf.dom}, got {len(xs)}")
-    rows, outputs, names = cf.plan
-    vals = list(xs)
-    for gen, fetch in rows:
-        if fetch.__class__ is int:
-            vals.extend(apply(gen, (vals[fetch],)))
-        else:
-            vals.extend(apply(gen, fetch(vals) if fetch is not None else ()))
-    if report is not None:
-        report.generator_counts.update(names)
-    if outputs.__class__ is int:
-        return (vals[outputs],)
-    return outputs(vals) if outputs is not None else ()
+    return pairing(list(run(cf, wires, row)), dom)
 
 
 def gen_occurrences(cf: CanonicalForm) -> Counter:

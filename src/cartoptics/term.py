@@ -9,10 +9,15 @@ pickle and print at any depth; `repr` shows the term text, as in
 
 Composition is written `f >> g` (left to right) and tensor `f @ g`, matching
 the textual syntax `f ; g` and `f * g` accepted by the expression parser.
+
+`run` is the one walker of all three shapes of a morphism: a term, a
+`Blocks` stage chain and a `CanonicalForm` (the program `normalize` gives).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .signature import RESERVED, Generator, Obj, UNIT
@@ -374,13 +379,71 @@ def chain_term(dom: Obj, blocks: list[Block]) -> Term:
     return Id(dom) if t is None else t
 
 
+# --- canonical forms ----------------------------------------------------------
+
+Ref = int | tuple[int, int]
+Node = tuple[Generator, tuple[Ref, ...]]
+
+
+@dataclass(frozen=True)
+class CanonicalForm:
+    """A straight-line program dom -> cod: rows, arguments first, then outputs.
+
+    A ref is an input index or a (row, output) pair.  The `plan` that `run`
+    follows is built with the form, not at its first run: perfbench's
+    `chain-finite` runs each fresh form 8 times, so a lazy plan would land
+    in 1 of 8 shared-run samples, above the tenth its p90 reads, at about
+    the cost of a run.
+    """
+
+    dom: Obj
+    cod: Obj
+    nodes: tuple[Node, ...]
+    outputs: tuple[Ref, ...]
+    plan: tuple = field(init=False, compare=False, repr=False)  # derived, for `run`
+
+    def __post_init__(self) -> None:
+        # (each row's generator and argument fetch, the outputs' fetch, the
+        # row generators' names); ref (node, j) is slot start[node] + j
+        start: list[int] = []
+        n = len(self.dom)
+        rows = []
+        for gen, args in self.nodes:
+            rows.append((gen, _fetch(args, start)))
+            start.append(n)
+            n += len(gen.cod)
+        names = tuple([gen.name for gen, _ in self.nodes])
+        object.__setattr__(self, "plan", (tuple(rows), _fetch(self.outputs, start), names))
+
+    def gen_node_count(self, names) -> int:
+        return sum(1 for gen, _ in self.nodes if gen.name in names)
+
+    def to_json(self) -> dict:
+        def ref(r: Ref):
+            return {"input": r} if isinstance(r, int) else {"node": r[0], "out": r[1]}
+
+        return {
+            "nodes": [{"gen": gen.name, "args": [ref(a) for a in args]} for gen, args in self.nodes],
+            "outputs": [ref(r) for r in self.outputs],
+        }
+
+
+def _fetch(refs: tuple[Ref, ...], start: list[int]):
+    """How to take refs' values from the flat list: one slot, an itemgetter over slots, or None for none."""
+    slots = []
+    for r in refs:  # a loop, not a comprehension, which costs a call per row
+        slots.append(r if r.__class__ is int else start[r[0]] + r[1])
+    k = len(slots)
+    return slots[0] if k == 1 else itemgetter(*slots) if k else None
+
+
 # --- running ----------------------------------------------------------------
 
 _JOIN = object()  # marks where a tensor's right half is done
 
 
 def run(
-    t: Term | Blocks,
+    t: Term | Blocks | CanonicalForm,
     xs: tuple,
     apply: Callable[[Generator, tuple], tuple],
     report: CostReport | None = None,
@@ -398,7 +461,10 @@ def run(
     `report.copies`; a walk that raises partway leaves the report as it was.
     The walk keeps its own stack, so terms of any depth run.  A `Blocks` runs
     block by block, each `Block` parking its context as the identity context
-    of a `Ten` is parked, so it counts as its built term would.
+    of a `Ten` is parked, so it counts as its built term would.  A
+    `CanonicalForm` runs row by row through its plan, each row applied and
+    counted once, on one list of xs and then each row's outputs; a form
+    given the wrong number of values raises ValueError.
 
     With `memo` given (an empty dict, one per call), a `Seq` node reached
     more than once is run once per distinct input: its first visit only
@@ -410,10 +476,25 @@ def run(
     alive.  Values must be hashable and applications free of effects, so
     only `normal.UniqueTable.push` passes a memo; evaluation never does, and
     its counts stay exact.  A memo skips applications, so `report` and
-    `memo` together raise ValueError.
+    `memo` together raise ValueError.  A form keeps nothing in a memo.
     """
     if report is not None and memo is not None:
         raise ValueError("run: a memo skips applications, so a report cannot be kept with it")
+    if t.__class__ is CanonicalForm:
+        if len(xs) != len(t.dom):
+            raise ValueError(f"run: expected {len(t.dom)} values for {t.dom}, got {len(xs)}")
+        rows, outputs, names = t.plan
+        vals = list(xs)
+        for gen, fetch in rows:
+            if fetch.__class__ is int:
+                vals.extend(apply(gen, (vals[fetch],)))
+            else:
+                vals.extend(apply(gen, fetch(vals) if fetch is not None else ()))
+        if report is not None:
+            report.generator_counts.update(names)
+        if outputs.__class__ is int:
+            return (vals[outputs],)
+        return outputs(vals) if outputs is not None else ()
     # Seq nodes are taken apart here without a memo, and by the memo branch with one
     descend = Seq if memo is None else None
     applied: list[str] | None = None if report is None else []  # generator names, in order

@@ -46,10 +46,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 from .interp import EnumerationCapError, Interp, Runner, first_disagreement
-from .normal import CanonicalForm, Ref, UniqueTable, read_back, run_form
+from .normal import CanonicalForm, Ref, UniqueTable, read_back
 from .optic import Optic, optic_compose
 from .signature import FiniteCarrier, Obj, Signature, Sort
 from .term import Blocks, Id, Ten, Term, TermTypeError, gen_wire, pairing, run, select_wire
@@ -92,13 +93,6 @@ def check_boundaries(src: Optic, tgt: Optic, witness: Term | CanonicalForm | Non
         )
 
 
-def _push(witness: Term | CanonicalForm, xs: tuple, apply) -> tuple:
-    """Run a witness given as a term, or as a canonical form row by row."""
-    if isinstance(witness, CanonicalForm):
-        return run_form(witness, xs, apply)
-    return run(witness, xs, apply)
-
-
 def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalForm) -> tuple[Runner, Runner]:
     """The left and right side of one square, as runners `(xs, apply) -> outputs`."""
     k = len(src.residual)
@@ -107,14 +101,14 @@ def _square_sides(src: Optic, tgt: Optic, side: str, witness: Term | CanonicalFo
 
         def left(xs: tuple, apply) -> tuple:
             ys = run(fw1, xs, apply)
-            return _push(witness, ys[:k], apply) + ys[k:]
+            return run(witness, ys[:k], apply) + ys[k:]
 
-        return left, lambda xs, apply: run(fw2, xs, apply)
+        return left, partial(run, fw2)
 
     def left(xs: tuple, apply) -> tuple:
-        return run(bw2, _push(witness, xs[:k], apply) + xs[k:], apply)
+        return run(bw2, run(witness, xs[:k], apply) + xs[k:], apply)
 
-    return left, lambda xs, apply: run(bw1, xs, apply)
+    return left, partial(run, bw1)
 
 
 def _rejected_side(

@@ -10,9 +10,11 @@ carrier separates the pair again.
 """
 
 import dataclasses
+import importlib.util
 import pickle
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,7 @@ from cartoptics import (
     enumerate_inputs,
     eq_extensional,
     evaluate_dag,
+    extensional_counterexample,
     gen_occurrences,
     graph,
     normal_eq,
@@ -44,7 +47,7 @@ from cartoptics import (
     pairing,
     read_back,
 )
-from cartoptics.normal import UniqueTable, run_form
+from cartoptics.normal import UniqueTable
 from cartoptics.sampling import random_morphism, random_obj, random_signature, random_table
 from cartoptics.term import run
 from sampling_helpers import padded_variants, random_interp
@@ -274,7 +277,7 @@ def _edge_term(sig):
 
 
 class TestPlan:
-    """`run_form` runs a form through the plan it built, and agrees with `term.run` of the term."""
+    """`term.run` runs a form through the plan it built, and agrees with running the term."""
 
     @staticmethod
     def cases(seed, count):
@@ -304,7 +307,7 @@ class TestPlan:
         for interp, t in self.cases(0, 200):
             cf = normalize(t)
             for xs in enumerate_inputs(t.dom):
-                assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply)
+                assert run(cf, xs, interp.apply) == run(t, xs, interp.apply)
 
     def test_matches_term_run_on_columns_and_table_refs(self):
         for interp, t in self.cases(1, 100):
@@ -312,9 +315,9 @@ class TestPlan:
             block = list(enumerate_inputs(t.dom))
             cols = tuple(map(list, zip(*block))) if t.dom else ()
             apply = interp.column_apply(len(block))
-            assert run_form(cf, cols, apply) == run(t, cols, apply)
+            assert run(cf, cols, apply) == run(t, cols, apply)
             table = UniqueTable(len(t.dom))
-            assert run_form(cf, table.inputs, table.apply) == table.push(t, table.inputs)
+            assert run(cf, table.inputs, table.apply) == table.push(t, table.inputs)
 
     def test_edge_rows(self):
         sig = _edge_signature()
@@ -327,11 +330,11 @@ class TestPlan:
         for xs in enumerate_inputs(t.dom):
             x0, x1 = xs
             want = ((2 + 2 * x0) % 3, x1, x0, x0, x0)  # m's first output is its input
-            assert run_form(cf, xs, interp.apply) == run(t, xs, interp.apply) == want
+            assert run(cf, xs, interp.apply) == run(t, xs, interp.apply) == want
         block = list(enumerate_inputs(t.dom))
         cols = tuple(map(list, zip(*block)))
         apply = interp.column_apply(len(block))
-        assert run_form(cf, cols, apply) == run(t, cols, apply)
+        assert run(cf, cols, apply) == run(t, cols, apply)
         table = UniqueTable(2)
         assert table.push(cf, table.inputs) == table.push(t, table.inputs)
         assert normalize(read_back(cf)) == cf
@@ -339,12 +342,12 @@ class TestPlan:
     def test_an_empty_form(self, A):
         cf = normalize(Delete(A))
         assert cf.plan == ((), None, ())
-        assert run_form(cf, (1,), None) == ()
-        assert run_form(normalize(Id(A)), (1,), None) == (1,)
+        assert run(cf, (1,), None) == ()
+        assert run(normalize(Id(A)), (1,), None) == (1,)
 
     def test_wrong_number_of_inputs_is_rejected(self, A):
         with pytest.raises(ValueError, match="expected 2 values"):
-            run_form(normalize(Id(A @ A)), (0,), None)
+            run(normalize(Id(A @ A)), (0,), None)
 
     def test_plan_is_outside_eq_hash_repr_and_json(self, f, A):
         cf = normalize(Copy(A) >> (f @ f))
@@ -361,9 +364,9 @@ class TestPlan:
         cf = normalize(t)
         interp = Interp.from_signature(_edge_signature())
         back = pickle.loads(pickle.dumps(cf))
-        assert back == cf and run_form(back, (1, 2), interp.apply) == run_form(cf, (1, 2), interp.apply)
+        assert back == cf and run(back, (1, 2), interp.apply) == run(cf, (1, 2), interp.apply)
         swapped = dataclasses.replace(cf, outputs=cf.outputs[::-1])
-        assert run_form(swapped, (1, 2), interp.apply) == run_form(cf, (1, 2), interp.apply)[::-1]
+        assert run(swapped, (1, 2), interp.apply) == run(cf, (1, 2), interp.apply)[::-1]
         assert swapped.plan[2] == cf.plan[2] and swapped.plan[1] != cf.plan[1]
 
     def test_a_run_that_raises_partway_counts_nothing(self):
@@ -377,3 +380,28 @@ class TestPlan:
         assert report.generator_counts == Counter()
         evaluate_dag(cf, (0, 1), Interp.from_signature(sig), report)
         assert report.generator_counts == Counter({"c": 1, "h": 1, "m": 2})
+
+    def test_a_form_runs_wherever_its_term_runs(self):
+        for interp, t in self.cases(2, 100):
+            cf = normalize(t)
+            assert extensional_counterexample(cf, t, interp) is None
+            assert eq_extensional(t, cf, interp)
+
+    def test_a_report_with_a_memo_is_rejected_for_a_form_as_for_a_term(self, f, A):
+        t = Copy(A) >> (f @ f)
+        for x in (t, normalize(t)):
+            with pytest.raises(ValueError, match="a memo skips applications"):
+                run(x, (0,), None, report=CostReport(), memo={})
+
+
+def test_forms_pickled_when_the_class_lived_in_normal_still_load():
+    spec = importlib.util.spec_from_file_location("write_forms", Path(__file__).parent / "golden" / "write_forms.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    back = pickle.loads(golden.GOLDEN.read_bytes())
+    assert back == golden.forms()
+    assert all(type(cf) is CanonicalForm for cf in back)
+    interp = Interp.from_signature(golden.signature())
+    for cf, t in zip(back, golden.terms(), strict=True):
+        for xs in enumerate_inputs(t.dom):
+            assert run(cf, xs, interp.apply) == run(t, xs, interp.apply)

@@ -9,8 +9,8 @@ columns of inputs, is compared with a per-point loop over the oracle.  A
 recursive evaluator of canonical forms, from the outputs down and each row
 once, is the oracle for `evaluate_dag`.  The recursive printer is kept the
 same way as the oracle for `term_to_expr`, and the table walk and the
-read-back that `UniqueTable.pull` and `run_form` replaced are the oracles for
-`UniqueTable.form` and `read_back`.  The deep-chain tests run terms
+read-back that `UniqueTable.pull` and `run` of a form replaced are the
+oracles for `UniqueTable.form` and `read_back`.  The deep-chain tests run terms
 nested several times deeper than the interpreter's default recursion limit.
 Pushes into a unique table remember the outputs of shared subterms; they are
 checked against the same term reparsed from its text, which shares nothing.
@@ -66,7 +66,7 @@ from cartoptics import (
     select_wire,
     share,
 )
-from cartoptics.normal import UniqueTable, run_form
+from cartoptics.normal import UniqueTable
 from cartoptics.sampling import (
     random_composable_lenses,
     random_lens,
@@ -381,7 +381,7 @@ class _LoggedReport(CostReport):
 
 
 def _walkers(t):
-    """(name, walk, oracle) for the term walker and the form walker on t.
+    """(name, walk, oracle) for `run` of t and of its canonical form.
 
     `walk(xs, apply, report)` runs t or its form; `oracle(t, xs, interp,
     report)` is the matching recursive walker.
@@ -390,8 +390,8 @@ def _walkers(t):
     return (
         ("run", lambda xs, apply, report: run(t, xs, apply, report), oracle_eval),
         (
-            "run_form",
-            lambda xs, apply, report: run_form(cf, xs, apply, report),
+            "form",
+            lambda xs, apply, report: run(cf, xs, apply, report),
             lambda _, xs, interp, report: oracle_eval_dag(cf, xs, interp, report),
         ),
     )
