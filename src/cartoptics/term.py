@@ -440,6 +440,7 @@ def _fetch(refs: tuple[Ref, ...], start: list[int]):
 # --- running ----------------------------------------------------------------
 
 _JOIN = object()  # marks where a tensor's right half is done
+_HELD = object()  # marks where a `Blocks`' last block is done
 
 
 def run(
@@ -460,8 +461,11 @@ def run(
     in the order of each generator's first application, and the copies to
     `report.copies`; a walk that raises partway leaves the report as it was.
     The walk keeps its own stack, so terms of any depth run.  A `Blocks` runs
-    block by block, each `Block` parking its context as the identity context
-    of a `Ten` is parked, so it counts as its built term would.  A
+    block by block on one list of held context wires, the first of its
+    input: a `Block` moves only the difference between its k and the wires
+    held, and the held wires join the output once, after the last block.  So
+    a chain of n stages, each k one residual more or less than the last,
+    runs in time linear in n, and counts as its built term would.  A
     `CanonicalForm` runs row by row through its plan, each row applied and
     counted once, on one list of xs and then each row's outputs; a form
     given the wrong number of values raises ValueError.
@@ -500,7 +504,8 @@ def run(
     applied: list[str] | None = None if report is None else []  # generator names, in order
     copied = 0
     todo: list = []  # terms still to run, and the pieces of tensors in progress
-    parked: list[tuple] = []  # left parts of tensor outputs, waiting for the right part
+    parked: list = []  # left parts of tensor outputs, waiting for the right part, and outer held lists
+    held: list = []  # the context wires of the running `Blocks`, the first of its input
     while True:
         kind = type(t)
         while kind is descend:
@@ -525,11 +530,28 @@ def run(
             if applied is not None:
                 applied.append(t.gen.name)
             xs = apply(t.gen, xs)
+        elif kind is Block:  # hold its first k wires: move only the difference from those held
+            d = t.k - len(held)
+            if d > 0:
+                held += xs[:d]
+                xs = xs[d:]
+            elif d:
+                xs = (*held[d:], *xs)
+                del held[d:]
+            t = t.term
+            continue
         elif kind is tuple:  # a left half is done: park it, take up the right half's input
             parked.append(xs)
             xs = t
         elif t is _JOIN:
             xs = parked.pop() + xs
+        elif t is _HELD:  # a `Blocks` is done: its held wires go back in front, once
+            if held:
+                xs = (*held, *xs)
+                held.clear()
+            outer = parked.pop()
+            if outer is not None:
+                held = outer
         elif kind is Id:
             pass
         elif kind is Copy:
@@ -564,15 +586,15 @@ def run(
                 continue
         elif kind is list:  # a kept Seq node is done: keep its output under its input
             t[0][t[1]] = xs
-        elif kind is Block:  # its context parked as a Ten's identity context is
-            k = t.k
-            if k:
-                parked.append(xs[:k])
-                todo.append(_JOIN)
-                xs = xs[k:]
-            t = t.term
-            continue
-        elif kind is Blocks:  # its blocks, the first on top
+        elif kind is Blocks:  # its blocks, the first on top, then its join, over an empty held list
+            # nested in a block, it parks the outer held list; with none held, as in every
+            # composite, it parks None and reuses the empty list, so it makes no new one
+            if held:
+                parked.append(held)
+                held = []
+            else:
+                parked.append(None)
+            todo.append(_HELD)
             todo += reversed(t.blocks)
         else:
             raise TypeError(f"not a term: {t!r}")

@@ -244,6 +244,29 @@ print(json.dumps({
 """
 
 
+# Times a warm `optic_exec` of the composites of 1000 and of 8000 reified
+# stages, the fastest of 7 runs each, and prints the seconds as JSON.
+LINEAR_TIME_CHILD = """
+import json, time
+from cartoptics import Interp, build_chain, chain_input, compose_optic_chain, optic_exec, reify
+
+seconds = {}
+for n in (1000, 8000):
+    chain = build_chain(n, "finite", seed=3)
+    optic = compose_optic_chain([reify(l) for l in chain.lenses])
+    interp = Interp.from_signature(chain.signature)
+    a = chain_input(chain)
+    optic_exec(optic, a, interp)
+    runs = []
+    for _ in range(7):
+        start = time.perf_counter()
+        optic_exec(optic, a, interp)
+        runs.append(time.perf_counter() - start)
+    seconds[n] = min(runs)
+print(json.dumps(seconds))
+"""
+
+
 # Hashes two separately built composites of 1500 reified stages and compares
 # one with itself and with the other, counting every Seq and Ten node made
 # meanwhile: equal blocks decide `==` without building either.
@@ -293,6 +316,12 @@ class TestDeepChains:
         assert got["built"] == {}  # composing and running build no Seq or Ten node
         assert got["max_rss_mb"] < 100
         assert got["seconds"] < 10.0
+
+    def test_a_composite_runs_in_linear_time(self):
+        # 8 times the stages: the ratio reads 10-12 (2 CPUs), while a quadratic walk that
+        # sliced each block's context off and joined it back read 38-45
+        got = run_child(LINEAR_TIME_CHILD)
+        assert got["8000"] / got["1000"] < 20, got
 
     def test_separate_builds_are_one_representative(self):
         chain = build_chain(1500, "finite", seed=3)

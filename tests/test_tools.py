@@ -33,6 +33,7 @@ def bench():
         ("exec 64", {"lens_exec": [2080, 64, 1], "optic_exec": [64, 64, 64], "evaluate_dag": [64, 0, 0]}),
         ("compose 64", {"residual": 64, "get_evals": 64}),
         ("coherence real", {}),
+        ("run 1000", {"get_evals": 1000, "copies": 1000}),
     ],
 )
 def test_measure_gives_exact_counts_and_digests(bench, case, counts):

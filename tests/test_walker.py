@@ -14,6 +14,8 @@ oracles for `UniqueTable.form` and `read_back`.  The deep-chain tests run terms
 nested several times deeper than the interpreter's default recursion limit.
 Pushes into a unique table remember the outputs of shared subterms; they are
 checked against the same term reparsed from its text, which shares nothing.
+Stage chains whose held context wires grow and shrink by more than one, some
+nested in a block, run as their flat chains do.
 """
 
 import random
@@ -75,7 +77,7 @@ from cartoptics.sampling import (
     random_signature,
     random_table,
 )
-from cartoptics.term import run
+from cartoptics.term import Block, Blocks, chain_term, run
 from sampling_helpers import padded_variants, stage_by_stage
 
 # --- oracle: the recursive walkers ---------------------------------------------
@@ -559,6 +561,55 @@ def test_column_check_spans_blocks(rng):
     pairs.append((other >> Delete(B), Delete(dom)))
     for f, g in pairs:
         assert extensional_counterexample(f, g, interp) == oracle_counterexample(f, g, interp)
+
+
+# --- stage chains: the held context wires ---------------------------------------
+
+
+def _flat(blocks):
+    """The flat chain of a `Blocks`, any `Blocks` in a block's term built first."""
+    return chain_term(blocks.dom, [Block(k, _flat(t) if isinstance(t, Blocks) else t) for k, t in blocks.blocks])
+
+
+def _held_cases(rng, sig):
+    """Hand-built `Blocks` over 4 wires whose k rise and fall by more than one, some nested in a block."""
+    dom = Obj((A2, B3, A2, B3))
+
+    def under(obj, ks):  # blocks of random endomorphisms of obj past each block's context
+        return Blocks(obj, obj, [Block(k, random_morphism(rng, sig, obj[k:], obj[k:], budget=3)) for k in ks])
+
+    flat = under(dom, (2, 0, 3, 1, 0, 2))
+    # a Blocks in a block's term holds its own wires, k counted from its own input: under
+    # two held wires (the outer list parked), under none (the empty list reused), and twice nested
+    nested = Blocks(dom, dom, [
+        *under(dom, (1, 3)).blocks,
+        Block(2, under(dom[2:], (1, 0, 1))),
+        Block(0, under(dom, (2, 1))),
+        Block(1, under(dom[1:], (0, 2))),
+    ])
+    inner = Blocks(dom[1:], dom[1:], [Block(1, under(dom[2:], (1, 0))), Block(0, under(dom[1:], (2,)))])
+    twice = Blocks(dom, dom, [Block(1, inner)])
+    return [flat, nested, twice]
+
+
+def test_held_context_wires_run_as_the_flat_chain():
+    """A hand-built `Blocks` and its `chain_term`: outputs, counts in order, copies and refs agree."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        sig = column_signature(rng)
+        interp = Interp.from_signature(sig)
+        for blocks in _held_cases(rng, sig):
+            t = _flat(blocks)
+            assert (t.dom, t.cod) == (blocks.dom, blocks.cod)
+            for xs in enumerate_inputs(blocks.dom):
+                got, want, oracle = CostReport(), CostReport(), CostReport()
+                out = evaluate(blocks, xs, interp, got)
+                assert out == evaluate(t, xs, interp, want) == oracle_eval(t, xs, interp, oracle)
+                assert list(got.generator_counts.items()) == list(want.generator_counts.items())
+                assert got.copies == want.copies == oracle.copies > 0
+            tables = UniqueTable(len(t.dom)), UniqueTable(len(t.dom))
+            assert tables[0].push(blocks, tables[0].inputs) == tables[1].push(t, tables[1].inputs)
+            assert extensional_counterexample(blocks, t, interp) is None
 
 
 def test_chain_round_trips_match_oracle():

@@ -21,6 +21,10 @@ Every case runs in a fresh interpreter:
 - `exec N` (N = 64, 256): `lens_exec` of the lens composite, `optic_exec`
   of the optic chain and `evaluate_dag` of the shared round trip of
   `build_chain(N, "finite", seed=0)`, on `chain_input(chain, 0)`;
+- `run N` (N = 1000, 4000): a warm `optic_exec` of the composite of the N
+  reified stages of `build_chain(N, "finite", seed=0)` alone, on
+  `chain_input(chain, 0)`, and `optic_normal_eq` of it and a second
+  composite of the same optics, which pushes both stored passes of each;
 - `check-laws`: `cartoptics check-laws --random-signatures 3 --seed 0`, run
   by `cli.main` in the child (import and start-up not timed);
 - `coherence`: `check_oplax_coherence` on the 3-stage windows of
@@ -65,7 +69,9 @@ lens, optic and shared round trips of the whole chain on `chain_input`,
 and the finite-difference verdict (not the worst error, whose low digits
 depend on how the matrix products round).  An `exec` case counts each
 strategy's get evaluations, copies and residual slots, and its outputs are
-the three round trips (b, a') on every input of the chain.  The `parse`
+the three round trips (b, a') on every input of the chain.  A `run` case
+counts the get evaluations and copies of its `optic_exec`, and its outputs
+are its (b, a') and the verdict of `optic_normal_eq`.  The `parse`
 case counts the text's length, and its output is the text of the parsed
 term.  A `compose` case counts the optic composite's residual wires and
 get evaluations, and its outputs are the text of its two passes; its first
@@ -339,6 +345,25 @@ def exec_case(n: int) -> dict:
     }
 
 
+def warm_run_case(n: int) -> dict:
+    import cartoptics as C
+
+    chain = C.build_chain(n, "finite", seed=0)
+    interp = C.Interp.from_signature(chain.signature)
+    optics = [C.reify(l) for l in chain.lenses]
+    optic, other = C.compose_optic_chain(optics), C.compose_optic_chain(optics)
+    a = C.chain_input(chain, 0)
+    b, a_prime, report = C.optic_exec(optic, a, interp)
+    return {
+        "seconds": {
+            "optic_exec": shots(lambda: C.optic_exec(optic, a, interp))[0],
+            "optic_normal_eq": shots(lambda: C.optic_normal_eq(optic, other))[0],
+        },
+        "counts": {"get_evals": report.total_evals(chain.get_names), "copies": report.copies},
+        "outputs": {"round_trip": [list(b), list(a_prime)], "normal_eq": C.optic_normal_eq(optic, other)},
+    }
+
+
 def compose_case(n: int) -> dict:
     import cartoptics as C
 
@@ -378,6 +403,7 @@ CASES = {
     **{f"optic {n}": lambda n=n: term_case("optic", n) for n in (64, 256, 1000)},
     **{f"compose {n}": lambda n=n: compose_case(n) for n in (64, 256, 1000)},
     **{f"exec {n}": lambda n=n: exec_case(n) for n in (64, 256)},
+    **{f"run {n}": lambda n=n: warm_run_case(n) for n in (1000, 4000)},
     "check-laws": check_laws_case,
     "coherence": lambda: coherence_case(64, "finite", range(0, 57, 8)),
     "coherence real": lambda: coherence_case(16, "real", range(14), dim=256),
