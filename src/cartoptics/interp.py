@@ -177,6 +177,8 @@ def check_values(obj: Obj, values: tuple, what: str = "input") -> None:
                 raise CarrierMismatch(f"{what}: [{i}]: value {v!r} not in finite carrier of {s.name}")
         else:
             arr = np.asarray(v)
+            if arr.dtype.kind not in "iuf":
+                raise CarrierMismatch(f"{what}: [{i}]: value for {s.name} has dtype {arr.dtype}, expected real numbers")
             if arr.shape != (c.dimension,):
                 raise CarrierMismatch(
                     f"{what}: [{i}]: value for {s.name} has shape {arr.shape}, expected ({c.dimension},)"

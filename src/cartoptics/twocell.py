@@ -23,15 +23,15 @@ with no candidate enumeration.  Cells preserve erasure, so only ordered
 pairs in one fibre of `erase` can have cells.  Each optic's passes are
 pushed once into one unique table per boundary.  Matching bw2 against bw1
 row by row binds every residual wire bw2 reads to the one ref it must be,
-or fails; each bound ref must land on fw2's ref once moved into the forward
-pass.  The wires bw2 does not read meet the forward square only, and one
-pass over the table's rows counts their solutions.  So each pair gets its
-exact number of cells (witnesses distinct up to normal form) and its first
-witness, whose squares are checked in that same table (pushing only the
-witness and bw2) and cross-checked by exhaustive evaluation.  Moving refs
-into the forward pass and building the witness are both
-`UniqueTable.pull`, stopping at residual wires.  The cell keeps that form
-as its witness; pasting reads it back to a term.
+or fails; in one fibre the bound wires close the forward square too (see
+`_Passes.match`).  The wires bw2 does not read meet the forward square
+only, and one pass over the table's rows counts their solutions.  So each
+pair gets its exact number of cells (witnesses distinct up to normal form)
+and its first witness, whose squares are checked in that same table
+(pushing only the witness and bw2) and cross-checked by exhaustive
+evaluation.  The witness is built by `UniqueTable.pull`, stopping at
+residual wires.  The cell keeps that form as its witness; pasting reads it
+back to a term.
 
 `enumerate_wire_terms` and `enumerate_morphisms`, the bounded enumeration the
 search replaced, stay: `perfbench/run.py` patches them by name, `bridge`
@@ -313,8 +313,7 @@ class _Passes:
         self.optics = optics
         self.sizes = [len(o.residual) for o in optics]
         table = self.table = UniqueTable(na + nb + sum(self.sizes))
-        back = table.inputs[na : na + nb]
-        self.back = range(na, na + nb)
+        back = self.back = table.inputs[na : na + nb]
         self.starts, self.fw, self.bw, self.fibre = [], [], [], []
         start = na + nb
         for o, k in zip(optics, self.sizes):
@@ -325,17 +324,17 @@ class _Passes:
             self.bw.append(table.push(backward, table.inputs[start : start + k] + back))
             self.fibre.append((fw[k:], table.push(backward, fw[:k] + back)))
             start += k
-        reads = self.reads_back = []  # per row: does it read B' (which no witness sees)?
-        for _, args in table.rows:
-            reads.append(any(x in self.back if isinstance(x, int) else reads[x[0]] for x in args))
         self._solutions: dict[int, tuple] = {}
 
     def match(self, i: int, j: int) -> dict[int, Ref] | None:
         """The ref over optic i's block that each residual wire bw_j reads must be.
 
-        First-order matching of bw_j against bw_i, row by row, with
-        generators compared by table identity; None on a conflict, or when
-        a wire would have to read B'.
+        First-order matching of bw_j against bw_i, row by row; None on a
+        conflict.  Optics i and j lie in one fibre of erasure, and σ, which
+        puts each optic's forward residual refs in place of its block, takes
+        bw_i and bw_j to that fibre's put and keeps B', generators and output
+        indices.  So σ(p) = σ(t) at every pair met: B' faces itself, facing
+        rows agree, and a bound ref reads no B' and lands on fw_j's ref.
         """
         rows, lo, k = self.table.rows, self.starts[j], self.sizes[j]
         bound: dict[int, Ref] = {}
@@ -344,25 +343,17 @@ class _Passes:
         while todo:
             p, t = todo.pop()
             if isinstance(p, int):
-                if lo <= p < lo + k:
-                    if bound.setdefault(p - lo, t) != t:
-                        return None
-                elif p != t:
+                if lo <= p < lo + k and bound.setdefault(p - lo, t) != t:
                     return None
                 continue
-            if isinstance(t, int) or p[1] != t[1]:
+            if isinstance(t, int):
                 return None
             hit = seen.get(p[0])
             if hit is None:
                 seen[p[0]] = t[0]
-                (gp, ps), (gt, ts) = rows[p[0]], rows[t[0]]
-                if gp is not gt:
-                    return None
-                todo += zip(ps, ts)
+                todo += zip(rows[p[0]][1], rows[t[0]][1])
             elif hit != t[0]:
                 return None
-        if any(t in self.back if isinstance(t, int) else self.reads_back[t[0]] for t in bound.values()):
-            return None
         return bound
 
     def solutions(self, i: int) -> tuple[dict, Callable[[Ref], int]]:
@@ -394,20 +385,17 @@ class _Passes:
 
         Witnesses are counted distinct up to normal form.  The first is the
         one a bounded enumeration would list first: on each wire a residual
-        wire before a generator, the lowest wire first.  It comes as its
-        canonical form.  Optics i and j must lie in one fibre of erasure,
-        the only pairs `search_cells` decides, so their B refs are the same.
+        wire before a generator, the lowest wire first, as its canonical
+        form.  Optics i and j must lie in one fibre of erasure, the only
+        pairs `search_cells` decides, so their B refs are the same and the
+        wires `match` binds close the forward square.
         """
         k1, k2 = self.sizes[i], self.sizes[j]
-        m1, m2 = self.fw[i][:k1], self.fw[j][:k2]
+        m2 = self.fw[j][:k2]
         bound = self.match(i, j)
         if bound is None:
             return 0, None
         lo, refs = self.starts[i], list(bound.values())
-        # the bound wires must also close the forward square
-        landed = self.table.pull(refs, self.table.apply, lambda r: m1[r - lo] if isinstance(r, int) else None)
-        if landed != tuple(m2[w] for w in bound):
-            return 0, None
         # the wires bw_j does not read are constrained by the forward square only
         wires, solutions = self.solutions(i)
         free = [w for w in range(k2) if w not in bound]

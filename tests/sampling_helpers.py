@@ -12,6 +12,8 @@ import numpy as np
 
 from cartoptics import (
     UNIT,
+    CanonicalForm,
+    Copy,
     FiniteCarrier,
     Id,
     Interp,
@@ -23,6 +25,8 @@ from cartoptics import (
     Term,
     TwoCell,
     mk_two_cell,
+    normalize,
+    read_back,
 )
 from cartoptics.interp import check_identity_env
 from cartoptics.optic import optic_id
@@ -63,6 +67,33 @@ def padded_variants(rng: random.Random, t: Term, count: int = 4) -> list[Term]:
         for _ in range(rng.randint(1, 3)):
             v = pad_once(v)
         out.append(v)
+    return out
+
+
+def same_fibre_variants(rng: random.Random, o: Optic, n: int) -> list[Optic]:
+    """Optics in o's fibre of erasure that hold o's residual twice.
+
+    Each forward pass is `o.forward ; (copy[M] * id[B])`.  Each backward pass
+    is `normalize(o.backward)` with every residual argument of its rows and
+    outputs read from either copy at random, read back to a term.  Erasing
+    puts the same forward value on both copies, so every variant erases to
+    o's lens; its backward pass may read one residual wire from both copies.
+    """
+    m, (b, _) = o.residual, o.cod_pair
+    k = len(m)
+    cf = normalize(o.backward)
+    forward = o.forward >> Ten(Copy(m), Id(b))
+
+    def moved(x):
+        if not isinstance(x, int):
+            return x
+        return x + k * rng.randrange(2) if x < k else x + k
+
+    out = []
+    for _ in range(n):
+        nodes = tuple((gen, tuple(map(moved, args))) for gen, args in cf.nodes)
+        form = CanonicalForm(m @ cf.dom, cf.cod, nodes, tuple(map(moved, cf.outputs)))
+        out.append(Optic(m @ m, forward, read_back(form)))
     return out
 
 

@@ -14,6 +14,7 @@ from cartoptics import (
     Lens,
     Optic,
     TermTypeError,
+    TwoCell,
     TwoCellError,
     check_adjunction,
     check_oplax_coherence,
@@ -282,6 +283,39 @@ class TestFailureRecords:
             assert laws[name]["checked"] == 3 and laws[name]["passed"] is False
         assert all(laws[name]["passed"] for name in ("RE_identity", "counit_naturality"))
         assert not report.passed
+
+    def test_rejected_naturality_cell_records_both_checks(self, sig, interp, monkeypatch):
+        # counit_validity's three samples make mk_two_cell calls 1-3; naturality's one sample makes call 4
+        monkeypatch.setattr(bridge, "mk_two_cell", rejecting(bridge.mk_two_cell, {4}))
+        laws = check_adjunction(sig, interp, random.Random(97), n_samples=3).to_json()["laws"]
+        assert laws["counit_naturality"] == {
+            "passed": False,
+            "checked": 1,
+            "failures": [{"index": 0, "square_ok": True, "reify_erase_cell_ok": False}],
+        }
+        assert laws["counit_validity"]["passed"] and laws["mutation_sensitivity"]["passed"]
+
+    def test_accepted_corruption_fails_mutation_sensitivity(self, sig, interp, monkeypatch):
+        # a validator that accepts every witness lets each corrupted counit through
+        def accept(src, tgt, witness, interp=None):
+            return TwoCell(src, tgt, witness)
+
+        monkeypatch.setattr(bridge, "mk_two_cell", accept)
+        laws = check_adjunction(sig, interp, random.Random(97), n_samples=8).to_json()["laws"]
+        law = laws["mutation_sensitivity"]
+        assert law["passed"] is False and law["checked"] == 2 and len(law["failures"]) == 2
+        for failure in law["failures"]:
+            assert set(failure) == {"index", "witness", "error"} and failure["error"] == "corruption accepted"
+
+    def test_no_corruptible_sample_fails_mutation_sensitivity(self, sig, interp, monkeypatch):
+        monkeypatch.setattr(bridge, "_corrupted_counit_witness", lambda o, sig: None)
+        laws = check_adjunction(sig, interp, random.Random(97), n_samples=3).to_json()["laws"]
+        assert laws["mutation_sensitivity"] == {
+            "passed": False,
+            "checked": 1,
+            "failures": [{"error": "no corruptible sample found"}],
+        }
+        assert all(laws[name]["passed"] for name in ADJUNCTION_LAWS - {"mutation_sensitivity"})
 
     @pytest.mark.parametrize(
         "error", [TwoCellError("backward", "pasting refused"), TermTypeError("pasting refused")]

@@ -31,7 +31,9 @@ from cartoptics import (
     evaluate_dag,
     extensional_counterexample,
     graph,
+    lens_exec,
     load_signature,
+    optic_exec,
     reify,
     share,
     signature_to_json,
@@ -343,6 +345,29 @@ class TestRealCarriers:
         t = Gen(real_sig.generator("sq"))
         with pytest.raises(CarrierMismatch):
             evaluate(t, (np.zeros(3),), interp)
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [
+            (np.array([True, False]), "bool"),
+            (np.array(["0.5", "1"]), "<U3"),
+            (np.array([0.5, None], dtype=object), "object"),
+        ],
+        ids=["bool", "str", "object"],
+    )
+    def test_non_real_dtypes_rejected(self, value, dtype):
+        # a bool vector would run as 1.0 and 0.0; a string one would fail inside numpy
+        chain = build_chain(2, "real", dim=2)
+        interp = Interp.from_signature(chain.signature)
+        optic = compose_optic_chain([reify(l) for l in chain.lenses])
+        want = rf"^input: \[0\]: value for X0 has dtype {dtype}, expected real numbers$"
+        for run in (
+            lambda: evaluate(optic.forward, (value,), interp),
+            lambda: optic_exec(optic, (value,), interp),
+            lambda: lens_exec(chain.lenses[0], (value,), interp),
+        ):
+            with pytest.raises(CarrierMismatch, match=want):
+                run()
 
     def test_bytes_accounting(self, real_sig, A):
         assert obj_bytes(real_sig.obj("R")) == 16

@@ -1,15 +1,21 @@
-"""`tools/bench.py`: its child measurement runs against this `src/`, and its summary gates exact agreement.
+"""The tools: `bench.py`'s measurements and summary, and `unrun.py`'s listing.
 
-The measurement runs in-process here, so a change to the package's API
-breaks a test rather than the next before/after run.
+`tools/bench.py`'s child measurement runs against this `src/`, and its
+summary gates exact agreement.  The measurement runs in-process here, so a
+change to the package's API breaks a test rather than the next before/after
+run.  `tools/unrun.py` runs in a child process, since it traces pytest.
 """
 
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "tools" / "bench.py"
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +70,22 @@ def test_shots_time_fast_calls_in_bulk(bench):
     seconds, last = bench.shots(lambda: calls.append(None) or len(calls), repeat=3)
     assert last == len(calls) > 3  # many calls per shot, and the last call's result
     assert 0 < seconds < bench.MIN_SHOT_S / 100  # seconds per call, not per shot
+
+
+def test_unrun_lists_the_statements_a_test_file_never_runs():
+    p = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "unrun.py"), "-q", "-p", "no:cacheprovider", "tests/test_dag.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert p.returncode == 0, p.stdout + p.stderr
+    listed = [m.groups() for m in map(re.compile(r"(\w+\.py):(\d+): (.+)").fullmatch, p.stdout.splitlines()) if m]
+    assert f"{len(listed)} statements of src/cartoptics never ran" in p.stderr
+    sources = {}
+    for module, line, text in listed:
+        lines = sources.setdefault(module, (ROOT / "src" / "cartoptics" / module).read_text().splitlines())
+        assert lines[int(line) - 1].strip() == text
+        assert not text.startswith(("def ", "class ", "import ", "from ", "@", '"""'))
+    # test_dag.py shares and evaluates, and searches no cells
+    texts = {(module, text) for module, _, text in listed}
+    assert ("dag.py", "return normalize(t)") not in texts
+    assert ("twocell.py", "place: dict[int, tuple[_Passes, int]] = {}") in texts

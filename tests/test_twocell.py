@@ -50,12 +50,19 @@ from cartoptics import (
 from cartoptics import compose_chain, compose_optic_chain, term, twocell
 from cartoptics import optic as optic_module
 from cartoptics.cost import build_chain
+from cartoptics.expr import parse_term
 from cartoptics.interp import first_disagreement
 from cartoptics.normal import UniqueTable
 from cartoptics.term import gen_wire, pairing, run, select_wire
 from cartoptics.sampling import canon, random_obj, random_optic, random_signature, random_valid_cell
 from cartoptics.twocell import NormalizerDisagreement
-from sampling_helpers import composed_parts, random_cell_chain, random_composable_cells, random_optic_chain
+from sampling_helpers import (
+    composed_parts,
+    random_cell_chain,
+    random_composable_cells,
+    random_optic_chain,
+    same_fibre_variants,
+)
 
 
 @pytest.fixture
@@ -277,6 +284,15 @@ class TestEnumeration:
         assert normalize(k >> Proj2(A, A)) in forms
 
 
+AND = ((0,), (0,), (0,), (1,))
+
+
+def one_sort_signature(*generators):
+    """Sort A = {0, 1} and generators `(name, arity, table)` from arity copies of A to A."""
+    a = Sort("A", FiniteCarrier(2))
+    return Signature((a,), tuple(Generator(name, Obj((a,) * n), Obj((a,)), table=t) for name, n, t in generators))
+
+
 def twin_residuals(A, reads_residual):
     """An optic holding its input twice, and one holding it once; one fibre of erase.
 
@@ -304,6 +320,42 @@ class TestWitnessSearch:
         # the first witness takes the lowest residual wire
         assert normal_eq(sample.cells[0].witness, Proj1(A, A))
         assert search_cells([src, tgt], interp).cells[0].witness == sample.cells[0].witness
+
+    @pytest.mark.parametrize(
+        "back1, back2",
+        [
+            # o2's one residual wire faces both of o1's: bound to two refs
+            ("pi1[A A,A] ; h", "pi1[A,A] ; copy[A] ; h"),
+            # o2's one g row, read twice, faces o1's two g rows
+            ("pi1[A A,A] ; (g * g) ; h", "pi1[A,A] ; g ; copy[A] ; h"),
+        ],
+        ids=["bound-wire", "shared-row"],
+    )
+    def test_a_match_conflict_leaves_one_direction_without_cells(self, back1, back2):
+        # both optics erase to put(a, b') = h(a, a) or h(g a, g a): one fibre
+        sig = one_sort_signature(("g", 1, ((1,), (0,))), ("h", 2, AND))
+        A, interp = sig.obj("A"), Interp.from_signature(sig)
+        o1 = Optic(A @ A, parse_term("copy[A] ; (id[A] * copy[A])", sig), parse_term(back1, sig))
+        o2 = Optic(A, Copy(A), parse_term(back2, sig))
+        assert fibre(o1) == fibre(o2)
+        sample = search_cells([o1, o2], interp)
+        assert sample.edges == ((1, 0, 1),)
+        assert normal_eq(sample.cells[0].witness, Copy(A))
+        assert [enumerated_count(o1, o2), enumerated_count(o2, o1)] == [0, 1]
+
+    def test_a_bound_constant_is_rebuilt_over_the_residual(self):
+        # both optics hold the constant c; o1's backward pass reads c itself and o2's reads its wire,
+        # so the witness must rebuild c, not read the wire that holds it
+        sig = one_sort_signature(("c", 0, ((1,),)), ("h", 2, AND))
+        A, interp = sig.obj("A"), Interp.from_signature(sig)
+        forward = parse_term("copy[A] ; ((del[A] ; c) * id[A])", sig)
+        o1 = Optic(A, forward, parse_term("((del[A] ; c) * id[A]) ; h", sig))
+        o2 = Optic(A, forward, parse_term("h", sig))
+        sample = search_cells([o1, o2], interp)
+        # o1's c faces o2's residual wire the other way
+        assert sample.edges == ((0, 1, 1),)
+        assert normal_eq(sample.cells[0].witness, parse_term("del[A] ; c", sig))
+        assert [enumerated_count(o1, o2), enumerated_count(o2, o1)] == [1, 0]
 
     def test_counit_witness_is_found(self, f, h, A, interp):
         o = Optic(A, graph(f), h)
@@ -500,6 +552,31 @@ class TestSearchAgainstReference:
         optics = [random_optic(rng, sig, dom_pair, cod_pair) for _ in range(2)]
         optics += [reify(erase(optics[0])), cell.src, cell.tgt]
         assert_search_matches_reference(optics, sig, 1, interp)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.randoms(use_true_random=False))
+    def test_random_families_in_one_fibre(self, rng):
+        # the variants hold the residual twice and read either copy, so a wire that o reads
+        # twice can be bound to two refs; every pair must count what enumeration counts
+        sig = random_signature(rng)
+        interp = Interp.from_signature(sig)
+        dom_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        cod_pair = (random_obj(rng, sig, hi=1), random_obj(rng, sig, hi=1))
+        o = random_optic(rng, sig, dom_pair, cod_pair)
+        family = [o, reify(erase(o)), *same_fibre_variants(rng, o, 2)]
+        assert all(fibre(x) == fibre(o) for x in family)
+        sample = search_cells(family, interp)
+        counts = {(i, j): n for i, j, n in sample.edges}
+        for i, j in itertools.permutations(range(len(family)), 2):
+            want = enumerated_count(family[i], family[j])
+            if want is not None:
+                assert counts.get((i, j), 0) == want, (i, j)
 
 
 class TestSearchCrossChecks:
